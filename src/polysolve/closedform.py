@@ -3,11 +3,12 @@ difference-of-cubes) identities, plus the numeric square-difference splitter
 for monic even degrees 6, 8, 10 and the recursive solve-by-split driver.
 
 The splitter writes a monic even-degree F as (Q-P)(Q+P) with monic
-half-degree factors. Writing m_j for half the coefficient sum at slot j and
-O_j for the coefficient product (factor coefficients w±_j = m_j ± R_j with
-R_j = sqrt(m_j^2 - O_j)), the unknowns are the interior O_1..O_{h-1} and the
-h-2 free cross-sum corrections; the closing equations are the coefficient
-matches of the reconstructed product.
+half-degree factors, found by Newton's method on the factor coefficients
+themselves. The result is also given in the paper's parameterization:
+writing m_j for half the coefficient sum at slot j and O_j for the
+coefficient product, the factor coefficients are w±_j = m_j ± R_j with
+R_j = sqrt(m_j^2 - O_j), and the free cross-sum corrections L_j close the
+coefficient matches of the product.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .poly import (
     Polynomial,
     RootEntry,
     RootReport,
+    lu_solve,
     newton_polish,
     scaled_residual,
 )
@@ -205,39 +207,6 @@ class SquareDifferenceSplit:
         return Polynomial(self.w_minus), Polynomial(self.w_plus)
 
 
-def _assemble_halves(
-    c: tuple[complex, ...],
-    omega_in: list[complex],
-    l_vars: list[complex],
-    signs: tuple[int, ...],
-) -> tuple[list[complex], list[complex]]:
-    """Factor coefficients from the unknowns, highest slot first chain.
-
-    tops[j] (the coefficient sum at slot j) is read off c with the already
-    determined diagonal products subtracted; slots below h-2 additionally
-    absorb a free cross-sum variable.
-    """
-    n = len(c) - 1
-    h = n // 2
-    omega = [c[0]] + list(omega_in) + [1.0 + 0j]
-    wp = [0j] * (h + 1)
-    wm = [0j] * (h + 1)
-    wp[h] = wm[h] = 1.0 + 0j
-    for j in range(h - 1, -1, -1):
-        top = c[h + j]
-        if (h + j) % 2 == 0:
-            top = top - omega[(h + j) // 2]
-        if j <= h - 3:
-            top = top - l_vars[j]
-        m = top / 2.0
-        r = cmath.sqrt(m * m - omega[j])
-        if signs[j] < 0:
-            r = -r
-        wp[j] = m + r
-        wm[j] = m - r
-    return wp, wm
-
-
 def _product_coeffs(wp: list[complex], wm: list[complex]) -> list[complex]:
     h = len(wp) - 1
     out = [0j] * (2 * h + 1)
@@ -252,107 +221,26 @@ def _reconstruction_residual(c: tuple[complex, ...], wp, wm) -> float:
     return max(abs(a - b) for a, b in zip(prod, c))
 
 
-def _split_equations(
-    c: tuple[complex, ...], z: list[complex], signs: tuple[int, ...]
-) -> list[complex]:
-    """Residual vector (length n-3) of the coefficient-matching system."""
-    n = len(c) - 1
-    h = n // 2
-    omega = z[: h - 1]
-    l_vars = z[h - 1 :]
-    wp, wm = _assemble_halves(c, omega, l_vars, signs)
-    prod = _product_coeffs(wp, wm)
-    # slots 0, n-2, n-1, n match by construction
-    return [prod[i] - c[i] for i in range(1, n - 2)]
-
-
-def _solve_lin(a: list[list[complex]], b: list[complex]) -> list[complex] | None:
-    """Gaussian elimination with partial pivoting; None when singular."""
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[piv][col]) < 1e-300:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1.0 / m[col][col]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col] * inv
-                for cc in range(col, n + 1):
-                    m[r][cc] -= f * m[col][cc]
-    return [m[i][n] / m[i][i] for i in range(n)]
-
-
-def _newton_on_split(
-    c: tuple[complex, ...],
-    z0: list[complex],
-    signs: tuple[int, ...],
-    max_iter: int = 60,
-) -> tuple[list[complex], float]:
-    """Damped Newton on the coefficient-matching system, one sign pattern.
-
-    The system is holomorphic away from radicand zeros, so a complex
-    Jacobian from central differences is valid; steps halve (up to 20
-    times) whenever the residual norm would grow.
-    """
-    dim = len(z0)
-    z = z0[:]
-    fz = _split_equations(c, z, signs)
-    fnorm = max(abs(v) for v in fz)
-    for _ in range(max_iter):
-        if fnorm < 1e-12:
-            break
-        jac: list[list[complex]] = [[0j] * dim for _ in range(dim)]
-        for j in range(dim):
-            step = 1e-6 * (1.0 + abs(z[j]))
-            zp = z[:]
-            zp[j] = z[j] + step
-            zm = z[:]
-            zm[j] = z[j] - step
-            fp = _split_equations(c, zp, signs)
-            fm = _split_equations(c, zm, signs)
-            for i in range(dim):
-                jac[i][j] = (fp[i] - fm[i]) / (2.0 * step)
-        delta = _solve_lin(jac, [-v for v in fz])
-        if delta is None:
-            break
-        scale = 1.0
-        improved = False
-        for _ in range(20):
-            cand = [z[i] + scale * delta[i] for i in range(dim)]
-            fc = _split_equations(c, cand, signs)
-            fn = max(abs(v) for v in fc)
-            if fn < fnorm:
-                z, fz, fnorm = cand, fc, fn
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            break
-    return z, fnorm
-
-
 def _factor_newton(
     c: tuple[complex, ...], wp0: list[complex], wm0: list[complex], max_iter: int = 80
 ) -> tuple[list[complex], list[complex], float]:
-    """Newton directly on the factor coefficients (no radical branches).
+    """Damped Newton on the coefficients of the two monic halves.
 
-    Fallback engine when the omega/L iteration stalls: unknowns are the 2h
-    non-leading coefficients of both monic halves, equations the full
-    coefficient match. The analytic Jacobian is the pair of convolution
-    operators.
+    The unknowns are the 2h non-leading coefficients of both halves, the
+    equations the n non-leading coefficient matches of their product with
+    c (a multi-factor Bairstow iteration). The Jacobian is the pair of
+    convolution operators, exact and cheap; steps halve (up to 20 times)
+    whenever the largest coefficient mismatch would grow. Returns both
+    halves, leading 1 appended, and that mismatch.
     """
     n = len(c) - 1
     h = n // 2
-    u = wp0[:h]
-    v = wm0[:h]
 
     def f(uv: list[complex]) -> list[complex]:
         prod = _product_coeffs(uv[:h] + [1.0 + 0j], uv[h:] + [1.0 + 0j])
         return [prod[i] - c[i] for i in range(n)]
 
-    z = u + v
+    z = wp0[:h] + wm0[:h]
     fz = f(z)
     fnorm = max(abs(x) for x in fz)
     for _ in range(max_iter):
@@ -367,7 +255,7 @@ def _factor_newton(
                 if 0 <= i - j <= h:
                     jac[i][j] = vv[i - j]
                     jac[i][h + j] = uu[i - j]
-        delta = _solve_lin(jac, [-x for x in fz])
+        _, delta = lu_solve(jac, [-x for x in fz])
         if delta is None:
             break
         scale = 1.0
@@ -415,10 +303,13 @@ def square_difference_split(
 ) -> SquareDifferenceSplit:
     """Split a monic polynomial of even degree 4..10 as (Q-P)(Q+P).
 
-    Degree 4 goes through the closed-form resolvent cubic. Degrees 6-10 run
-    damped Newton on the omega/L coefficient-matching system over seeded
-    starts and the 2^(h-1) radical sign patterns; a factor-coefficient
-    Newton pass refines or rescues the best candidate. The split always
+    Degree 4 goes through the closed-form resolvent cubic, refined in factor
+    space when a degenerate resolvent costs digits. Degrees 6-10 run the
+    factor-coefficient Newton iteration from up to max_starts seeded
+    Gaussian starts for both monic halves, returning the first split whose
+    largest coefficient mismatch is at most residual_target (the first
+    start almost always suffices). The result carries the paper's
+    omega / l_vars parameterization of the factor pair. The split always
     exists over C; failure to reach the target indicates iteration limits
     and raises ConvergenceError with the best split attached.
     """
@@ -446,48 +337,16 @@ def square_difference_split(
             wp, wm, _ = _factor_newton(c, wp, wm)
         return _split_from_halves(c, wp, wm)
 
-    dim = n - 3
+    if max_starts < 1:
+        raise ValueError("square_difference_split needs max_starts >= 1")
     rng = random.Random(0xD1FF ^ n)
-    sign_patterns = []
-    for bits in range(2 ** (h - 1)):
-        pat = tuple(1 if (bits >> j) & 1 == 0 else -1 for j in range(h - 1)) + (1,)
-        sign_patterns.append(pat)
-
     best_split: SquareDifferenceSplit | None = None
-    starts_used = 0
-    start_pool: list[list[complex]] = [[0.05 + 0.05j] * dim]
-    while len(start_pool) < max_starts:
-        start_pool.append(
-            [complex(rng.gauss(0.0, 0.6), rng.gauss(0.0, 0.6)) for _ in range(dim)]
-        )
-    for z0 in start_pool:
-        for signs in sign_patterns:
-            if starts_used >= max_starts:
-                break
-            starts_used += 1
-            z, _ = _newton_on_split(c, z0, signs, max_iter=40)
-            wp, wm = _assemble_halves(c, z[: h - 1], z[h - 1 :], signs)
-            split = _split_from_halves(c, wp, wm)
-            if best_split is None or split.residual < best_split.residual:
-                best_split = split
-            if best_split.residual <= residual_target:
-                return best_split
-        if best_split is not None and best_split.residual <= residual_target:
-            return best_split
-
-    # refine the best candidate (and a few fresh random starts) in factor space
-    candidates = [(best_split.w_plus, best_split.w_minus)]
-    for _ in range(8):
-        candidates.append(
-            (
-                [complex(rng.gauss(0, 0.8), rng.gauss(0, 0.8)) for _ in range(h)] + [1.0 + 0j],
-                [complex(rng.gauss(0, 0.8), rng.gauss(0, 0.8)) for _ in range(h)] + [1.0 + 0j],
-            )
-        )
-    for wp0, wm0 in candidates:
+    for _ in range(max_starts):
+        wp0 = [complex(rng.gauss(0.0, 0.8), rng.gauss(0.0, 0.8)) for _ in range(h)]
+        wm0 = [complex(rng.gauss(0.0, 0.8), rng.gauss(0.0, 0.8)) for _ in range(h)]
         wp, wm, _ = _factor_newton(c, wp0, wm0)
         split = _split_from_halves(c, wp, wm)
-        if split.residual < best_split.residual:
+        if best_split is None or split.residual < best_split.residual:
             best_split = split
         if best_split.residual <= residual_target:
             return best_split

@@ -98,6 +98,8 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
 
     Every reported root is Newton-polished to cfg.polish_tol; candidates
     that fail polishing are dropped into the warnings rather than reported.
+    When fewer than n roots survive, the warnings end with "found k of n
+    roots".
     """
     cfg = cfg if cfg is not None else GrimConfig()
     n = p.degree
@@ -146,7 +148,9 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
         RootEntry(root, res, branch=d, iterations=its)
         for root, res, d, its in kept
     ]
-    warnings = diagnostics if len(kept) < n else []
+    warnings = []
+    if len(kept) < n:
+        warnings = diagnostics + [f"found {len(kept)} of {n} roots"]
     return RootReport(entries, method="grim", warnings=warnings).sort()
 
 

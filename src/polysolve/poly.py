@@ -216,17 +216,27 @@ def all_roots_oracle(p: Polynomial, tol: float = 1e-12) -> RootReport:
     return report
 
 
-def _det_lu(matrix: list[list[complex]]) -> complex:
-    """Determinant by LU with partial pivoting (in place on a copy)."""
+def lu_solve(
+    matrix: list[list[complex]], rhs: list[complex] | None = None
+) -> tuple[complex, list[complex] | None]:
+    """LU elimination with partial pivoting, on copies of its arguments.
+
+    Returns the determinant of the square matrix and, when rhs is given
+    and the matrix is nonsingular, the solution x of matrix @ x = rhs
+    (None otherwise).
+    """
     n = len(matrix)
     a = [row[:] for row in matrix]
+    x = None if rhs is None else list(rhs)
     det: complex = 1.0
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
         if a[pivot][col] == 0:
-            return 0.0
+            return 0.0, None
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
+            if x is not None:
+                x[col], x[pivot] = x[pivot], x[col]
             det = -det
         det *= a[col][col]
         inv = 1.0 / a[col][col]
@@ -236,7 +246,15 @@ def _det_lu(matrix: list[list[complex]]) -> complex:
                 continue
             for c2 in range(col, n):
                 a[r][c2] -= factor * a[col][c2]
-    return det
+            if x is not None:
+                x[r] -= factor * x[col]
+    if x is not None:
+        for i in range(n - 1, -1, -1):
+            acc = x[i]
+            for k in range(i + 1, n):
+                acc -= a[i][k] * x[k]
+            x[i] = acc / a[i][i]
+    return det, x
 
 
 def sylvester_resultant(p: Polynomial, q: Polynomial) -> complex:
@@ -257,7 +275,7 @@ def sylvester_resultant(p: Polynomial, q: Polynomial) -> complex:
         rows.append([0j] * shift + pc + [0j] * (size - shift - m - 1))
     for shift in range(m):
         rows.append([0j] * shift + qc + [0j] * (size - shift - n - 1))
-    return _det_lu(rows)
+    return lu_solve(rows)[0]
 
 
 def _power_sums(p: Polynomial, up_to: int) -> list[complex]:

@@ -1,9 +1,13 @@
 import io
 import json
 import math
+import random
 
 from polysolve import Polynomial, all_roots_oracle
 from polysolve.cli import canonical_json, main
+from polysolve.poly import format_poly
+
+from conftest import separated_roots_poly
 
 X5M_ROOT = 1.1673039782614187  # bisection oracle for x^5 - x - 1 on [1, 2]
 
@@ -47,6 +51,20 @@ class TestSolve:
         for r in doc["roots"]:
             z = complex(r["re"], r["im"])
             assert min(abs(z - e.root) for e in oracle.roots) <= 1e-8
+
+    def test_grim_shortfall_is_mismatch(self):
+        # instance 98 of the criterion-7 stream: GRIM keeps 4 of its 5 roots
+        rng = random.Random(0x5EED07)
+        for _ in range(99):
+            p, _ = separated_roots_poly(rng, rng.randint(2, 10))
+        code, out, _ = run_cli(
+            "solve", f"--coeffs={format_poly(p)}", "--method", "grim", "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["roots"]) == 4
+        assert doc["status"] == "mismatch"
+        assert "found 4 of 5 roots" in doc["warnings"]
 
     def test_method_dispatch_split(self):
         code, out, _ = run_cli("solve", "--coeffs", "-1,0,0,0,0,0,1", "--json")

@@ -5,10 +5,13 @@ import random
 import pytest
 
 from polysolve import (
+    ConvergenceError,
     DegreeError,
     Polynomial,
+    SquareDifferenceSplit,
     all_roots_oracle,
     match_roots,
+    poly_from_roots,
     scaled_residual,
     solve_by_split,
     solve_cubic,
@@ -31,6 +34,30 @@ def _vieta_ok(p: Polynomial, roots, tol=1e-8) -> bool:
     return (
         abs(total - sum_ref) <= tol * (1 + abs(sum_ref))
         and abs(prod - prod_ref) <= tol * (1 + abs(prod_ref))
+    )
+
+
+def _clustered_poly(rng: random.Random, degree: int) -> Polynomial:
+    """Monic, with its roots in pairs 1e-3 apart."""
+    roots = []
+    for _ in range(degree // 2):
+        z = cmath.rect(rng.uniform(0.2, 1.0), rng.uniform(-math.pi, math.pi))
+        roots += [z, z + cmath.rect(1e-3, rng.uniform(-math.pi, math.pi))]
+    return poly_from_roots(roots)
+
+
+def _real_poly(rng: random.Random, degree: int) -> Polynomial:
+    return Polynomial([rng.uniform(-1, 1) for _ in range(degree)] + [1.0])
+
+
+def _wide_scale_poly(rng: random.Random, degree: int) -> Polynomial:
+    """Monic, other coefficient moduli log-uniform in [1e-6, 1e6]."""
+    return Polynomial(
+        [
+            cmath.rect(10.0 ** rng.uniform(-6, 6), rng.uniform(-math.pi, math.pi))
+            for _ in range(degree)
+        ]
+        + [1.0]
     )
 
 
@@ -161,9 +188,38 @@ class TestSquareDifferenceSplit:
         bound = 1e-9 * (1 + max(abs(c) for c in F.coeffs))
         assert all(abs(a - b) <= bound for a, b in zip(prod.coeffs, F.coeffs))
 
+    @pytest.mark.parametrize("degree", [6, 8, 10])
+    @pytest.mark.parametrize(
+        "corpus", [_clustered_poly, _real_poly, _wide_scale_poly],
+        ids=["clustered", "real", "wide_scale"],
+    )
+    def test_hard_corpora_residual(self, corpus, degree):
+        rng = random.Random(degree * 101)
+        for _ in range(50):
+            F = corpus(rng, degree)
+            assert square_difference_split(F).residual <= 1e-9, F
+
+    def test_deterministic(self):
+        F = unit_disk_poly(random.Random(610), 10)
+        a = square_difference_split(F)
+        b = square_difference_split(F)
+        assert a.w_plus == b.w_plus
+        assert a.w_minus == b.w_minus
+
+    def test_unreachable_target_raises_with_best(self):
+        F = unit_disk_poly(random.Random(611), 8)
+        with pytest.raises(ConvergenceError) as info:
+            square_difference_split(F, residual_target=0.0, max_starts=2)
+        assert isinstance(info.value.best, SquareDifferenceSplit)
+        assert info.value.best.residual > 0.0
+
     def test_rejects_odd_degree(self):
         with pytest.raises(DegreeError):
             square_difference_split(Polynomial([1, 0, 0, 0, 0, 1]))
+
+    def test_rejects_zero_starts(self):
+        with pytest.raises(ValueError):
+            square_difference_split(Polynomial([1, 0, 0, 2, -1, 0, 1]), max_starts=0)
 
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):

@@ -94,6 +94,17 @@ class TestGrimSolve:
             GrimConfig(branches=[])
 
 
+    def test_shortfall_warning(self):
+        # instance 26 of the criterion-7 stream: 5 of its 6 roots survive
+        rng = random.Random(0x5EED07)
+        for _ in range(27):
+            p, _ = separated_roots_poly(rng, rng.randint(2, 10))
+        report = grim_solve(p)
+        assert len(report.roots) == 5
+        assert report.warnings[-1] == "found 5 of 6 roots"
+        assert grim_solve(Polynomial([-1, 0, 0, 1])).warnings == []
+
+
 class TestGrimCoverage:
     def test_cube_roots(self):
         found, total, unmatched = grim_coverage(Polynomial([-1, 0, 0, 1]))

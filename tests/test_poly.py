@@ -20,7 +20,7 @@ from polysolve import (
     sylvester_resultant,
     tschirnhaus_quadratic,
 )
-from polysolve.poly import format_poly
+from polysolve.poly import format_poly, lu_solve
 
 from conftest import bisect_root, unit_disk_poly
 
@@ -172,6 +172,30 @@ class TestResultant:
             scale = max(max(abs(c) for c in (g * u).coeffs),
                         max(abs(c) for c in (g * v).coeffs)) ** 8
             assert abs(value) <= 1e-8 * max(1.0, scale)
+
+
+class TestLUSolve:
+    def test_solution_and_determinant(self):
+        rng = random.Random(515)
+        a = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)] for _ in range(5)]
+        x_true = [complex(k, -k) for k in range(5)]
+        b = [sum(a[i][k] * x_true[k] for k in range(5)) for i in range(5)]
+        det, x = lu_solve(a, b)
+        assert max(abs(u - v) for u, v in zip(x, x_true)) <= 1e-10
+        # scaling one row scales the determinant; a row swap flips its sign
+        det2, _ = lu_solve([[2 * v for v in a[0]]] + a[1:])
+        assert abs(det2 - 2 * det) <= 1e-12 * abs(det)
+        det3, _ = lu_solve([a[1], a[0]] + a[2:])
+        assert abs(det3 + det) <= 1e-12 * abs(det)
+
+    def test_singular(self):
+        det, x = lu_solve([[1, 2], [2, 4]], [1, 1])
+        assert det == 0 and x is None
+
+    def test_arguments_untouched(self):
+        a, b = [[0, 1], [1, 0]], [3, 4]
+        assert lu_solve(a, b) == (-1, [4, 3])
+        assert a == [[0, 1], [1, 0]] and b == [3, 4]
 
 
 class TestTschirnhaus:
