@@ -23,6 +23,7 @@ from .numerics import (
     pochhammer,
     recip_gamma_real,
 )
+from .pipeline import cross_check, solve
 from .poly import (
     ConvergenceError,
     DegenerateError,
@@ -39,6 +40,7 @@ from .poly import (
     match_roots,
     newton_polish,
     parse_poly,
+    polish,
     poly_from_roots,
     scaled_residual,
     sylvester_resultant,

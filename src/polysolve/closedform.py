@@ -25,7 +25,7 @@ from .poly import (
     RootEntry,
     RootReport,
     lu_solve,
-    newton_polish,
+    polish,
     scaled_residual,
 )
 
@@ -177,13 +177,8 @@ def solve_quartic(p: Polynomial) -> RootReport:
         roots.append((-w1 / 2.0 - rr, 2 * idx + 1))
     # near-degenerate resolvents lose half the digits to radicand
     # cancellation; a short Newton cleanup restores them
-    cleaned: list[tuple[complex, int]] = []
-    for root, branch in roots:
-        try:
-            root = newton_polish(p, root, tol=1e-13, max_iter=8)[0]
-        except ConvergenceError as exc:
-            root = exc.best[0]
-        cleaned.append((root, branch))
+    cleaned = [(polish(p, root, tol=1e-13, max_iter=8)[0], branch)
+               for root, branch in roots]
     return _roots_report(p, cleaned, "closed-quartic")
 
 
@@ -420,10 +415,8 @@ def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:
 
     entries: list[RootEntry] = []
     for root, which in raw:
-        try:
-            x, res, its = newton_polish(F, root, tol=polish_tol, max_iter=80)
-        except ConvergenceError as exc:
-            x, res, its = exc.best
+        x, res, its, converged = polish(F, root, tol=polish_tol, max_iter=80)
+        if not converged:
             warnings.append(f"polish stalled at residual {res:.3e}")
         entries.append(RootEntry(x, res, branch=which, iterations=its))
     report = RootReport(entries, method=f"split-{F.degree}", warnings=warnings)

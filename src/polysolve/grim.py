@@ -24,7 +24,7 @@ from .poly import (
     all_roots_oracle,
     cauchy_bound,
     eval_poly,
-    newton_polish,
+    polish,
     scaled_residual,
 )
 
@@ -124,12 +124,10 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
                 diagnostics.append(f"branch {d} seed {seed}: diverged")
                 continue
             for point in points:
-                try:
-                    root, res, its = newton_polish(
-                        p, point, tol=cfg.polish_tol, max_iter=80
-                    )
-                except ConvergenceError as exc:
-                    _, res, _ = exc.best
+                root, res, its, converged = polish(
+                    p, point, tol=cfg.polish_tol, max_iter=80
+                )
+                if not converged:
                     diagnostics.append(
                         f"branch {d} seed {seed}: polish stalled at {res:.3e}"
                     )

@@ -79,10 +79,7 @@ def recip_gamma_real(x: float) -> float:
         g = math.exp(math.lgamma(1.0 - x))
     except OverflowError:
         return math.copysign(math.inf, s)
-    value = s * g / math.pi
-    if math.isinf(value):
-        return value
-    return value
+    return s * g / math.pi
 
 
 def gamma_sign(x: float) -> int:
@@ -90,11 +87,6 @@ def gamma_sign(x: float) -> int:
     if x > 0.0:
         return 1
     return -1 if math.ceil(-x) % 2 else 1
-
-
-def log_abs_gamma(x: float) -> float:
-    """log|Gamma(x)| for real non-pole x (wraps math.lgamma)."""
-    return math.lgamma(x)
 
 
 def pochhammer(a: complex, n: int) -> complex:

@@ -167,6 +167,17 @@ def newton_polish(
     raise ConvergenceError(f"newton_polish stalled at residual {best[1]:.3e}", best)
 
 
+def polish(
+    p: Polynomial, x0: complex, tol: float = 1e-12, max_iter: int = 60
+) -> tuple[complex, float, int, bool]:
+    """newton_polish that never raises: (root, residual, iterations,
+    converged), with the best iterate when the budget runs out."""
+    try:
+        return (*newton_polish(p, x0, tol, max_iter), True)
+    except ConvergenceError as exc:
+        return (*exc.best, False)
+
+
 def all_roots_oracle(p: Polynomial, tol: float = 1e-12) -> RootReport:
     """All roots at once by Durand-Kerner simultaneous iteration.
 
@@ -426,9 +437,12 @@ def parse_coefficient(text: str) -> complex:
     if norm.endswith("j") and norm[:-1] in ("", "+", "-"):
         norm = norm[:-1] + "1j"
     try:
-        return complex(norm)
+        value = complex(norm)
     except ValueError as exc:
         raise ValueError(f"bad coefficient {text!r}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"non-finite coefficient {text!r}")
+    return value
 
 
 def parse_poly(text: str) -> Polynomial:

@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .poly import ConvergenceError, Polynomial, newton_polish
+from .poly import Polynomial, polish
 
 
 @dataclass(frozen=True)
@@ -208,9 +208,7 @@ def septic_radical_root(
     if status == "diverged":
         return x, status
     p = Polynomial([delta, gamma, beta, alpha, 0, 0, 0, 1.0])
-    try:
-        x, _, _ = newton_polish(p, x, tol=1e-12, max_iter=80)
-    except ConvergenceError as exc:
-        x = exc.best[0]
+    x, _, _, converged = polish(p, x, tol=1e-12, max_iter=80)
+    if not converged:
         status = "maxiter"
     return x, status

@@ -20,15 +20,13 @@ from .numerics import (
     PFQParams,
     SeriesConfig,
     gamma_sign,
-    log_abs_gamma,
     pfq_eval,
 )
 from .poly import (
-    ConvergenceError,
     Polynomial,
     RootEntry,
     RootReport,
-    newton_polish,
+    polish,
     scaled_residual,
 )
 
@@ -149,8 +147,8 @@ def _trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
         return 0j
     x2 = num2 / s
     log_mag = (
-        log_abs_gamma((1 + b * n) / s)
-        - log_abs_gamma(x2)
+        math.lgamma((1 + b * n) / s)
+        - math.lgamma(x2)
         - math.lgamma(n + 1)
         - math.log(s)
     )
@@ -229,10 +227,7 @@ def trinomial_series_root(
         raise DivergenceError(
             f"series branch k={k} diverged after {terms_used} terms", total
         )
-    try:
-        root, res, its = newton_polish(p, total, tol=1e-12, max_iter=80)
-    except ConvergenceError as exc:
-        root, res, its = exc.best
+    root, res, its, _ = polish(p, total, tol=1e-12, max_iter=80)
     diag = SeriesDiagnostics(status, terms_used, total, pre, res, its)
     return root, diag
 
@@ -318,8 +313,8 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
         else:
             x2 = num2 / s
             log_mag = (
-                log_abs_gamma((1 + b * n0) / s)
-                - log_abs_gamma(x2)
+                math.lgamma((1 + b * n0) / s)
+                - math.lgamma(x2)
                 - math.lgamma(n0 + 1)
                 - math.log(s)
             )
@@ -403,10 +398,7 @@ def bring_jerrard_quintic(alpha: complex, q: complex) -> RootReport:
                 abs(entry.root - kept[0]) > 1e-6 * (1.0 + abs(entry.root))
                 for kept in dedup
             ):
-                try:
-                    x, res, its = newton_polish(p, entry.root, tol=1e-12)
-                except ConvergenceError as exc:
-                    x, res, its = exc.best
+                x, res, its, _ = polish(p, entry.root, tol=1e-12)
                 dedup.append((x, res, -1, its))
                 if not fallback_branches and q != 0:
                     warnings.append("series branches collided; oracle fill-in")
@@ -494,10 +486,7 @@ def quadrinomial_series_root(
             f"quadrinomial series diverged after {terms_used} terms", total
         )
     pre = scaled_residual(p, total)
-    try:
-        root, res, its = newton_polish(p, total, tol=1e-12, max_iter=80)
-    except ConvergenceError as exc:
-        root, res, its = exc.best
+    root, res, its, _ = polish(p, total, tol=1e-12, max_iter=80)
     return root, SeriesDiagnostics(status, terms_used, total, pre, res, its, notes=notes)
 
 
@@ -555,11 +544,7 @@ def adjacent_septic_root(
         raise ValueError("adjacent method needs a nonzero x^3 coefficient")
     p = Polynomial([-q, b, a, c, 0, 0, 0, 1.0])
     g = Polynomial([-q, b, a, c])
-    z_in = _cubic_seed(c, a, b, q)
-    try:
-        z_in = newton_polish(g, z_in, tol=1e-15, max_iter=30)[0]
-    except ConvergenceError as exc:
-        z_in = exc.best[0]
+    z_in = polish(g, _cubic_seed(c, a, b, q), tol=1e-15, max_iter=30)[0]
     res_seed = scaled_residual(p, z_in)
 
     g1 = 3.0 * c * z_in * z_in + 2.0 * a * z_in + b
@@ -608,10 +593,8 @@ def adjacent_septic_root(
         if status != "diverged":
             warnings.append("series did not improve the seed; seed returned")
         status = "diverged"
-    try:
-        root, res, its = newton_polish(p, value, tol=1e-12, max_iter=100)
-    except ConvergenceError as exc:
-        root, res, its = exc.best
+    root, res, its, converged = polish(p, value, tol=1e-12, max_iter=100)
+    if not converged:
         warnings.append(f"polish stalled at residual {res:.3e}")
     diag = SeriesDiagnostics(
         status,
@@ -744,10 +727,7 @@ def general_poly_series_root(
 
     value = c - (a0 / a1) * total
     pre = scaled_residual(p, value)
-    try:
-        root, res, its = newton_polish(p, value, tol=1e-12, max_iter=80)
-    except ConvergenceError as exc:
-        root, res, its = exc.best
+    root, res, its, _ = polish(p, value, tol=1e-12, max_iter=80)
     if warnings and res > 1e-8:
         raise DivergenceError("multinomial series diverged", value)
     diag = SeriesDiagnostics(

@@ -159,6 +159,52 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["status"] == "partial"
 
+    def test_failed_radical_branch_is_partial(self):
+        code, out, _ = run_cli(
+            "solve", "--trinomial", "4", "1", "0.7076-0.7983i", "-0.8362-0.3527i",
+            "--method", "radical", "--json",
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert len(doc["roots"]) == 3
+        assert doc["status"] == "partial"
+        assert doc["warnings"] == [
+            "branch 2: maxiter",
+            "partial results: some branches did not converge",
+        ]
+
+    def test_failed_pfq_branch_is_partial(self):
+        code, out, _ = run_cli(
+            "solve", "--coeffs", "2,-3,0,0,0,0,0,2", "--method", "pfq",
+            "--branches", "1", "--json",
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["roots"] == []
+        assert doc["status"] == "partial"
+        assert doc["warnings"] == [
+            "branch 1: pfq truncated",
+            "partial results: some branches did not converge",
+        ]
+
+    def test_non_finite_coefficients_are_usage_errors(self):
+        for bad in ("nan", "-nan", "1e400", "1+nanj"):
+            code, out, err = run_cli("solve", "--coeffs", f"1,{bad},1", "--json")
+            assert code == 1, bad
+            assert out == ""
+            assert "non-finite coefficient" in err
+
+    def test_non_finite_roots_are_null_and_mismatch(self):
+        def refuse(token):
+            raise ValueError(f"bare {token} in JSON output")
+
+        code, out, _ = run_cli("solve", "--coeffs", "1e200,0,1e-200", "--json")
+        assert code == 0
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["status"] == "mismatch"
+        assert any(r["re"] is None or r["im"] is None for r in doc["roots"])
+        assert any("is not finite" in w for w in doc["warnings"])
+
 
 class TestDeterminism:
     def test_identical_invocations_bit_identical(self):
@@ -175,6 +221,10 @@ class TestDeterminism:
         text = canonical_json({"x": 1 / 3, "y": 1.0, "z": 12})
         assert text == '{"x":0.33333333333333331,"y":1,"z":12}'
         assert json.loads(text)["x"] == 1 / 3
+
+    def test_non_finite_floats_serialize_as_null(self):
+        text = canonical_json([math.nan, math.inf, -math.inf, 0.5])
+        assert text == "[null,null,null,0.5]"
 
 
 class TestRDTable:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polysolve import (
     PFQParams,
@@ -140,6 +140,10 @@ class TestPFQEval:
         ),
     )
     @settings(max_examples=100)
+    # the first step's factor, 1 * 3.5e-114 * 2.3e-281, is below the
+    # smallest double although term 50 (about 6e-288) is not
+    @example(upper=[1 + 0j, 3.504767242094347e-114 + 0j, 2.2593718049646475e-281 + 0j],
+             lower=[])
     def test_term_recurrence_matches_scratch(self, upper, lower):
         lower = [b if abs(b.imag) > 1e-9 or b.real > 0 else b + 6.0 for b in lower]
         z = 0.37 - 0.21j
@@ -152,16 +156,17 @@ class TestPFQEval:
         for b in lower:
             den *= pochhammer(b, n)
         t_scratch = num / den * z**n / math.factorial(n)
-        # term n by running the recurrence
-        t = 1.0 + 0j
+        # term n by running the recurrence on t = m * 2**e, renormalizing m
+        # after every factor so that no partial product underflows
+        m, e = 1.0 + 0j, 0
         for i in range(n):
-            fac = 1.0 + 0j
-            for a in upper:
-                fac *= a + i
-            d = i + 1.0
-            for b in lower:
-                d *= b + i
-            t = t * fac / d * z
+            factors = [a + i for a in upper] + [1 / (b + i) for b in lower]
+            for f in factors + [1 / (i + 1.0), z]:
+                m *= f
+                _, k = math.frexp(abs(m))
+                m = complex(math.ldexp(m.real, -k), math.ldexp(m.imag, -k))
+                e += k
+        t = complex(math.ldexp(m.real, e), math.ldexp(m.imag, e))
         assert abs(t - t_scratch) <= 1e-12 * max(abs(t_scratch), 1e-290)
 
     def test_negative_upper_terminates(self):

@@ -1,0 +1,95 @@
+import io
+import json
+
+import pytest
+
+from polysolve import Polynomial, Quadrinomial, Trinomial, cross_check, solve
+from polysolve.cli import main
+from polysolve.pipeline import METHODS, shape_of
+from polysolve.poly import RootEntry, RootReport, parse_poly
+
+# one input per method, as the CLI arguments and as the library equation
+CASES = {
+    "auto": (["--quadrinomial", "7", "2", "0.1", "2", "0.5"], Quadrinomial(7, 2, 0.1, 2, 0.5)),
+    "closed": (["--coeffs", "-1,0,0,1"], parse_poly("-1,0,0,1")),
+    "split": (["--coeffs", "-1,0,0,0,0,0,1"], parse_poly("-1,0,0,0,0,0,1")),
+    "series": (["--trinomial", "5", "1", "1", "1"], Trinomial(5, 1, 1, 1)),
+    "pfq": (["--trinomial", "5", "2", "0.3", "1.1"], Trinomial(5, 2, 0.3, 1.1)),
+    "radical": (["--trinomial", "3", "1", "1", "1"], Trinomial(3, 1, 1, 1)),
+    "grim": (["--coeffs", "1,1,0,0,1"], parse_poly("1,1,0,0,1")),
+    "adjacent": (["--coeffs", "-1,1,4,1,0,0,0,1"], parse_poly("-1,1,4,1,0,0,0,1")),
+    "oracle": (["--coeffs", "-1,0,1"], parse_poly("-1,0,1")),
+}
+
+
+def test_every_method_has_a_case():
+    assert set(CASES) == {"auto", *METHODS}
+
+
+@pytest.mark.parametrize("method", sorted(CASES))
+def test_library_roots_equal_cli_json_bit_for_bit(method):
+    argv, eq = CASES[method]
+    out = io.StringIO()
+    assert main(["solve", *argv, "--method", method, "--json"], out=out, err=io.StringIO()) == 0
+    doc = json.loads(out.getvalue())
+    report = solve(eq, method)
+    assert report.method == doc["method"]
+    assert report.values() == [complex(r["re"], r["im"]) for r in doc["roots"]]
+
+
+class TestShape:
+    def test_trinomial(self):
+        shape = shape_of(Polynomial([-2, 0, -0.5, 0, 0, 2]))  # 2x^5 - 0.5x^2 - 2
+        assert shape.tri == Trinomial(5, 2, 0.25, 1)
+        assert shape.quad is None and shape.septic is None
+
+    def test_quadrinomial(self):
+        shape = shape_of(Polynomial([-0.5, 2, 0.1, 0, 0, 0, 0, 1]))
+        assert shape.quad == Quadrinomial(7, 2, 0.1, 2, 0.5)
+        assert shape.tri is None
+        assert shape.septic == (0, 0.1, 2, -0.5)
+
+    def test_general(self):
+        shape = shape_of(Polynomial([1, 1, 1, 1, 1, 1]))
+        assert (shape.tri, shape.quad, shape.septic) == (None, None, None)
+
+    def test_given_shapes_are_kept(self):
+        # x^5 - 1 reads as no trinomial, x^7 + 2x - 1 as a trinomial
+        assert shape_of(Trinomial(5, 1, 0, 1)).tri == Trinomial(5, 1, 0, 1)
+        given = Quadrinomial(7, 3, 0, 2, 1)
+        shape = shape_of(given)
+        assert shape.quad == given and shape.tri is None
+        assert solve(given, "series").method == "series-quadrinomial"
+
+    def test_constant_is_rejected(self):
+        with pytest.raises(ValueError, match="constant polynomial"):
+            shape_of(Polynomial([3]))
+
+
+@pytest.mark.parametrize("method, eq, message", [
+    ("closed", Polynomial([1, 1, 1, 1, 1, 1]), "closed method needs degree <= 4"),
+    ("split", Polynomial([1, 1, 0, 0, 0, 1]), "split needs even degree 4..10"),
+    ("pfq", Polynomial([1, 1, 1, 1, 1, 1]), "pfq method needs a trinomial shape"),
+    ("series", Polynomial([1, 1, 1, 1, 1, 1]), "series method needs"),
+    ("radical", Polynomial([1, 1, 1, 1, 1, 1]), "radical method needs"),
+    ("adjacent", Polynomial([1, 1, 1, 1, 1, 1]), "adjacent method needs"),
+    ("newton", Polynomial([1, 1]), "unknown method 'newton'"),
+])
+def test_usage_errors(method, eq, message):
+    with pytest.raises(ValueError, match=message):
+        solve(eq, method)
+
+
+@pytest.mark.parametrize("method", ["series", "pfq", "radical"])
+def test_branch_loop_drops_aliased_branches(method):
+    # branch k + s is branch k again
+    report = solve(Trinomial(5, 1, 1, 1), method, branches=[0, 5])
+    assert len(report.roots) == 1
+    assert report.warnings == []
+
+
+def test_cross_check_rejects_non_finite_roots():
+    p = Polynomial([-1, 0, 1])
+    report = RootReport([RootEntry(1.0 + 0j, 0.0), RootEntry(complex("nan"), 0.0)], "test")
+    assert cross_check(p, report, 1e-8) == "mismatch"
+    assert report.warnings == ["root (nan+0j) is not finite"]

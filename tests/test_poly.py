@@ -15,6 +15,7 @@ from polysolve import (
     eval_poly_and_deriv,
     match_roots,
     newton_polish,
+    polish,
     parse_poly,
     poly_from_roots,
     sylvester_resultant,
@@ -103,6 +104,13 @@ class TestNewtonPolish:
         best_root, best_res, _ = exc.value.best
         assert abs(best_root - SQRT2) <= 1e-12
         assert best_res <= 1e-14
+
+    def test_polish_returns_flag_instead_of_raising(self):
+        p = Polynomial([-2, 0, 1])
+        assert polish(p, 1.4) == (*newton_polish(p, 1.4), True)
+        with pytest.raises(ConvergenceError) as exc:
+            newton_polish(p, 1.4, tol=1e-30, max_iter=10)
+        assert polish(p, 1.4, tol=1e-30, max_iter=10) == (*exc.value.best, False)
 
 
 class TestOracle:
@@ -294,6 +302,11 @@ class TestTextFormat:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_poly("1, spam")
+
+    def test_rejects_non_finite(self):
+        for bad in ("nan", "-nan", "1e400", "1+nanj", "inf"):
+            with pytest.raises(ValueError):
+                parse_poly(f"1, {bad}")
 
     def test_round_trip_property(self):
         from hypothesis import given, settings
