@@ -18,7 +18,7 @@ import math
 import re
 import sys
 
-from .grim import grim_solve
+from .grim import GrimError, grim_solve
 from .numerics import DivergenceError, PFQParams, PoleError, SeriesConfig, pfq_eval
 from .pipeline import METHODS, Quadrinomial, Shape, Trinomial, cross_check, shape_of, solve
 from .poly import (
@@ -123,7 +123,7 @@ def cmd_solve(args, out, err) -> int:
         report = RootReport([], method=args.method, warnings=[str(exc)])
         _print_report(report, "diverged", args.json, out)
         return PARTIAL_RESULTS
-    except ConvergenceError as exc:
+    except (ConvergenceError, GrimError) as exc:
         err.write(f"error: {exc}\n")
         return PARTIAL_RESULTS
 

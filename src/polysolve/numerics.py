@@ -140,6 +140,14 @@ class PFQResult:
 _DIVERGENCE_MIN_TERMS = 16
 
 
+def _finished(total: complex, terms_used: int, status: str) -> PFQResult:
+    """A sum that overflowed to inf or nan has diverged, whatever the
+    stopping test said (inf <= rel_tol * inf holds)."""
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        status = "diverged"
+    return PFQResult(total, terms_used, status)
+
+
 def _real_nonpositive_int(c: complex) -> int | None:
     """If c is (numerically) a real nonpositive integer, return it."""
     if abs(c.imag) > 0.0:
@@ -162,6 +170,7 @@ def pfq_eval(
     n = m (polynomial case) and takes precedence over lower-parameter
     pole detection. With ``regularized`` each lower Pochhammer is read
     through 1/Gamma, i.e. the sum of prod(a)_n z^n / (n! prod Gamma(b_j+n)).
+    A sum that overflowed to inf or nan reads diverged.
     """
     z = complex(z)
     terminate_at: int | None = None
@@ -191,7 +200,7 @@ def pfq_eval(
     growth = 0
     for n in range(cfg.max_terms):
         if terminate_at is not None and n >= terminate_at:
-            return PFQResult(total, n, "converged")
+            return _finished(total, n, "converged")
         num: complex = 1.0
         for a in params.upper:
             num *= a + n
@@ -202,7 +211,7 @@ def pfq_eval(
         total += term
         mag = abs(term)
         if mag <= cfg.rel_tol * max(abs(total), 1e-300):
-            return PFQResult(total, n + 1, "converged")
+            return _finished(total, n + 1, "converged")
         if n + 1 >= _DIVERGENCE_MIN_TERMS and mag > prev_mag:
             growth += 1
             if growth >= cfg.divergence_window:
@@ -210,7 +219,7 @@ def pfq_eval(
         else:
             growth = 0
         prev_mag = mag
-    return PFQResult(total, cfg.max_terms, "truncated")
+    return _finished(total, cfg.max_terms, "truncated")
 
 
 def _pfq_regularized(
@@ -236,13 +245,13 @@ def _pfq_regularized(
     n_used = 0
     for n in range(cfg.max_terms):
         if terminate_at is not None and n > terminate_at:
-            return PFQResult(total, n_used, "converged")
+            return _finished(total, n_used, "converged")
         term = term_at(n)
         total += term
         n_used = n + 1
         mag = abs(term)
         if n >= 1 and mag > 0.0 and mag <= cfg.rel_tol * max(abs(total), 1e-300):
-            return PFQResult(total, n_used, "converged")
+            return _finished(total, n_used, "converged")
         if n + 1 >= _DIVERGENCE_MIN_TERMS and mag > prev_mag > 0.0:
             growth += 1
             if growth >= cfg.divergence_window:
@@ -250,4 +259,4 @@ def _pfq_regularized(
         else:
             growth = 0
         prev_mag = mag
-    return PFQResult(total, cfg.max_terms, "truncated")
+    return _finished(total, cfg.max_terms, "truncated")

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .numerics import (
     DivergenceError,
@@ -136,28 +138,55 @@ def reciprocal_series_root(
     return total
 
 
+@lru_cache(maxsize=128)
+def _term_table(s: int, b: int, length: int) -> tuple[array, array]:
+    """Gamma-ratio parts of terms 0..length of the trinomial inverse-power
+    series: gamma_sign(x2) (0.0 at a reciprocal-Gamma pole, where the term
+    is exactly 0) and the log magnitude lgamma((1+bn)/s) - lgamma(x2)
+    - lgamma(n+1) - log(s), with x2 = (1 + bn + s - ns)/s. They depend on
+    the integers alone, so one table serves every branch and coefficient.
+    Callers get theirs from _covering_table."""
+    sign = array("d", [0.0]) * (length + 1)
+    log_mag = array("d", [0.0]) * (length + 1)
+    for n in range(length + 1):
+        num2 = 1 + b * n + s - n * s  # s * (denominator Gamma argument)
+        if num2 % s == 0 and num2 <= 0:
+            continue
+        x2 = num2 / s
+        sign[n] = gamma_sign(x2)
+        log_mag[n] = (
+            math.lgamma((1 + b * n) / s)
+            - math.lgamma(x2)
+            - math.lgamma(n + 1)
+            - math.log(s)
+        )
+    return sign, log_mag
+
+
+def _covering_table(s: int, b: int, n: int) -> tuple[array, array]:
+    """The term table that holds term n: the default series length (or s,
+    for the pFq prefactors), doubled until it reaches n. The series and the
+    pFq form share it, and a large max_terms builds no more than about
+    twice the terms a series reads."""
+    length = max(SeriesConfig.max_terms, s)
+    while length < n:
+        length *= 2
+    return _term_table(s, b, length)
+
+
 def _trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
     """Term n >= 1 of the inverse-power series for branch k; exact 0 at the
     reciprocal-Gamma poles."""
     s, b = t.s, t.b
-    num2 = 1 + b * n + s - n * s  # s * (denominator Gamma argument)
-    if num2 % s == 0 and num2 <= 0:
+    sign, log_mag = _covering_table(s, b, n)
+    if sign[n] == 0.0 or t.alpha == 0:
         return 0j
-    if t.alpha == 0:
-        return 0j
-    x2 = num2 / s
-    log_mag = (
-        math.lgamma((1 + b * n) / s)
-        - math.lgamma(x2)
-        - math.lgamma(n + 1)
-        - math.log(s)
-    )
     z = (
         n * cmath.log(t.alpha)
         + ((1 + b * n - n * s) / s) * cmath.log(t.q)
-        + complex(log_mag, _TWO_PI * k * (1 + b * n) / s)
+        + complex(log_mag[n], _TWO_PI * k * (1 + b * n) / s)
     )
-    return gamma_sign(x2) * cmath.exp(z)
+    return sign[n] * cmath.exp(z)
 
 
 def trinomial_series_root(
@@ -171,9 +200,13 @@ def trinomial_series_root(
     (terms growing for a full window) raises DivergenceError carrying the
     partial sum.
     """
-    s = t.s
-    lead = cmath.exp(cmath.log(t.q) / s + 2j * math.pi * k / s)
+    s, b = t.s, t.b
+    log_q = cmath.log(t.q)
+    lead = cmath.exp(log_q / s + 2j * math.pi * k / s)
     total = lead
+    sign, log_mag = _covering_table(s, b, 1)
+    log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
+    two_pi_k = _TWO_PI * k
     # term magnitudes zigzag across residue classes mod s; geometric decay
     # or growth is only visible at stride s, so track each class separately
     prev_by_class: list[float | None] = [None] * s
@@ -182,7 +215,18 @@ def trinomial_series_root(
     terms_used = 0
     status = "truncated"
     for n in range(1, cfg.max_terms + 1):
-        term = _trinomial_log_term(t, k, n)
+        if n == len(sign):
+            sign, log_mag = _covering_table(s, b, n)
+        # _trinomial_log_term(t, k, n), inlined with the logs taken once
+        sg = sign[n]
+        if sg == 0.0 or t.alpha == 0:
+            term = 0j
+        else:
+            term = sg * cmath.exp(
+                n * log_alpha
+                + ((1 + b * n - n * s) / s) * log_q
+                + complex(log_mag[n], two_pi_k * (1 + b * n) / s)
+            )
         total += term
         terms_used = n
         mag = abs(term)
@@ -232,6 +276,7 @@ def trinomial_series_root(
     return root, diag
 
 
+@lru_cache(maxsize=256)
 def argument_modulus_constant(s: int, b: int) -> Fraction:
     """Exact modulus coefficient b^b (s-b)^(s-b) / s^s of the regrouped
     hypergeometric argument."""
@@ -263,15 +308,14 @@ class PFQRootForm:
     def evaluate(self, cfg: SeriesConfig = SeriesConfig()) -> tuple[complex, str]:
         total = 0j
         status = "converged"
+        log_q = cmath.log(self.trinomial.q)
         for g in self.groups:
             if g.prefactor == 0:
                 continue
             res = pfq_eval(g.params, g.argument, cfg)
             if res.status != "converged":
                 status = res.status
-            total += g.prefactor * cmath.exp(
-                float(g.power_of_q) * cmath.log(self.trinomial.q)
-            ) * res.value
+            total += g.prefactor * cmath.exp(float(g.power_of_q) * log_q) * res.value
         return total, status
 
 
@@ -283,7 +327,8 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
     counter, so each class is a single pFq; the shared argument is
     (-1)^(s-b) * b^b (s-b)^(s-b) / s^s * alpha^s / q^(s-b) (unit phase
     e^(2*pi*i*k*b) folded in). Parameters follow from the Gamma shift
-    algebra in exact rational arithmetic, with upper/lower cancellation.
+    algebra in exact rational arithmetic, with upper/lower cancellation;
+    they depend on (s, b, class) alone and are built once (_class_params).
     """
     s, b = t.s, t.b
     const = argument_modulus_constant(s, b)
@@ -295,50 +340,44 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
         * t.alpha**s
         * cmath.exp((b - s) * cmath.log(t.q))
     )
+    sign, log_mag = _covering_table(s, b, s - 1)
+    log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
     groups: list[PFQRootGroup] = []
-    for r0 in range(s):
-        n0 = r0
+    for n0 in range(s):
         power = Fraction(1 + b * n0 - n0 * s, s)
-        num2 = 1 + b * n0 + s - n0 * s
-        if num2 % s == 0 and num2 <= 0:
-            groups.append(
-                PFQRootGroup(0j, power, PFQParams((), ()), argument)
-            )
-            continue
+        params = _class_params(s, b, n0)
         # prefactor = first class term without its q power
-        if n0 == 0:
+        if sign[n0] == 0.0:
+            pref = 0j
+        elif n0 == 0:
             pref = cmath.exp(2j * math.pi * k / s)
         elif t.alpha == 0:
             pref = 0j  # pure binomial: every later class vanishes
         else:
-            x2 = num2 / s
-            log_mag = (
-                math.lgamma((1 + b * n0) / s)
-                - math.lgamma(x2)
-                - math.lgamma(n0 + 1)
-                - math.log(s)
-            )
-            z = n0 * cmath.log(t.alpha) + complex(
-                log_mag, _TWO_PI * k * (1 + b * n0) / s
-            )
-            pref = gamma_sign(x2) * cmath.exp(z)
-        a0 = Fraction(1 + b * n0, s) + 1 - n0  # class-start denominator argument
-        upper = [ (Fraction(1 + b * n0, s) + i) / b for i in range(b) ]
-        upper += [ (Fraction(tt) - a0) / (s - b) for tt in range(1, s - b + 1) ]
-        lower = [Fraction(r0 + j, s) for j in range(1, s + 1) if j != s - r0]
-        upper_red, lower_red = _cancel_params(upper, lower)
-        groups.append(
-            PFQRootGroup(
-                pref,
-                power,
-                PFQParams(
-                    tuple(complex(float(u)) for u in upper_red),
-                    tuple(complex(float(l)) for l in lower_red),
-                ),
-                argument,
-            )
-        )
+            z = n0 * log_alpha + complex(log_mag[n0], _TWO_PI * k * (1 + b * n0) / s)
+            pref = sign[n0] * cmath.exp(z)
+        groups.append(PFQRootGroup(pref, power, params, argument))
     return PFQRootForm(t, k, groups)
+
+
+@lru_cache(maxsize=1024)
+def _class_params(s: int, b: int, r0: int) -> PFQParams:
+    """pFq parameters of residue class r0 (term indices n = r0 mod s), from
+    the Gamma shift algebra in exact rational arithmetic with upper/lower
+    cancellation; empty for a class whose first term sits on a
+    reciprocal-Gamma pole (the whole class vanishes)."""
+    num2 = 1 + b * r0 + s - r0 * s
+    if num2 % s == 0 and num2 <= 0:
+        return PFQParams((), ())
+    a0 = Fraction(1 + b * r0, s) + 1 - r0  # class-start denominator argument
+    upper = [(Fraction(1 + b * r0, s) + i) / b for i in range(b)]
+    upper += [(Fraction(tt) - a0) / (s - b) for tt in range(1, s - b + 1)]
+    lower = [Fraction(r0 + j, s) for j in range(1, s + 1) if j != s - r0]
+    upper_red, lower_red = _cancel_params(upper, lower)
+    return PFQParams(
+        tuple(complex(float(u)) for u in upper_red),
+        tuple(complex(float(l)) for l in lower_red),
+    )
 
 
 def _cancel_params(

@@ -187,6 +187,25 @@ class TestSolve:
             "partial results: some branches did not converge",
         ]
 
+    def test_overflowed_pfq_branches_are_diverged(self):
+        code, out, _ = run_cli(
+            "solve", "--trinomial", "5", "1", "1e6", "1", "--method", "pfq", "--json"
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["roots"] == []
+        assert doc["status"] == "partial"
+        assert doc["warnings"] == [f"branch {k}: pfq diverged" for k in range(5)] + [
+            "partial results: some branches did not converge"
+        ]
+
+    def test_grim_failure_is_an_error_line(self):
+        code, out, err = run_cli("solve", "--coeffs", "1e200,0,1e-200", "--method", "grim")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_non_finite_coefficients_are_usage_errors(self):
         for bad in ("nan", "-nan", "1e400", "1+nanj"):
             code, out, err = run_cli("solve", "--coeffs", f"1,{bad},1", "--json")

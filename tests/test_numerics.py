@@ -195,6 +195,25 @@ class TestPFQEval:
         assert res.status == "truncated"
         assert res.terms_used == 5
 
+    def test_overflowed_sum_is_diverged(self):
+        # the stopping test inf <= rel_tol * inf holds; the sum is no value
+        for params, z, regularized in [
+            (PFQParams((1, 1), ()), 1e200, False),
+            (PFQParams((-3, 1e200), ()), 1e200, False),  # terminating
+            (PFQParams((1e200,), ()), 1e200, True),
+            (PFQParams((-3, 1e200), ()), 1e200, True),
+        ]:
+            res = pfq_eval(params, z, regularized=regularized)
+            assert res.status == "diverged", (params, regularized)
+            assert not math.isfinite(abs(res.value))
+
+    def test_nan_sum_is_diverged_not_truncated(self):
+        cfg = SeriesConfig(max_terms=20)
+        for regularized in (False, True):
+            res = pfq_eval(PFQParams((1,), ()), complex("nan"), cfg, regularized)
+            assert res.status == "diverged"
+            assert res.terms_used == 20
+
     def test_regularized_matches_rescaled(self):
         plain = pfq_eval(PFQParams((1.3,), (0.7,)), 0.4)
         regu = pfq_eval(PFQParams((1.3,), (0.7,)), 0.4, regularized=True)

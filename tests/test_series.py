@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,14 @@ from polysolve import (
     trinomial_pfq_root,
     trinomial_series_root,
 )
-from polysolve.series import _trinomial_log_term
+from polysolve.series import (
+    _cancel_params,
+    _class_params,
+    _covering_table,
+    _term_table,
+    _trinomial_log_term,
+)
+from polysolve.numerics import PFQParams, gamma_sign
 
 from conftest import bisect_root, seeded_trinomial
 
@@ -184,6 +193,149 @@ class TestPFQRootForm:
         value, status = form.evaluate()
         expected = cmath.exp(cmath.log(2 + 1j) / 5 + 6j * math.pi / 5)
         assert abs(value - expected) <= 1e-12
+
+
+def _reference_class_params(s, b, r0):
+    """Class parameters built per call in Fractions, as trinomial_pfq_root
+    did before they were memoized."""
+    num2 = 1 + b * r0 + s - r0 * s
+    if num2 % s == 0 and num2 <= 0:
+        return PFQParams((), ())
+    a0 = Fraction(1 + b * r0, s) + 1 - r0
+    upper = [(Fraction(1 + b * r0, s) + i) / b for i in range(b)]
+    upper += [(Fraction(tt) - a0) / (s - b) for tt in range(1, s - b + 1)]
+    lower = [Fraction(r0 + j, s) for j in range(1, s + 1) if j != s - r0]
+    upper_red, lower_red = _cancel_params(upper, lower)
+    return PFQParams(
+        tuple(complex(float(u)) for u in upper_red),
+        tuple(complex(float(l)) for l in lower_red),
+    )
+
+
+def _bits(z):
+    return (complex(z).real.hex(), complex(z).imag.hex())
+
+
+def _branch_outputs(t):
+    """Every per-branch output of both trinomial forms, as exact bits."""
+    out = []
+    for k in range(t.s):
+        try:
+            root, d = trinomial_series_root(t, k)
+            out.append((_bits(root), d.status, d.terms_used, _bits(d.series_value),
+                        d.pre_polish_residual.hex(), d.residual.hex(), d.iterations))
+        except DivergenceError as exc:
+            out.append(("diverged", _bits(exc.partial)))
+        form = trinomial_pfq_root(t, k)
+        out.append([(_bits(g.prefactor), g.power_of_q, g.params, _bits(g.argument))
+                    for g in form.groups])
+        value, status = form.evaluate()
+        out.append((_bits(value), status))
+    return out
+
+
+class TestTermMemo:
+    """The memoized integer-only parts change no result."""
+
+    def test_class_params_match_fraction_reference(self):
+        for s in range(2, 17):
+            for b in range(1, s):
+                for r0 in range(s):
+                    got = _class_params(s, b, r0)
+                    want = _reference_class_params(s, b, r0)
+                    assert got.upper == want.upper, (s, b, r0)
+                    assert got.lower == want.lower, (s, b, r0)
+
+    def test_term_table_matches_direct_lgamma(self):
+        for s in range(2, 13):
+            for b in range(1, s):
+                sign, log_mag = _term_table(s, b, 400)
+                assert len(sign) == len(log_mag) == 401
+                for n in range(401):
+                    num2 = 1 + b * n + s - n * s
+                    if num2 % s == 0 and num2 <= 0:
+                        assert sign[n] == 0.0 and log_mag[n] == 0.0, (s, b, n)
+                        continue
+                    x2 = num2 / s
+                    assert sign[n] == gamma_sign(x2), (s, b, n)
+                    assert log_mag[n] == (
+                        math.lgamma((1 + b * n) / s)
+                        - math.lgamma(x2)
+                        - math.lgamma(n + 1)
+                        - math.log(s)
+                    ), (s, b, n)
+
+    def test_cold_and_warm_results_equal(self, rng):
+        trinomials = [seeded_trinomial(rng, s_max=9) for _ in range(12)]
+        trinomials.append(Trinomial(5, 2, 0, 2 + 1j))
+        for cache in (_class_params, _term_table, argument_modulus_constant):
+            cache.cache_clear()
+        cold = [_branch_outputs(t) for t in trinomials]
+        warm = [_branch_outputs(t) for t in trinomials]
+        assert cold == warm
+
+    def test_series_value_is_sum_of_reference_terms(self, rng):
+        cases = [(seeded_trinomial(rng, s_max=12, arg_cap=0.95), SeriesConfig())
+                 for _ in range(20)]
+        # argument modulus 0.93: the sum needs more terms than the default
+        # table holds, so both sides read a longer one
+        alpha = cmath.rect((0.93 / float(argument_modulus_constant(2, 1))) ** 0.5, 0.3)
+        cases.append((Trinomial(2, 1, alpha, 1.0), SeriesConfig(max_terms=800)))
+        checked = 0
+        for t, cfg in cases:
+            for k in range(t.s):
+                try:
+                    _, diag = trinomial_series_root(t, k, cfg)
+                except DivergenceError:
+                    continue
+                total = cmath.exp(cmath.log(t.q) / t.s + 2j * math.pi * k / t.s)
+                for n in range(1, diag.terms_used + 1):
+                    total += _trinomial_log_term(t, k, n)
+                assert _bits(diag.series_value) == _bits(total), (t, k)
+                checked += 1
+        assert diag.status == "converged" and diag.terms_used > 400
+        assert checked >= 60
+
+    def test_concurrent_callers_see_whole_tables(self, rng):
+        trinomials = [seeded_trinomial(rng, s_max=9) for _ in range(4)]
+        want = [_branch_outputs(t) for t in trinomials]
+        got: list = []
+        stop = threading.Event()
+
+        def clear():
+            while not stop.is_set():
+                for cache in (_class_params, _term_table, argument_modulus_constant):
+                    cache.cache_clear()
+
+        def solve():
+            got.append([_branch_outputs(t) for t in trinomials])
+
+        clearer = threading.Thread(target=clear, daemon=True)
+        workers = [threading.Thread(target=solve, daemon=True) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            clearer.start()
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+        clearer.join(timeout=10)
+        assert not clearer.is_alive()
+        assert not any(w.is_alive() for w in workers)
+        assert got == [want] * len(workers)
+
+    def test_large_max_terms_builds_only_what_is_read(self):
+        _term_table.cache_clear()
+        t = Trinomial(5, 1, 0.1, 1.0)
+        _, diag = trinomial_series_root(t, 0, SeriesConfig(max_terms=10**7))
+        assert diag.status == "converged"
+        trinomial_pfq_root(t, 0)
+        assert _term_table.cache_info().currsize == 1
+        assert len(_covering_table(5, 1, 1)[0]) == SeriesConfig().max_terms + 1
 
 
 class TestBringJerrard:
