@@ -6,7 +6,11 @@ gives the iteration map
 
     x <- exp((Log F^c(x) + 2*pi*i*d) / n)
 
-Limits over all (branch, seed) pairs are pooled, Newton-polished,
+Since F(x) = c_n (x^n - F^c(x)) and each step makes x^n equal the previous
+F^c value up to rounding, one Horner pass of F^c per step both advances
+an orbit and ranks its points by residual. A factor x^m of F is split off exactly
+first, and its m zero roots are reported as they are. Limits and best
+points over all (branch, seed) pairs are pooled, Newton-polished,
 deduplicated and reported with residuals.
 """
 
@@ -53,6 +57,8 @@ class GrimConfig:
             raise ValueError("iters must be >= 1")
         if self.branches is not None and not self.branches:
             raise ValueError("branches must be nonempty")
+        if self.seeds is not None and not self.seeds:
+            raise ValueError("seeds must be nonempty")
 
 
 def _complementary(p: Polynomial) -> Polynomial:
@@ -62,70 +68,90 @@ def _complementary(p: Polynomial) -> Polynomial:
 
 
 def _iterate(
-    fc: Polynomial, p: Polynomial, n: int, d: int, seed: complex, iters: int
+    rev: tuple[complex, ...],
+    n: int,
+    d: int,
+    start: tuple[complex, complex, float],
+    iters: int,
 ) -> list[complex]:
     """Run one (branch, seed) orbit; candidates are the limit point and the
-    lowest-residual iterate visited on the way.
+    lowest-residual iterate visited on the way, given once when they are
+    the same point.
 
     Roots whose branch map is locally repelling are never limits, but the
     orbit frequently passes close to them; keeping the best visited point
     lets the Newton refinement capture those too.
+
+    rev holds the coefficients of F^c, highest power first, and start is
+    (seed, F^c(seed), |p(seed)| / |c_n|). Each step sets
+    x_{k+1}^n = F^c(x_k) = v_k, and p(x) = c_n (x^n - F^c(x)), so
+    |v_k - v_{k+1}| is |p(x_{k+1})| / |c_n| up to rounding: one Horner pass
+    of F^c per step serves both the map and the ranking.
     """
-    x = complex(seed)
+    x, v, best_res = start
     best = x
-    best_res = abs(eval_poly(p, x))
     for _ in range(iters):
-        v = fc(x)
         if v == 0:
             # x^n must vanish too; candidate only if x itself is tiny
             if abs(x) < 1.0:
-                return [x, best]
+                break
             return [best]
         x_next = cmath.exp((cmath.log(v) + 2j * math.pi * d) / n)
         if not (abs(x_next) < _MAX_MODULUS):
             return [best]
-        res = abs(eval_poly(p, x_next))
+        v_next: complex = 0.0
+        for c in rev:
+            v_next = v_next * x_next + c
+        res = abs(v - v_next)
         if res < best_res:
             best, best_res = x_next, res
-        if abs(x_next - x) <= _STEP_TOL * (1.0 + abs(x_next)):
-            return [x_next, best]
-        x = x_next
-    return [x, best]
+        x_prev, x, v = x, x_next, v_next
+        if abs(x - x_prev) <= _STEP_TOL * (1.0 + abs(x)):
+            break
+    return [x] if x == best else [x, best]
 
 
 def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
     """Pool the dominant-term iteration over all branches and seeds.
 
-    Every reported root is Newton-polished to cfg.polish_tol; candidates
-    that fail polishing are dropped into the warnings rather than reported.
-    When fewer than n roots survive, the warnings end with "found k of n
-    roots".
+    A factor x^m is split off exactly first: its m roots are reported at 0
+    with residual 0, and the iteration runs on the quotient q. Every other
+    reported root is Newton-polished on q to cfg.polish_tol and carries its
+    scaled residual on p; candidates that fail polishing are dropped into
+    the warnings rather than reported. When fewer than n roots survive,
+    the warnings end with "found k of n roots".
     """
     cfg = cfg if cfg is not None else GrimConfig()
     n = p.degree
     if n < 1:
         raise ValueError("grim_solve needs degree >= 1")
-    fc = _complementary(p)
-    branches = cfg.branches if cfg.branches is not None else list(range(n))
+    m = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    zeros = [RootEntry(0j, 0.0)] * m
+    q = Polynomial(p.coeffs[m:]) if m else p
+    if q.degree == 0:
+        return RootReport(zeros, method="grim")
+    fc = _complementary(q)
+    rev = tuple(reversed(fc.coeffs))
+    branches = cfg.branches if cfg.branches is not None else list(range(q.degree))
     if cfg.seeds is not None:
         seeds = list(cfg.seeds)
     else:
-        rho = cauchy_bound(p)
+        rho = cauchy_bound(q)
         seeds = [0.01 + 0j, 1j, -1j, rho / 2.0 + 0j]
     # Log(F^c(0.01)) can sit on F^c's zero; the 0.01 default replaces 0.
     seeds = [s if s != 0 else 0.01 + 0j for s in seeds]
+    # Horner only, never x**n: a large seed gives an infinite residual
+    # rather than an OverflowError.
+    lead = abs(q.lead)
+    starts = [(complex(s), fc(s), abs(eval_poly(q, s)) / lead) for s in seeds]
 
     candidates: list[tuple[complex, float, int, int]] = []
     diagnostics: list[str] = []
     for d in branches:
-        for seed in seeds:
-            points = _iterate(fc, p, n, d, seed, cfg.iters)
-            if not points:
-                diagnostics.append(f"branch {d} seed {seed}: diverged")
-                continue
-            for point in points:
+        for seed, start in zip(seeds, starts):
+            for point in _iterate(rev, q.degree, d, start, cfg.iters):
                 root, res, its, converged = polish(
-                    p, point, tol=cfg.polish_tol, max_iter=80
+                    q, point, tol=cfg.polish_tol, max_iter=80
                 )
                 if not converged:
                     diagnostics.append(
@@ -134,7 +160,7 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
                     continue
                 candidates.append((root, res, d, its))
 
-    if not candidates:
+    if not candidates and not zeros:
         raise GrimError("no (branch, seed) run converged", diagnostics)
 
     candidates.sort(key=lambda cand: (cand[1], cand[0].real, cand[0].imag))
@@ -142,13 +168,18 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
     for cand in candidates:
         if all(abs(cand[0] - other[0]) > cfg.dedup_tol for other in kept):
             kept.append(cand)
-    entries = [
-        RootEntry(root, res, branch=d, iterations=its)
+    entries = zeros + [
+        RootEntry(
+            root,
+            res if q is p else scaled_residual(p, root),
+            branch=d,
+            iterations=its,
+        )
         for root, res, d, its in kept
     ]
     warnings = []
-    if len(kept) < n:
-        warnings = diagnostics + [f"found {len(kept)} of {n} roots"]
+    if len(entries) < n:
+        warnings = diagnostics + [f"found {len(entries)} of {n} roots"]
     return RootReport(entries, method="grim", warnings=warnings).sort()
 
 

@@ -230,23 +230,17 @@ def _pfq_regularized(
         if abs(b.imag) > 0.0:
             raise ValueError("regularized evaluation expects real lower parameters")
 
-    def term_at(n: int) -> complex:
-        num: complex = 1.0
-        for a in params.upper:
-            num *= pochhammer(a, n)
-        t = num * z**n / math.factorial(n)
-        for b in params.lower:
-            t *= recip_gamma_real(b.real + n)
-        return t
-
     total: complex = 0.0
+    ratio: complex = 1.0  # prod (a)_n z^n / n!, kept as a running product
     prev_mag = 0.0
     growth = 0
     n_used = 0
     for n in range(cfg.max_terms):
         if terminate_at is not None and n > terminate_at:
             return _finished(total, n_used, "converged")
-        term = term_at(n)
+        term = ratio
+        for b in params.lower:
+            term *= recip_gamma_real(b.real + n)
         total += term
         n_used = n + 1
         mag = abs(term)
@@ -259,4 +253,8 @@ def _pfq_regularized(
         else:
             growth = 0
         prev_mag = mag
+        step = z / (n + 1.0)
+        for a in params.upper:
+            step *= a + n
+        ratio *= step
     return _finished(total, cfg.max_terms, "truncated")

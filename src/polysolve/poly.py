@@ -111,7 +111,11 @@ def eval_poly(p: Polynomial, x: complex) -> complex:
 
 
 def eval_poly_and_deriv(p: Polynomial, x: complex) -> tuple[complex, complex]:
-    """Extended Horner: returns (p(x), p'(x))."""
+    """Extended Horner: returns (p(x), p'(x)).
+
+    Public API and the tests' reference for newton_polish's one-pass
+    kernel, _newton_pass; nothing in the package calls it.
+    """
     b: complex = 0.0
     d: complex = 0.0
     for c in reversed(p.coeffs):
@@ -140,6 +144,23 @@ def cauchy_bound(p: Polynomial) -> float:
     return 1.0 + top / lead
 
 
+def _newton_pass(terms: list[tuple[complex, float]], x: complex):
+    """One pass over terms = (c_{n-i}, |c_i|) for i = 0..n: p(x) and p'(x)
+    by the recurrences of eval_poly_and_deriv, and sum |c_i| |x|^i in the
+    order scaled_residual sums it, so all three are bit for bit theirs."""
+    ax = abs(x)
+    fx: complex = 0.0
+    dfx: complex = 0.0
+    scale = 0.0
+    pw = 1.0
+    for c, mag in terms:
+        dfx = dfx * x + fx
+        fx = fx * x + c
+        scale += mag * pw
+        pw *= ax
+    return fx, dfx, scale
+
+
 def newton_polish(
     p: Polynomial, x0: complex, tol: float = 1e-12, max_iter: int = 60
 ) -> tuple[complex, float, int]:
@@ -153,13 +174,16 @@ def newton_polish(
     best = (x, scaled_residual(p, x), 0)
     if best[1] <= tol:
         return best
+    terms = list(zip(reversed(p.coeffs), map(abs, p.coeffs)))
+    fx, dfx, _ = _newton_pass(terms, x)
     for it in range(1, max_iter + 1):
-        fx, dfx = eval_poly_and_deriv(p, x)
         if dfx == 0:
             x += 1e-8 * (1.0 + abs(x))
+            fx, dfx, _ = _newton_pass(terms, x)
             continue
         x = x - fx / dfx
-        res = scaled_residual(p, x)
+        fx, dfx, scale = _newton_pass(terms, x)
+        res = abs(fx) / max(1.0, scale)
         if res < best[1]:
             best = (x, res, it)
         if res <= tol:

@@ -3,7 +3,7 @@ import json
 import math
 import random
 
-from polysolve import Polynomial, all_roots_oracle
+from polysolve import Polynomial, all_roots_oracle, poly_from_roots
 from polysolve.cli import canonical_json, main
 from polysolve.poly import format_poly
 
@@ -200,11 +200,22 @@ class TestSolve:
         ]
 
     def test_grim_failure_is_an_error_line(self):
-        code, out, err = run_cli("solve", "--coeffs", "1e200,0,1e-200", "--method", "grim")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        # x^5 + 1e70: its default seed 5e69 overflows when raised to the 5th
+        for coeffs in ("1e200,0,1e-200", "1e70,0,0,0,0,1"):
+            code, out, err = run_cli("solve", "--coeffs", coeffs, "--method", "grim")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+            assert "Traceback" not in err
+
+    def test_grim_large_seed_gives_roots(self):
+        # Wilkinson's degree-20 polynomial: its default seed is about 7e18
+        wilkinson = poly_from_roots(range(1, 21))
+        coeffs = ",".join(repr(c.real) for c in wilkinson.coeffs)
+        for method in ("grim", "auto"):
+            code, out, err = run_cli("solve", "--coeffs", coeffs, "--method", method)
+            assert code == 0, err
+            assert out.startswith("method: grim")
 
     def test_non_finite_coefficients_are_usage_errors(self):
         for bad in ("nan", "-nan", "1e400", "1+nanj"):
@@ -289,6 +300,15 @@ class TestPFQ:
         doc = json.loads(out)
         assert abs(doc["value"]["re"] - math.e) <= 1e-12
         assert doc["terms_used"] > 1
+
+    def test_long_regularized_sum_is_truncated(self):
+        code, out, err = run_cli(
+            "pfq", "--upper", "1", "--z", "0.99", "--regularized", "--json"
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["status"] == "truncated"
+        assert doc["terms_used"] == 400
 
     def test_divergence_exit_code(self):
         code, out, _ = run_cli(

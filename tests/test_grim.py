@@ -4,19 +4,47 @@ import random
 
 import pytest
 
+import polysolve.grim
 from polysolve import (
     GrimConfig,
+    GrimError,
     Polynomial,
     all_roots_oracle,
+    eval_poly,
     grim_coverage,
     grim_solve,
     match_roots,
+    poly_from_roots,
     scaled_residual,
 )
 
 from conftest import bisect_root, separated_roots_poly, unit_disk_poly
 
 SQRT2 = 1.4142135623730951
+
+
+def _two_horner_iterate(fc, p, n, d, seed, iters):
+    """Reference orbit: F^c at x to step, then p at the new point to rank
+    it (two Horner passes per step); always returns [limit, best]."""
+    x = complex(seed)
+    best = x
+    best_res = abs(eval_poly(p, x))
+    for _ in range(iters):
+        v = eval_poly(fc, x)
+        if v == 0:
+            if abs(x) < 1.0:
+                return [x, best]
+            return [best]
+        x_next = cmath.exp((cmath.log(v) + 2j * math.pi * d) / n)
+        if not (abs(x_next) < polysolve.grim._MAX_MODULUS):
+            return [best]
+        res = abs(eval_poly(p, x_next))
+        if res < best_res:
+            best, best_res = x_next, res
+        if abs(x_next - x) <= polysolve.grim._STEP_TOL * (1.0 + abs(x_next)):
+            return [x_next, best]
+        x = x_next
+    return [x, best]
 
 
 class TestGrimSolve:
@@ -92,7 +120,51 @@ class TestGrimSolve:
             GrimConfig(iters=0)
         with pytest.raises(ValueError):
             GrimConfig(branches=[])
+        with pytest.raises(ValueError):
+            GrimConfig(seeds=[])
 
+    def test_matches_two_horner_orbits(self, monkeypatch):
+        # one F^c pass per step ranks the iterates as p itself did
+        rng = random.Random(4077)
+        polys = []
+        for degree in range(5, 25):
+            p, _ = separated_roots_poly(rng, degree)
+            lead = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+            polys.append(Polynomial([c * lead for c in p.coeffs]))
+        got = [grim_solve(p).roots for p in polys]
+        for p, roots in zip(polys, got):
+            monkeypatch.setattr(
+                polysolve.grim,
+                "_iterate",
+                lambda rev, n, d, start, iters: _two_horner_iterate(
+                    Polynomial(rev[::-1]), p, n, d, start[0], iters
+                ),
+            )
+            assert repr(roots) == repr(grim_solve(p).roots)
+
+    def test_zero_roots_split_off(self):
+        report = grim_solve(Polynomial([0] * 7 + [1]))
+        assert [(e.root, e.residual) for e in report.roots] == [(0j, 0.0)] * 7
+        assert report.warnings == []
+        cubic = [1.5, -0.5 + 1j, -1j]
+        p = Polynomial([0, 0, *poly_from_roots(cubic).coeffs])
+        report = grim_solve(p)
+        assert report.warnings == []
+        worst, _ = match_roots(report, [0, 0, *cubic])
+        assert worst <= 1e-10
+        for e in report.roots:
+            assert e.residual == scaled_residual(p, e.root) <= 1e-10
+
+    def test_large_seeds_do_not_overflow(self):
+        # the default seed cauchy_bound/2 is about 7e18 for Wilkinson's
+        # polynomial and 5e69 for x^5 + 1e70; seed^n overflows a float
+        wilkinson = poly_from_roots(range(1, 21))
+        report = grim_solve(wilkinson)
+        assert report.roots
+        for e in report.roots:
+            assert e.residual <= GrimConfig().polish_tol
+        with pytest.raises(GrimError):
+            grim_solve(Polynomial([1e70, 0, 0, 0, 0, 1]))
 
     def test_shortfall_warning(self):
         # instance 26 of the criterion-7 stream: 5 of its 6 roots survive

@@ -201,6 +201,7 @@ class TestPFQEval:
             (PFQParams((1, 1), ()), 1e200, False),
             (PFQParams((-3, 1e200), ()), 1e200, False),  # terminating
             (PFQParams((1e200,), ()), 1e200, True),
+            (PFQParams((1, 1), ()), 1e200, True),
             (PFQParams((-3, 1e200), ()), 1e200, True),
         ]:
             res = pfq_eval(params, z, regularized=regularized)
@@ -220,6 +221,15 @@ class TestPFQEval:
         assert plain.status == regu.status == "converged"
         rescaled = plain.value * recip_gamma_real(0.7)
         assert abs(regu.value - rescaled) <= 1e-11 * abs(rescaled)
+
+    def test_long_regularized_sum_is_truncated(self):
+        # past n = 170, n! no longer converts to a float; the sum must not care
+        plain = pfq_eval(PFQParams((1,), ()), 0.99)
+        regu = pfq_eval(PFQParams((1,), ()), 0.99, regularized=True)
+        assert plain.status == regu.status == "truncated"
+        assert regu.terms_used == 400
+        # terms 0.99^n for n < 400
+        assert abs(regu.value - (1 - 0.99**400) / 0.01) <= 1e-11
 
     def test_regularized_at_lower_pole_is_finite(self):
         # lower parameter -1: 1/Gamma(-1+n) kills terms n <= 1

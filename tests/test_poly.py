@@ -18,6 +18,7 @@ from polysolve import (
     polish,
     parse_poly,
     poly_from_roots,
+    scaled_residual,
     sylvester_resultant,
     tschirnhaus_quadratic,
 )
@@ -79,6 +80,37 @@ class TestCauchyBound:
                 assert abs(e.root) <= bound * (1 + 1e-9)
 
 
+def _two_pass_newton(p, x0, tol=1e-12, max_iter=60):
+    """Reference Newton loop: a value-and-derivative Horner pass, then
+    scaled_residual, at every iterate. newton_polish must match it bit for
+    bit."""
+    x = complex(x0)
+    best = (x, scaled_residual(p, x), 0)
+    if best[1] <= tol:
+        return best
+    for it in range(1, max_iter + 1):
+        fx, dfx = eval_poly_and_deriv(p, x)
+        if dfx == 0:
+            x += 1e-8 * (1.0 + abs(x))
+            continue
+        x = x - fx / dfx
+        res = scaled_residual(p, x)
+        if res < best[1]:
+            best = (x, res, it)
+        if res <= tol:
+            return x, res, it
+    raise ConvergenceError("stalled", best)
+
+
+def _newton_outcome(fn, *args):
+    """repr of what a Newton loop returned or raised; repr tells signed
+    zeros and NaNs apart."""
+    try:
+        return repr(("returned", fn(*args)))
+    except ConvergenceError as exc:
+        return repr(("stalled", exc.best))
+
+
 class TestNewtonPolish:
     def test_sqrt2(self):
         oracle = bisect_root(lambda x: x * x - 2, 1.0, 2.0)
@@ -104,6 +136,32 @@ class TestNewtonPolish:
         best_root, best_res, _ = exc.value.best
         assert abs(best_root - SQRT2) <= 1e-12
         assert best_res <= 1e-14
+
+    def test_matches_two_pass_reference(self):
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        coeff = st.complex_numbers(
+            max_magnitude=1e3, allow_nan=False, allow_infinity=False
+        )
+
+        @given(
+            st.lists(coeff, min_size=1, max_size=10),
+            coeff,
+            st.sampled_from([1e-12, 1e-10, 1e-30]),
+            st.integers(1, 40),
+        )
+        @example([-1, 0, 1], 0j, 1e-12, 60)  # p'(0) = 0: the perturbation
+        @example([-2, 0, 1], 1.4, 1e-30, 10)  # a stall: compare exc.best
+        @settings(max_examples=300, deadline=None)
+        def check(coeffs, x0, tol, max_iter):
+            p = Polynomial(coeffs)
+            args = (p, x0, tol, max_iter)
+            assert _newton_outcome(newton_polish, *args) == _newton_outcome(
+                _two_pass_newton, *args
+            )
+
+        check()
 
     def test_polish_returns_flag_instead_of_raising(self):
         p = Polynomial([-2, 0, 1])
