@@ -6,6 +6,7 @@ Durand-Kerner oracle."""
 from .closedform import (
     SquareDifferenceSplit,
     solve_by_split,
+    solve_closed,
     solve_cubic,
     solve_quadratic,
     solve_quartic,
@@ -21,6 +22,7 @@ from .numerics import (
     gamma_real,
     pfq_eval,
     pochhammer,
+    principal_pow,
     recip_gamma_real,
 )
 from .pipeline import cross_check, solve
@@ -35,6 +37,7 @@ from .poly import (
     all_roots_oracle,
     brauer_rd,
     cauchy_bound,
+    distinct_roots,
     eval_poly,
     eval_poly_and_deriv,
     match_roots,

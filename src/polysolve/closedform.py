@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .numerics import principal_pow
 from .poly import (
     ConvergenceError,
     DegreeError,
@@ -73,15 +74,6 @@ def _depress_cubic(p: Polynomial) -> tuple[complex, complex, complex, complex]:
     return alpha, beta, a2, a3
 
 
-def _cbrt(z: complex) -> complex:
-    """Principal complex cube root (polar form; stable for all arguments)."""
-    if z == 0:
-        return 0j
-    r = abs(z) ** (1.0 / 3.0)
-    theta = cmath.phase(z) / 3.0
-    return complex(r * math.cos(theta), r * math.sin(theta))
-
-
 def solve_cubic(p: Polynomial) -> RootReport:
     """Roots of a degree-3 polynomial via the cube-difference reduction.
 
@@ -109,7 +101,7 @@ def solve_cubic(p: Polynomial) -> RootReport:
         # one and recover the partner from the pairing k1 k2 = -alpha/3
         z_plus = -beta / 2.0 + sq
         z_minus = -beta / 2.0 - sq
-        k1 = _cbrt(z_plus if abs(z_plus) >= abs(z_minus) else z_minus)
+        k1 = principal_pow(z_plus if abs(z_plus) >= abs(z_minus) else z_minus, 1.0 / 3.0)
         k2 = 0j if k1 == 0 else -alpha / (3.0 * k1)
         t0 = k1 + k2
         # quadratic cofactor of (t - t0) in t^3 + alpha t + beta
@@ -149,6 +141,25 @@ def _resolvent_cubic(c: tuple[complex, ...]) -> Polynomial:
     )
 
 
+def _quartic_halves(
+    c: tuple[complex, ...],
+) -> tuple[float, list[complex], list[complex]]:
+    """The monic quadratic pair (w+_{2,0}, w+_{2,1}, 1), (w-_{2,0}, w-_{2,1}, 1)
+    of a monic quartic with the smallest largest coefficient mismatch over
+    the resolvent roots and both signs of the inner radical (the first such
+    pair on ties), as (mismatch, w+, w-)."""
+    best = None
+    for entry in solve_cubic(_resolvent_cubic(c)).roots:
+        for sigma in (1.0, -1.0):
+            w1p, w1m, w0p, w0m = _quartic_w_pairs(c, entry.root, sigma)
+            wp = [w0p, w1p, 1.0 + 0j]
+            wm = [w0m, w1m, 1.0 + 0j]
+            err = _reconstruction_residual(c, wp, wm)
+            if best is None or err < best[0]:
+                best = (err, wp, wm)
+    return best
+
+
 def solve_quartic(p: Polynomial) -> RootReport:
     """Roots of a degree-4 polynomial by splitting into two quadratics.
 
@@ -159,19 +170,9 @@ def solve_quartic(p: Polynomial) -> RootReport:
     """
     if p.degree != 4:
         raise DegreeError("solve_quartic expects degree 4")
-    q = p.monic()
-    c = q.coeffs
-    best: tuple[float, tuple[complex, complex, complex, complex]] | None = None
-    for entry in solve_cubic(_resolvent_cubic(c)).roots:
-        for sigma in (1.0, -1.0):
-            w1p, w1m, w0p, w0m = _quartic_w_pairs(c, entry.root, sigma)
-            prod = Polynomial([w0p, w1p, 1.0]) * Polynomial([w0m, w1m, 1.0])
-            err = max(abs(a - b) for a, b in zip(prod.coeffs, c))
-            if best is None or err < best[0]:
-                best = (err, (w1p, w1m, w0p, w0m))
-    w1p, w1m, w0p, w0m = best[1]
+    _, wp, wm = _quartic_halves(p.monic().coeffs)
     roots: list[tuple[complex, int]] = []
-    for idx, (w1, w0) in enumerate(((w1p, w0p), (w1m, w0m))):
+    for idx, (w0, w1, _) in enumerate((wp, wm)):
         rr = cmath.sqrt(w1 * w1 / 4.0 - w0)
         roots.append((-w1 / 2.0 + rr, 2 * idx))
         roots.append((-w1 / 2.0 - rr, 2 * idx + 1))
@@ -317,17 +318,8 @@ def square_difference_split(
     h = n // 2
 
     if n == 4:
-        best = None
-        for entry in solve_cubic(_resolvent_cubic(c)).roots:
-            for sigma in (1.0, -1.0):
-                w1p, w1m, w0p, w0m = _quartic_w_pairs(c, entry.root, sigma)
-                wp = [w0p, w1p, 1.0 + 0j]
-                wm = [w0m, w1m, 1.0 + 0j]
-                err = _reconstruction_residual(c, wp, wm)
-                if best is None or err < best[0]:
-                    best = (err, wp, wm)
-        wp, wm = best[1], best[2]
-        if best[0] > residual_target:
+        err, wp, wm = _quartic_halves(c)
+        if err > residual_target:
             # degenerate resolvents halve the attainable digits; refine
             wp, wm, _ = _factor_newton(c, wp, wm)
         return _split_from_halves(c, wp, wm)
@@ -363,19 +355,20 @@ def _synthetic_deflate(p: Polynomial, root: complex) -> Polynomial:
     return Polynomial(out)
 
 
-def _closed_form_roots(p: Polynomial) -> list[complex]:
-    deg = p.degree
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [-p.coeffs[0] / p.coeffs[1]]
-    if deg == 2:
-        return solve_quadratic(p).values()
-    if deg == 3:
-        return solve_cubic(p).values()
-    if deg == 4:
-        return solve_quartic(p).values()
-    raise DegreeError(f"no closed form for degree {deg}")
+def solve_closed(p: Polynomial) -> RootReport:
+    """Roots of a polynomial of degree at most 4 by the closed form of its
+    degree; a constant has none. Higher degrees raise DegreeError."""
+    if p.degree == 0:
+        return RootReport([], method="closed-constant")
+    if p.degree == 1:
+        root = -p.coeffs[0] / p.coeffs[1]
+        return RootReport(
+            [RootEntry(root, scaled_residual(p, root))], method="closed-linear"
+        )
+    solver = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}.get(p.degree)
+    if solver is None:
+        raise DegreeError("closed method needs degree <= 4")
+    return solver(p)
 
 
 def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:
@@ -394,7 +387,7 @@ def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:
     for which, factor in enumerate(split.factors()):
         deg = factor.degree
         if deg <= 4:
-            roots = _closed_form_roots(factor)
+            roots = solve_closed(factor).values()
         elif deg == 5:
             rep = grim_solve(factor, GrimConfig())
             warnings.extend(f"factor {which}: {w}" for w in rep.warnings)
@@ -404,7 +397,7 @@ def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:
                 residue = factor
                 for r in roots:
                     residue = _synthetic_deflate(residue, r)
-                roots.extend(_closed_form_roots(residue))
+                roots.extend(solve_closed(residue).values())
                 warnings.append(
                     f"factor {which}: {deg - len(roots) + residue.degree} "
                     "root(s) recovered by deflation"

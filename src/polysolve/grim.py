@@ -27,6 +27,7 @@ from .poly import (
     RootReport,
     all_roots_oracle,
     cauchy_bound,
+    distinct_roots,
     eval_poly,
     polish,
     scaled_residual,
@@ -49,7 +50,6 @@ class GrimConfig:
     branches: list[int] | None = None  # default 0..n-1
     seeds: list[complex] | None = None  # default {0.01, i, -i, rho/2}
     iters: int = 80
-    dedup_tol: float = 1e-6
     polish_tol: float = 1e-10
 
     def __post_init__(self):
@@ -118,7 +118,9 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
     with residual 0, and the iteration runs on the quotient q. Every other
     reported root is Newton-polished on q to cfg.polish_tol and carries its
     scaled residual on p; candidates that fail polishing are dropped into
-    the warnings rather than reported. When fewer than n roots survive,
+    the warnings rather than reported, and poly.distinct_roots keeps one
+    of each set of candidates within a relative 1e-6, the one with the
+    lowest residual. When fewer than n roots survive,
     the warnings end with "found k of n roots".
     """
     cfg = cfg if cfg is not None else GrimConfig()
@@ -145,7 +147,7 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
     lead = abs(q.lead)
     starts = [(complex(s), fc(s), abs(eval_poly(q, s)) / lead) for s in seeds]
 
-    candidates: list[tuple[complex, float, int, int]] = []
+    candidates: list[RootEntry] = []
     diagnostics: list[str] = []
     for d in branches:
         for seed, start in zip(seeds, starts):
@@ -158,25 +160,14 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
                         f"branch {d} seed {seed}: polish stalled at {res:.3e}"
                     )
                     continue
-                candidates.append((root, res, d, its))
+                if q is not p:
+                    res = scaled_residual(p, root)
+                candidates.append(RootEntry(root, res, branch=d, iterations=its))
 
     if not candidates and not zeros:
         raise GrimError("no (branch, seed) run converged", diagnostics)
 
-    candidates.sort(key=lambda cand: (cand[1], cand[0].real, cand[0].imag))
-    kept: list[tuple[complex, float, int, int]] = []
-    for cand in candidates:
-        if all(abs(cand[0] - other[0]) > cfg.dedup_tol for other in kept):
-            kept.append(cand)
-    entries = zeros + [
-        RootEntry(
-            root,
-            res if q is p else scaled_residual(p, root),
-            branch=d,
-            iterations=its,
-        )
-        for root, res, d, its in kept
-    ]
+    entries = zeros + distinct_roots(candidates)
     warnings = []
     if len(entries) < n:
         warnings = diagnostics + [f"found {len(entries)} of {n} roots"]

@@ -1,4 +1,5 @@
-"""Special-function kernel: Gamma, reciprocal Gamma, Pochhammer, pFq series.
+"""Special-function kernel: Gamma, reciprocal Gamma, principal powers,
+Pochhammer, pFq series.
 
 Everything here is plain 64-bit floating point (``float`` / ``complex``);
 no arbitrary precision. The pFq evaluator works on the term recurrence
@@ -10,6 +11,7 @@ and reports one of three outcomes: converged, diverged or truncated.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -89,6 +91,17 @@ def gamma_sign(x: float) -> int:
     return -1 if math.ceil(-x) % 2 else 1
 
 
+def principal_pow(z: complex, e: float) -> complex:
+    """Principal branch of z**e in polar form, |z|**e at angle e*Arg(z)
+    with Arg in [-pi, pi]; the sign of a zero imaginary part picks the side
+    of the negative real axis. 0 maps to 0."""
+    if z == 0:
+        return 0j
+    r = abs(z) ** e
+    theta = cmath.phase(z) * e
+    return complex(r * math.cos(theta), r * math.sin(theta))
+
+
 def pochhammer(a: complex, n: int) -> complex:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
     if n < 0:
@@ -135,7 +148,7 @@ class PFQResult:
     status: str  # converged | diverged | truncated
 
 
-# Divergence counting only starts after this many terms: convergent pFq
+# Divergence counting starts at term n = 16 on both paths: convergent pFq
 # series routinely grow before the n! in the denominator takes over.
 _DIVERGENCE_MIN_TERMS = 16
 
@@ -146,6 +159,14 @@ def _finished(total: complex, terms_used: int, status: str) -> PFQResult:
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         status = "diverged"
     return PFQResult(total, terms_used, status)
+
+
+def _end_status(terminate_at: int | None, cfg: SeriesConfig) -> str:
+    """Status of a sum that used all max_terms terms: converged when the
+    series terminates within them (its last nonzero term was summed)."""
+    if terminate_at is not None and terminate_at < cfg.max_terms:
+        return "converged"
+    return "truncated"
 
 
 def _real_nonpositive_int(c: complex) -> int | None:
@@ -170,7 +191,9 @@ def pfq_eval(
     n = m (polynomial case) and takes precedence over lower-parameter
     pole detection. With ``regularized`` each lower Pochhammer is read
     through 1/Gamma, i.e. the sum of prod(a)_n z^n / (n! prod Gamma(b_j+n)).
-    A sum that overflowed to inf or nan reads diverged.
+    A sum that overflowed to inf or nan reads diverged. Both paths sum at
+    most max_terms terms, and terms_used counts the terms summed, the
+    constant term included.
     """
     z = complex(z)
     terminate_at: int | None = None
@@ -194,13 +217,14 @@ def pfq_eval(
     if regularized:
         return _pfq_regularized(params, z, cfg, terminate_at)
 
+    # terms 0..n are summed when term n+1 is formed
     total: complex = 1.0
     term: complex = 1.0
     prev_mag = 1.0
     growth = 0
-    for n in range(cfg.max_terms):
+    for n in range(cfg.max_terms - 1):
         if terminate_at is not None and n >= terminate_at:
-            return _finished(total, n, "converged")
+            return _finished(total, n + 1, "converged")
         num: complex = 1.0
         for a in params.upper:
             num *= a + n
@@ -211,15 +235,15 @@ def pfq_eval(
         total += term
         mag = abs(term)
         if mag <= cfg.rel_tol * max(abs(total), 1e-300):
-            return _finished(total, n + 1, "converged")
+            return _finished(total, n + 2, "converged")
         if n + 1 >= _DIVERGENCE_MIN_TERMS and mag > prev_mag:
             growth += 1
             if growth >= cfg.divergence_window:
-                return PFQResult(total, n + 1, "diverged")
+                return PFQResult(total, n + 2, "diverged")
         else:
             growth = 0
         prev_mag = mag
-    return _finished(total, cfg.max_terms, "truncated")
+    return _finished(total, cfg.max_terms, _end_status(terminate_at, cfg))
 
 
 def _pfq_regularized(
@@ -246,7 +270,7 @@ def _pfq_regularized(
         mag = abs(term)
         if n >= 1 and mag > 0.0 and mag <= cfg.rel_tol * max(abs(total), 1e-300):
             return _finished(total, n_used, "converged")
-        if n + 1 >= _DIVERGENCE_MIN_TERMS and mag > prev_mag > 0.0:
+        if n >= _DIVERGENCE_MIN_TERMS and mag > prev_mag > 0.0:
             growth += 1
             if growth >= cfg.divergence_window:
                 return PFQResult(total, n_used, "diverged")
@@ -257,4 +281,4 @@ def _pfq_regularized(
         for a in params.upper:
             step *= a + n
         ratio *= step
-    return _finished(total, cfg.max_terms, "truncated")
+    return _finished(total, cfg.max_terms, _end_status(terminate_at, cfg))

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .closedform import solve_by_split, solve_cubic, solve_quadratic, solve_quartic
+from .closedform import solve_by_split, solve_closed
 from .grim import GrimConfig, grim_solve
 from .numerics import DivergenceError, SeriesConfig
 from .poly import (
@@ -17,6 +17,7 @@ from .poly import (
     RootEntry,
     RootReport,
     all_roots_oracle,
+    distinct_roots,
     match_roots,
     polish,
     scaled_residual,
@@ -96,9 +97,9 @@ def _polished(target: Polynomial, x: complex, k: int) -> RootEntry:
 def _branch_report(method: str, branches: list[int] | None, n: int, attempt,
                    failed: str = "did not converge") -> RootReport:
     """Run attempt(k) for each branch k (all n by default): it returns a
-    RootEntry, or the warning text of a branch that failed. Roots within a
-    relative 1e-8 of a lower-residual one are dropped; any failed branch
-    marks the report partial."""
+    RootEntry, or the warning text of a branch that failed. The roots go
+    through poly.distinct_roots; any failed branch marks the report
+    partial."""
     ks = branches if branches is not None else range(n)
     entries: list[RootEntry] = []
     warnings: list[str] = []
@@ -108,27 +109,10 @@ def _branch_report(method: str, branches: list[int] | None, n: int, attempt,
             warnings.append(got)
         else:
             entries.append(got)
-    kept: list[RootEntry] = []
-    for e in sorted(entries, key=lambda e: e.residual):
-        if all(abs(e.root - other.root) > 1e-8 * (1 + abs(e.root)) for other in kept):
-            kept.append(e)
-    report = RootReport(kept, method=method, warnings=warnings).sort()
+    report = RootReport(distinct_roots(entries), method=method, warnings=warnings).sort()
     if len(entries) < len(ks):
         report.warnings.append(f"partial results: some branches {failed}")
     return report
-
-
-def _closed(shape: Shape, branches, cfg) -> RootReport:
-    p = shape.poly
-    if p.degree == 1:
-        root = -p.coeffs[0] / p.coeffs[1]
-        return RootReport(
-            [RootEntry(root, scaled_residual(p, root))], method="closed-linear"
-        )
-    solver = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}.get(p.degree)
-    if solver is None:
-        raise ValueError("closed method needs degree <= 4")
-    return solver(p)
 
 
 def _split(shape: Shape, branches, cfg) -> RootReport:
@@ -229,7 +213,7 @@ def _adjacent(shape: Shape, branches, cfg) -> RootReport:
 
 
 METHODS = {
-    "closed": _closed,
+    "closed": lambda shape, branches, cfg: solve_closed(shape.poly),
     "split": _split,
     "series": _series,
     "pfq": _pfq,

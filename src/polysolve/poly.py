@@ -95,6 +95,18 @@ class RootReport:
         return self
 
 
+def distinct_roots(entries: list[RootEntry]) -> list[RootEntry]:
+    """The one root dedup: visit entries by increasing (residual, re, im)
+    and drop any entry within 1e-6 (1 + |x|) of one already kept, x being
+    the visited root. The kept entries come back in visiting order."""
+    kept: list[RootEntry] = []
+    for e in sorted(entries, key=lambda e: (e.residual, e.root.real, e.root.imag)):
+        tol = 1e-6 * (1.0 + abs(e.root))
+        if all(abs(e.root - k.root) > tol for k in kept):
+            kept.append(e)
+    return kept
+
+
 @dataclass(frozen=True)
 class RDBoundRow:
     n: int

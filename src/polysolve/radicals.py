@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .numerics import principal_pow
 from .poly import Polynomial, polish
 
 
@@ -29,13 +30,6 @@ class RadicalIterConfig:
             raise ValueError("iteration counts must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-
-
-def _frac_pow(z: complex, e: float) -> complex:
-    """Principal branch of z**e."""
-    if z == 0:
-        return 0j
-    return cmath.exp(e * cmath.log(z))
 
 
 def _guarded_fixed_point(
@@ -93,7 +87,7 @@ def trinomial_radical_root(
     phase_x = cmath.exp(2j * math.pi * cfg.k / p_exp)
 
     y, iterations, status = _guarded_fixed_point(
-        lambda y: phase_y * _frac_pow(c - alpha * y, q_exp / p_exp),
+        lambda y: phase_y * principal_pow(c - alpha * y, q_exp / p_exp),
         0j,
         cfg.outer_iters,
         cfg.tol,
@@ -101,7 +95,7 @@ def trinomial_radical_root(
     )
     if status == "diverged":
         return y, iterations, status
-    x = phase_x * _frac_pow(c - alpha * y, 1.0 / p_exp)
+    x = phase_x * principal_pow(c - alpha * y, 1.0 / p_exp)
     return x, iterations, status
 
 
@@ -125,9 +119,9 @@ def quadrinomial_radical_root(
     phase_x = cmath.exp(2j * math.pi * cfg.k / p_exp)
 
     def outer(x: complex) -> complex:
-        c_eff = c - beta * _frac_pow(x, v_exp)
+        c_eff = c - beta * principal_pow(x, v_exp)
         y, _, inner_status = _guarded_fixed_point(
-            lambda y: phase_y * _frac_pow(c_eff - alpha * y, q_exp / p_exp),
+            lambda y: phase_y * principal_pow(c_eff - alpha * y, q_exp / p_exp),
             0j,
             cfg.inner_iters,
             cfg.tol,
@@ -135,7 +129,7 @@ def quadrinomial_radical_root(
         )
         if inner_status == "diverged":
             return complex(2.0 * cfg.max_modulus)
-        return phase_x * _frac_pow(c_eff - alpha * y, 1.0 / p_exp)
+        return phase_x * principal_pow(c_eff - alpha * y, 1.0 / p_exp)
 
     x, _, status = _guarded_fixed_point(
         outer, 0j, cfg.outer_iters, cfg.tol, cfg.max_modulus
@@ -154,7 +148,7 @@ def sextic_radical_root(
     """
     phase = cmath.exp(2j * math.pi * cfg.k / 6.0)
     x, _, status = _guarded_fixed_point(
-        lambda x: _frac_pow(w - c * phase * _frac_pow(b - x, 1.0 / 6.0), 0.5),
+        lambda x: principal_pow(w - c * phase * principal_pow(b - x, 1.0 / 6.0), 0.5),
         0j,
         cfg.outer_iters,
         cfg.tol,
@@ -168,7 +162,7 @@ def sextic_radical_residual(
 ) -> float:
     """|x - (w - c e^(2*pi*i*k/6) (b - x)^(1/6))^(1/2)|, the defining residual."""
     phase = cmath.exp(2j * math.pi * k / 6.0)
-    return abs(x - _frac_pow(w - c * phase * _frac_pow(b - x, 1.0 / 6.0), 0.5))
+    return abs(x - principal_pow(w - c * phase * principal_pow(b - x, 1.0 / 6.0), 0.5))
 
 
 def septic_radical_root(
@@ -190,7 +184,7 @@ def septic_radical_root(
 
     def inner(u: complex) -> complex:
         t, _, _ = _guarded_fixed_point(
-            lambda t: phase * _frac_pow(u - gamma * t, 1.0 / 7.0),
+            lambda t: phase * principal_pow(u - gamma * t, 1.0 / 7.0),
             0j,
             cfg.inner_iters,
             cfg.tol,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .closedform import solve_cubic
 from .numerics import (
     DivergenceError,
     PFQParams,
@@ -28,6 +29,8 @@ from .poly import (
     Polynomial,
     RootEntry,
     RootReport,
+    all_roots_oracle,
+    distinct_roots,
     polish,
     scaled_residual,
 )
@@ -174,9 +177,10 @@ def _covering_table(s: int, b: int, n: int) -> tuple[array, array]:
     return _term_table(s, b, length)
 
 
-def _trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
+def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
     """Term n >= 1 of the inverse-power series for branch k; exact 0 at the
-    reciprocal-Gamma poles."""
+    reciprocal-Gamma poles. trinomial_series_root sums an inlined copy;
+    this is the reference the tests compare it with."""
     s, b = t.s, t.b
     sign, log_mag = _covering_table(s, b, n)
     if sign[n] == 0.0 or t.alpha == 0:
@@ -217,7 +221,7 @@ def trinomial_series_root(
     for n in range(1, cfg.max_terms + 1):
         if n == len(sign):
             sign, log_mag = _covering_table(s, b, n)
-        # _trinomial_log_term(t, k, n), inlined with the logs taken once
+        # trinomial_log_term(t, k, n), inlined with the logs taken once
         sg = sign[n]
         if sg == 0.0 or t.alpha == 0:
             term = 0j
@@ -396,15 +400,15 @@ def bring_jerrard_quintic(alpha: complex, q: complex) -> RootReport:
     """All five roots of z^5 + alpha z - q = 0.
 
     Runs the trinomial series over the five branches (alpha sign-flipped
-    into the standard trinomial shape), polishes and deduplicates; branches
-    whose series diverge are filled in from the all-roots oracle and
-    flagged in the warnings.
+    into the standard trinomial shape) and keeps the distinct roots
+    (poly.distinct_roots). When fewer than five remain, because a series
+    diverged or branches collided, the polished all-roots oracle roots
+    (branch -1) join them, the five lowest-residual distinct roots are
+    kept, and the warnings say so.
     """
-    from .poly import all_roots_oracle
-
     p = Polynomial([-q, alpha, 0, 0, 0, 1])
     warnings: list[str] = []
-    found: list[tuple[complex, float, int, int]] = []
+    found: list[RootEntry] = []
     fallback_branches: list[int] = []
     if q == 0:
         fallback_branches = list(range(5))
@@ -414,7 +418,7 @@ def bring_jerrard_quintic(alpha: complex, q: complex) -> RootReport:
         for k in range(5):
             try:
                 root, diag = trinomial_series_root(t, k)
-                found.append((root, diag.residual, k, diag.iterations))
+                found.append(RootEntry(root, diag.residual, k, diag.iterations))
             except DivergenceError:
                 fallback_branches.append(k)
         if fallback_branches:
@@ -423,30 +427,18 @@ def bring_jerrard_quintic(alpha: complex, q: complex) -> RootReport:
                 f"{fallback_branches}; oracle fallback"
             )
 
-    dedup: list[tuple[complex, float, int, int]] = []
-    for cand in sorted(found, key=lambda c: c[1]):
-        if all(abs(cand[0] - kept[0]) > 1e-6 * (1.0 + abs(cand[0])) for kept in dedup):
-            dedup.append(cand)
-
-    if len(dedup) < 5:
-        oracle = all_roots_oracle(p)
-        for entry in oracle.roots:
-            if len(dedup) == 5:
-                break
-            if all(
-                abs(entry.root - kept[0]) > 1e-6 * (1.0 + abs(entry.root))
-                for kept in dedup
-            ):
-                x, res, its, _ = polish(p, entry.root, tol=1e-12)
-                dedup.append((x, res, -1, its))
-                if not fallback_branches and q != 0:
-                    warnings.append("series branches collided; oracle fill-in")
-
-    entries = [
-        RootEntry(root, res, branch=k, iterations=its)
-        for root, res, k, its in dedup[:5]
-    ]
-    return RootReport(entries, method="bring-jerrard", warnings=warnings).sort()
+    kept = distinct_roots(found)
+    if len(kept) < 5:
+        if not fallback_branches:
+            warnings.append("series branches collided; oracle fill-in")
+        fill = [
+            RootEntry(x, res, branch=-1, iterations=its)
+            for x, res, its, _ in (
+                polish(p, e.root, tol=1e-12) for e in all_roots_oracle(p).roots
+            )
+        ]
+        kept = distinct_roots(kept + fill)[:5]
+    return RootReport(kept, method="bring-jerrard", warnings=warnings).sort()
 
 
 def quadrinomial_series_root(
@@ -529,31 +521,6 @@ def quadrinomial_series_root(
     return root, SeriesDiagnostics(status, terms_used, total, pre, res, its, notes=notes)
 
 
-def _cubic_seed(c: complex, a: complex, b: complex, q: complex) -> complex:
-    """Principal-branch closed form for the root of c z^3 + a z^2 + b z - q."""
-    d0 = -a * a + 3.0 * b * c
-    d1 = -2.0 * a**3 + 9.0 * a * b * c + 27.0 * c * c * q
-    inner = cmath.sqrt(4.0 * d0**3 + d1 * d1)
-    radicand = d1 + inner
-    if radicand == 0:
-        radicand = d1 - inner
-    if radicand == 0:
-        return -a / (3.0 * c)
-    tcr = _principal_cbrt(radicand)
-    two_cr = 2.0 ** (1.0 / 3.0)
-    return (
-        -a / (3.0 * c)
-        - two_cr * d0 / (3.0 * c * tcr)
-        + tcr / (3.0 * two_cr * c)
-    )
-
-
-def _principal_cbrt(zv: complex) -> complex:
-    if zv == 0:
-        return 0j
-    return cmath.exp(cmath.log(zv) / 3.0)
-
-
 def _series_mul(a: list[complex], b: list[complex], order: int) -> list[complex]:
     out = [0j] * (order + 1)
     for i, av in enumerate(a):
@@ -571,10 +538,11 @@ def adjacent_septic_root(
 ) -> tuple[complex, SeriesDiagnostics]:
     """Root of x^7 + c x^3 + a x^2 + b x - q = 0 from the cubic-seeded series.
 
-    The seed z_in is the principal-branch root of the adjacent cubic
-    c z^3 + a z^2 + b z - q. The correction series is the expansion of the
-    full root in powers of the degree-7 perturbation around that cubic,
-    built by implicit series inversion and summed at weight one; the first
+    The seed z_in is the branch-0 root that solve_cubic gives for the
+    adjacent cubic g = c z^3 + a z^2 + b z - q, polished on g. The
+    correction series is the expansion of the full root in powers of the
+    degree-7 perturbation around that cubic, built by implicit series
+    inversion and summed at weight one; the first
     term is -z_in^7 / g'(z_in). Experimental contract: the series improves
     the seed's residual, Newton polish supplies the final root. If the
     series terms grow immediately the seed is returned with a warning.
@@ -583,7 +551,8 @@ def adjacent_septic_root(
         raise ValueError("adjacent method needs a nonzero x^3 coefficient")
     p = Polynomial([-q, b, a, c, 0, 0, 0, 1.0])
     g = Polynomial([-q, b, a, c])
-    z_in = polish(g, _cubic_seed(c, a, b, q), tol=1e-15, max_iter=30)[0]
+    seed = next(e.root for e in solve_cubic(g).roots if e.branch == 0)
+    z_in = polish(g, seed, tol=1e-15, max_iter=30)[0]
     res_seed = scaled_residual(p, z_in)
 
     g1 = 3.0 * c * z_in * z_in + 2.0 * a * z_in + b

@@ -36,7 +36,7 @@ from polysolve import (
     trinomial_series_root,
     tschirnhaus_quadratic,
 )
-from polysolve.series import _trinomial_log_term
+from polysolve.series import trinomial_log_term
 
 from conftest import separated_roots_poly, unit_disk_poly
 
@@ -132,7 +132,7 @@ def test_criterion_4_pfq_regrouping_equivalence():
                 assert status == "converged", (t, k)
                 direct = cmath.exp(cmath.log(t.q) / t.s + 2j * math.pi * k / t.s)
                 for n in range(1, 401):
-                    direct += _trinomial_log_term(t, k, n)
+                    direct += trinomial_log_term(t, k, n)
                 assert abs(value - direct) <= 1e-9 * max(abs(direct), 1e-12), (t, k)
 
 

@@ -14,6 +14,7 @@ from polysolve import (
     poly_from_roots,
     scaled_residual,
     solve_by_split,
+    solve_closed,
     solve_cubic,
     solve_quadratic,
     solve_quartic,
@@ -126,6 +127,18 @@ class TestQuartic:
     def test_quadruple_root_conditioning(self):
         report = solve_quartic(Polynomial([1, -4, 6, -4, 1]))
         assert all(abs(r - 1) <= 1e-4 for r in report.values())
+
+
+class TestSolveClosed:
+    def test_dispatch_by_degree(self, rng):
+        assert solve_closed(Polynomial([2.0])).roots == []
+        linear = solve_closed(Polynomial([3, 2]))
+        assert linear.method == "closed-linear" and linear.values() == [-1.5]
+        for degree, solver in ((2, solve_quadratic), (3, solve_cubic), (4, solve_quartic)):
+            p = unit_disk_poly(rng, degree, monic=False)
+            assert solve_closed(p) == solver(p)
+        with pytest.raises(DegreeError):
+            solve_closed(unit_disk_poly(rng, 5))
 
 
 class TestVieta:

@@ -90,9 +90,11 @@ class TestGrimSolve:
             for e in report.roots:
                 assert e.residual <= cfg.polish_tol
                 assert abs(scaled_residual(p, e.root) - e.residual) <= 1e-12
+            # the shared dedup rule: no two roots within 1e-6 (1 + |x|)
             for i in range(len(values)):
                 for j in range(i + 1, len(values)):
-                    assert abs(values[i] - values[j]) > cfg.dedup_tol
+                    small = min(abs(values[i]), abs(values[j]))
+                    assert abs(values[i] - values[j]) > 1e-6 * (1.0 + small)
 
     def test_seed_invariance_on_safe_corpus(self):
         from polysolve import cauchy_bound

@@ -10,6 +10,7 @@ from polysolve import (
     gamma_real,
     pfq_eval,
     pochhammer,
+    principal_pow,
     recip_gamma_real,
 )
 
@@ -75,6 +76,27 @@ class TestRecipGamma:
         # 1/Gamma(-2.5) = sin(-2.5 pi) Gamma(3.5) / pi
         ref = math.sin(-2.5 * math.pi) * gamma_real(3.5) / math.pi
         assert abs(recip_gamma_real(-2.5) - ref) <= 1e-12 * abs(ref)
+
+
+class TestPrincipalPow:
+    def test_matches_python_complex_power(self):
+        # CPython's complex ** float is the principal branch in polar form
+        points = [3 + 4j, -2 + 0.5j, 0.3 - 1.7j, 1e-200 + 1e-200j, 1e100 - 2e100j]
+        # both sides of the negative real axis
+        points += [complex(-8.0, 0.0), complex(-8.0, -0.0), complex(-0.5, 1e-300)]
+        for z in points:
+            for e in (1.0 / 3.0, 0.5, 1.0 / 7.0, 2.5, -0.25):
+                got = principal_pow(z, e)
+                assert got == z**e, (z, e)
+
+    def test_negative_axis_sides(self):
+        assert principal_pow(complex(-8.0, 0.0), 1.0 / 3.0).imag > 0
+        assert principal_pow(complex(-8.0, -0.0), 1.0 / 3.0).imag < 0
+        assert abs(principal_pow(complex(-8.0, 0.0), 1.0 / 3.0) - (1 + 3**0.5 * 1j)) <= 1e-15
+
+    def test_zero(self):
+        for e in (1.0 / 3.0, 0.5, 2.5):
+            assert principal_pow(0j, e) == 0j == 0j**e
 
 
 class TestPochhammer:
@@ -172,9 +194,14 @@ class TestPFQEval:
     def test_negative_upper_terminates(self):
         res = pfq_eval(PFQParams((-3, 0.5), (0.25,)), 2.0)
         assert res.status == "converged"
-        assert res.terms_used <= 3
+        assert res.terms_used == 4  # terms 0..3; (-3)_4 = 0
         oracle = direct_pfq_sum((-3, 0.5), (0.25,), 2.0, terms=4)
         assert abs(res.value - oracle) <= 1e-12 * abs(oracle)
+        # the last nonzero term is the last one max_terms allows
+        for regularized in (False, True):
+            res = pfq_eval(PFQParams((-4,), ()), 1.0, SeriesConfig(max_terms=5), regularized)
+            assert (res.status, res.terms_used) == ("converged", 5)
+            assert res.value == 1 - 4 + 6 - 4 + 1
 
     def test_lower_pole_raises(self):
         with pytest.raises(PoleError):
@@ -227,7 +254,9 @@ class TestPFQEval:
         plain = pfq_eval(PFQParams((1,), ()), 0.99)
         regu = pfq_eval(PFQParams((1,), ()), 0.99, regularized=True)
         assert plain.status == regu.status == "truncated"
-        assert regu.terms_used == 400
+        # both paths sum max_terms terms, the constant one included
+        assert plain.terms_used == regu.terms_used == 400
+        assert abs(plain.value - regu.value) <= 1e-12
         # terms 0.99^n for n < 400
         assert abs(regu.value - (1 - 0.99**400) / 0.01) <= 1e-11
 

@@ -8,9 +8,11 @@ from polysolve import (
     ConvergenceError,
     DegenerateError,
     Polynomial,
+    RootEntry,
     all_roots_oracle,
     brauer_rd,
     cauchy_bound,
+    distinct_roots,
     eval_poly,
     eval_poly_and_deriv,
     match_roots,
@@ -343,6 +345,32 @@ class TestMatchRoots:
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
             match_roots([1.0], [1.0, 2.0])
+
+
+class TestDistinctRoots:
+    def test_lowest_residual_wins(self):
+        worse = RootEntry(1.0 + 0j, 1e-9, branch=0)
+        better = RootEntry(1.0 + 5e-7j, 1e-13, branch=1)
+        assert distinct_roots([worse, better]) == [better]
+
+    def test_tolerance_is_relative(self):
+        big = [RootEntry(1e6 + 0j, 1e-12), RootEntry(1e6 + 0.5 + 0j, 1e-11)]
+        assert distinct_roots(big) == big[:1]
+        small = [RootEntry(1e-3 + 0j, 1e-12), RootEntry(2e-3 + 0j, 1e-11)]
+        assert distinct_roots(small) == small
+        near = [RootEntry(0j, 1e-12), RootEntry(1e-6 + 0j, 1e-11)]
+        assert distinct_roots(near) == near[:1]
+
+    def test_tie_break_is_deterministic(self):
+        # equal residuals: the smaller real part, then imaginary part, wins
+        a = RootEntry(1.0 + 1e-7j, 1e-12, branch=0)
+        b = RootEntry(1.0 + 0j, 1e-12, branch=1)
+        c = RootEntry(1.0 - 1e-7j, 1e-12, branch=2)
+        for order in ([a, b, c], [c, b, a], [b, a, c]):
+            assert distinct_roots(order) == [c]
+        assert distinct_roots([a, RootEntry(1.0 - 1e-7 + 0j, 1e-12)]) == [
+            RootEntry(1.0 - 1e-7 + 0j, 1e-12)
+        ]
 
 
 class TestTextFormat:

@@ -21,15 +21,17 @@ from polysolve import (
     quadrinomial_series_root,
     reciprocal_series_root,
     scaled_residual,
+    solve_cubic,
     trinomial_pfq_root,
     trinomial_series_root,
 )
+from polysolve import series
 from polysolve.series import (
     _cancel_params,
     _class_params,
     _covering_table,
     _term_table,
-    _trinomial_log_term,
+    trinomial_log_term,
 )
 from polysolve.numerics import PFQParams, gamma_sign
 
@@ -83,9 +85,9 @@ class TestTrinomialSeries:
         # integer for every odd n >= 3
         t = Trinomial(2, 1, 1, 1)
         for n in (3, 5, 7, 9, 41):
-            assert _trinomial_log_term(t, 0, n) == 0
+            assert trinomial_log_term(t, 0, n) == 0
         t = Trinomial(7, 1, -1, 2)
-        assert _trinomial_log_term(t, 0, 6) == 0  # (8-6n)/7 integer at n=6
+        assert trinomial_log_term(t, 0, 6) == 0  # (8-6n)/7 integer at n=6
 
     def test_divergence_raises_with_partial(self):
         t = Trinomial(7, 1, -1, 0.5)  # argument modulus ~3.6
@@ -179,7 +181,7 @@ class TestPFQRootForm:
                 assert status == "converged"
                 direct = cmath.exp(cmath.log(t.q) / t.s + 2j * math.pi * k / t.s)
                 for n in range(1, 400):
-                    direct += _trinomial_log_term(t, k, n)
+                    direct += trinomial_log_term(t, k, n)
                 assert abs(value - direct) <= 1e-9 * max(abs(direct), 1e-12)
 
     def test_terminating_class_s2(self):
@@ -290,7 +292,7 @@ class TestTermMemo:
                     continue
                 total = cmath.exp(cmath.log(t.q) / t.s + 2j * math.pi * k / t.s)
                 for n in range(1, diag.terms_used + 1):
-                    total += _trinomial_log_term(t, k, n)
+                    total += trinomial_log_term(t, k, n)
                 assert _bits(diag.series_value) == _bits(total), (t, k)
                 checked += 1
         assert diag.status == "converged" and diag.terms_used > 400
@@ -354,6 +356,23 @@ class TestBringJerrard:
         worst, _ = match_roots(report, [0.0, 1.0, -1.0, 1j, -1j])
         assert worst <= 1e-8
         assert report.warnings
+        # every root is an oracle fill-in
+        assert [e.branch for e in report.roots] == [-1] * 5
+
+    def test_collided_branches_filled_from_oracle(self, monkeypatch):
+        # branch 1 lands on branch 0's root: the oracle supplies the missing one
+        real = series.trinomial_series_root
+        monkeypatch.setattr(
+            series, "trinomial_series_root",
+            lambda t, k, *rest: real(t, 0 if k == 1 else k, *rest),
+        )
+        report = bring_jerrard_quintic(1, 1)
+        assert "series branches collided; oracle fill-in" in report.warnings
+        assert len(report.roots) == 5
+        assert -1 in [e.branch for e in report.roots]
+        assert 1 not in [e.branch for e in report.roots]
+        worst, _ = match_roots(report, all_roots_oracle(Polynomial([-1, 1, 0, 0, 0, 1])))
+        assert worst <= 1e-10
 
     def test_always_five_roots(self, rng):
         for _ in range(10):
@@ -410,6 +429,20 @@ class TestAdjacentSeptic:
         assert seed_res <= 1.5e-2  # same order as the quoted approach level
         oracle = all_roots_oracle(p)
         assert min(abs(root - e.root) for e in oracle.roots) <= 1e-8
+
+    def test_seed_is_branch_zero_root_of_cubic(self, rng):
+        cases = [(1, 4, 1, 1), (1, 5, 2, 0.5), (2, -1, 3, 1 + 1j)]
+        cases += [
+            tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
+            for _ in range(10)
+        ]
+        for c, a, b, q in cases:
+            _, diag = adjacent_septic_root(c, a, b, q)
+            cubic = solve_cubic(Polynomial([-q, b, a, c])).roots
+            r0 = next(e.root for e in cubic if e.branch == 0)
+            seed = diag.notes["seed"]
+            assert abs(seed - r0) <= 1e-12 * (1 + abs(r0)), (c, a, b, q)
+            assert all(abs(seed - e.root) > 1e-6 for e in cubic if e.branch != 0)
 
     def test_q_zero_origin_branch(self):
         root, diag = adjacent_septic_root(1, 1, 1, 0)
