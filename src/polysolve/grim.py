@@ -9,9 +9,11 @@ gives the iteration map
 Since F(x) = c_n (x^n - F^c(x)) and each step makes x^n equal the previous
 F^c value up to rounding, one Horner pass of F^c per step both advances
 an orbit and ranks its points by residual. A factor x^m of F is split off exactly
-first, and its m zero roots are reported as they are. Limits and best
-points over all (branch, seed) pairs are pooled, Newton-polished,
-deduplicated and reported with residuals.
+first, and its m zero roots are reported as they are. The limit and best
+points of the (branch, seed) orbits are taken in turn, and each is
+Newton-polished with the roots found so far divided out implicitly
+(Maehly's deflation), so each polish finds a new root; the search stops
+at n roots.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .poly import (
     RootReport,
     all_roots_oracle,
     cauchy_bound,
-    distinct_roots,
     eval_poly,
+    is_new_root,
     polish,
     scaled_residual,
 )
@@ -112,15 +114,18 @@ def _iterate(
 
 
 def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
-    """Pool the dominant-term iteration over all branches and seeds.
+    """Find the roots of p from the dominant-term orbits over all branches
+    and seeds.
 
     A factor x^m is split off exactly first: its m roots are reported at 0
-    with residual 0, and the iteration runs on the quotient q. Every other
-    reported root is Newton-polished on q to cfg.polish_tol and carries its
-    scaled residual on p; candidates that fail polishing are dropped into
-    the warnings rather than reported, and poly.distinct_roots keeps one
-    of each set of candidates within a relative 1e-6, the one with the
-    lowest residual. When fewer than n roots survive,
+    with residual 0, and the iteration runs on the quotient q. The orbits'
+    candidate points are taken in (branch, seed) order. A point within
+    poly.is_new_root's radius of a root found already is skipped; any other
+    is Newton-polished on q to cfg.polish_tol with the found roots deflated
+    (poly.newton_polish), so a converged polish is a new root, or another
+    copy of a repeated one. Each root carries its scaled residual on p;
+    polishes that stall go to the warnings. The search stops once q's
+    degree is reached, so at most n roots come back; when fewer are found,
     the warnings end with "found k of n roots".
     """
     cfg = cfg if cfg is not None else GrimConfig()
@@ -147,27 +152,37 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
     lead = abs(q.lead)
     starts = [(complex(s), fc(s), abs(eval_poly(q, s)) / lead) for s in seeds]
 
-    candidates: list[RootEntry] = []
+    found: list[RootEntry] = []
+    roots: list[complex] = []  # their values, deflated out of q
     diagnostics: list[str] = []
-    for d in branches:
-        for seed, start in zip(seeds, starts):
-            for point in _iterate(rev, q.degree, d, start, cfg.iters):
-                root, res, its, converged = polish(
-                    q, point, tol=cfg.polish_tol, max_iter=80
-                )
-                if not converged:
-                    diagnostics.append(
-                        f"branch {d} seed {seed}: polish stalled at {res:.3e}"
-                    )
-                    continue
-                if q is not p:
-                    res = scaled_residual(p, root)
-                candidates.append(RootEntry(root, res, branch=d, iterations=its))
+    points = (
+        (d, seed, point)
+        for d in branches
+        for seed, start in zip(seeds, starts)
+        for point in _iterate(rev, q.degree, d, start, cfg.iters)
+    )
+    for d, seed, point in points:
+        if not is_new_root(point, roots):
+            continue  # the deflated step would start on a pole
+        root, res, its, converged = polish(
+            q, point, cfg.polish_tol, 80, deflate=roots, settle=True
+        )
+        if not converged:
+            diagnostics.append(
+                f"branch {d} seed {seed}: polish stalled at {res:.3e}"
+            )
+            continue
+        if q is not p:
+            res = scaled_residual(p, root)
+        roots.append(root)
+        found.append(RootEntry(root, res, branch=d, iterations=its))
+        if len(roots) == q.degree:
+            break
 
-    if not candidates and not zeros:
+    if not found and not zeros:
         raise GrimError("no (branch, seed) run converged", diagnostics)
 
-    entries = zeros + distinct_roots(candidates)
+    entries = zeros + found
     warnings = []
     if len(entries) < n:
         warnings = diagnostics + [f"found {len(entries)} of {n} roots"]

@@ -74,7 +74,10 @@ def recip_gamma_real(x: float) -> float:
     if _is_nonpositive_integer(x):
         return 0.0
     if x >= 0.5:
-        return 1.0 / gamma_real(x)
+        try:
+            return 1.0 / gamma_real(x)
+        except OverflowError:  # Lanczos' t ** (z + 0.5) from x near 143 on
+            return math.exp(-math.lgamma(x))
     # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi, stable for x far below zero.
     s = math.sin(math.pi * x)
     try:
@@ -255,16 +258,25 @@ def _pfq_regularized(
             raise ValueError("regularized evaluation expects real lower parameters")
 
     total: complex = 0.0
-    ratio: complex = 1.0  # prod (a)_n z^n / n!, kept as a running product
+    # prod (a)_n z^n / n!, kept as a running product; once every b + n is
+    # positive it takes in prod 1/Gamma(b + n) too, so that it cannot
+    # overflow while the terms themselves stay finite
+    ratio: complex = 1.0
+    folded = False
     prev_mag = 0.0
     growth = 0
     n_used = 0
     for n in range(cfg.max_terms):
         if terminate_at is not None and n > terminate_at:
             return _finished(total, n_used, "converged")
+        if not folded and all(b.real + n > 0 for b in params.lower):
+            for b in params.lower:
+                ratio *= recip_gamma_real(b.real + n)
+            folded = True
         term = ratio
-        for b in params.lower:
-            term *= recip_gamma_real(b.real + n)
+        if not folded:
+            for b in params.lower:
+                term *= recip_gamma_real(b.real + n)
         total += term
         n_used = n + 1
         mag = abs(term)
@@ -280,5 +292,8 @@ def _pfq_regularized(
         step = z / (n + 1.0)
         for a in params.upper:
             step *= a + n
+        if folded:
+            for b in params.lower:
+                step /= b.real + n
         ratio *= step
     return _finished(total, cfg.max_terms, _end_status(terminate_at, cfg))

@@ -5,6 +5,7 @@ wrapper installed on a module attribute sees every call."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -18,6 +19,7 @@ from .poly import (
     RootReport,
     all_roots_oracle,
     distinct_roots,
+    format_coefficient,
     match_roots,
     polish,
     scaled_residual,
@@ -236,8 +238,12 @@ def solve(
     to degree 4, the split for even degrees up to 10, the series for
     trinomial and quadrinomial shapes and GRIM otherwise. branches picks
     the branches of the series, pfq, radical and GRIM routes. A method that
-    is unknown or cannot take eq's shape raises ValueError."""
+    is unknown or cannot take eq's shape raises ValueError, and so does a
+    non-finite coefficient."""
     shape = shape_of(eq)
+    for c in shape.poly.coeffs:
+        if not cmath.isfinite(c):
+            raise ValueError(f"non-finite coefficient {format_coefficient(c)!r}")
     name = _auto(shape) if method == "auto" else method
     route = METHODS.get(name)
     if route is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 class DegreeError(ValueError):
@@ -95,14 +96,20 @@ class RootReport:
         return self
 
 
+def is_new_root(x: complex, roots: Iterable[complex]) -> bool:
+    """True unless x lies within 1e-6 (1 + |x|) of one of roots: the one
+    radius inside which two roots count as the same root."""
+    tol = 1e-6 * (1.0 + abs(x))
+    return all(abs(x - r) > tol for r in roots)
+
+
 def distinct_roots(entries: list[RootEntry]) -> list[RootEntry]:
     """The one root dedup: visit entries by increasing (residual, re, im)
-    and drop any entry within 1e-6 (1 + |x|) of one already kept, x being
-    the visited root. The kept entries come back in visiting order."""
+    and drop any entry that is_new_root rejects against those already
+    kept. The kept entries come back in visiting order."""
     kept: list[RootEntry] = []
     for e in sorted(entries, key=lambda e: (e.residual, e.root.real, e.root.imag)):
-        tol = 1e-6 * (1.0 + abs(e.root))
-        if all(abs(e.root - k.root) > tol for k in kept):
+        if is_new_root(e.root, (k.root for k in kept)):
             kept.append(e)
     return kept
 
@@ -173,10 +180,41 @@ def _newton_pass(terms: list[tuple[complex, float]], x: complex):
     return fx, dfx, scale
 
 
+def _maehly(x: complex, fx: complex, dfx: complex, deflate: Sequence[complex]):
+    """p'(x) - p(x) sum 1/(x - r) over r in deflate: the derivative Newton
+    needs to step on p(x) / prod (x - r). 0 when x is one of the r."""
+    s: complex = 0.0
+    for r in deflate:
+        if x == r:
+            return 0j
+        s += 1.0 / (x - r)
+    return dfx - fx * s
+
+
+# steps a settling newton_polish takes after it settles, keeping the best
+_FINISH_STEPS = 3
+
+
 def newton_polish(
-    p: Polynomial, x0: complex, tol: float = 1e-12, max_iter: int = 60
+    p: Polynomial,
+    x0: complex,
+    tol: float = 1e-12,
+    max_iter: int = 60,
+    deflate: Sequence[complex] = (),
+    settle: bool = False,
 ) -> tuple[complex, float, int]:
     """Newton iteration x <- x - p(x)/p'(x) until the scaled residual <= tol.
+
+    deflate holds roots of p found already. The step becomes Maehly's
+    x <- x - p/(p' - p sum 1/(x - r)), Newton on p / prod (x - r), which
+    cannot converge to a simple root among them, so each call finds another
+    root of p without forming a quotient.
+
+    With settle the call stops only where Newton has settled on a root.
+    Where p is tiny over a wide region (Wilkinson's polynomial), the
+    residual meets tol while Newton still moves far, so the step that meets
+    it must also be within sqrt(tol) (1 + |x|). Then 3 more steps run, and
+    the best iterate is returned.
 
     A vanishing derivative is sidestepped by a relative 1e-8 perturbation.
     Raises ConvergenceError (with the best iterate attached) when the budget
@@ -184,32 +222,52 @@ def newton_polish(
     """
     x = complex(x0)
     best = (x, scaled_residual(p, x), 0)
-    if best[1] <= tol:
+    if best[1] <= tol and not settle:
         return best
+    step_tol = math.sqrt(tol)
     terms = list(zip(reversed(p.coeffs), map(abs, p.coeffs)))
     fx, dfx, _ = _newton_pass(terms, x)
-    for it in range(1, max_iter + 1):
+    left = None  # once settled, the finishing steps still to take
+    it = 0
+    while it < max_iter or left:
+        it += 1
+        if deflate:
+            dfx = _maehly(x, fx, dfx, deflate)
         if dfx == 0:
             x += 1e-8 * (1.0 + abs(x))
             fx, dfx, _ = _newton_pass(terms, x)
-            continue
-        x = x - fx / dfx
-        fx, dfx, scale = _newton_pass(terms, x)
-        res = abs(fx) / max(1.0, scale)
-        if res < best[1]:
-            best = (x, res, it)
-        if res <= tol:
-            return x, res, it
+        else:
+            step = fx / dfx
+            x = x - step
+            fx, dfx, scale = _newton_pass(terms, x)
+            res = abs(fx) / max(1.0, scale)
+            if res < best[1]:
+                best = (x, res, it)
+            if left is None and res <= tol:
+                if not settle:
+                    return x, res, it
+                if abs(step) <= step_tol * (1.0 + abs(x)):
+                    left = _FINISH_STEPS
+                    continue
+        if left is not None:
+            left -= 1
+            if left == 0:
+                return best
     raise ConvergenceError(f"newton_polish stalled at residual {best[1]:.3e}", best)
 
 
 def polish(
-    p: Polynomial, x0: complex, tol: float = 1e-12, max_iter: int = 60
+    p: Polynomial,
+    x0: complex,
+    tol: float = 1e-12,
+    max_iter: int = 60,
+    deflate: Sequence[complex] = (),
+    settle: bool = False,
 ) -> tuple[complex, float, int, bool]:
     """newton_polish that never raises: (root, residual, iterations,
     converged), with the best iterate when the budget runs out."""
     try:
-        return (*newton_polish(p, x0, tol, max_iter), True)
+        return (*newton_polish(p, x0, tol, max_iter, deflate, settle), True)
     except ConvergenceError as exc:
         return (*exc.best, False)
 

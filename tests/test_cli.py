@@ -53,18 +53,20 @@ class TestSolve:
             assert min(abs(z - e.root) for e in oracle.roots) <= 1e-8
 
     def test_grim_shortfall_is_mismatch(self):
-        # instance 98 of the criterion-7 stream: GRIM keeps 4 of its 5 roots
+        # instance 2 of the criterion-7 stream has degree 9; one branch
+        # gives at most 8 candidate points, so at most 8 roots
         rng = random.Random(0x5EED07)
-        for _ in range(99):
+        for _ in range(3):
             p, _ = separated_roots_poly(rng, rng.randint(2, 10))
         code, out, _ = run_cli(
-            "solve", f"--coeffs={format_poly(p)}", "--method", "grim", "--json"
+            "solve", f"--coeffs={format_poly(p)}", "--method", "grim",
+            "--branches", "0", "--json",
         )
         assert code == 0
         doc = json.loads(out)
-        assert len(doc["roots"]) == 4
+        assert len(doc["roots"]) == 8
         assert doc["status"] == "mismatch"
-        assert "found 4 of 5 roots" in doc["warnings"]
+        assert "found 8 of 9 roots" in doc["warnings"]
 
     def test_method_dispatch_split(self):
         code, out, _ = run_cli("solve", "--coeffs", "-1,0,0,0,0,0,1", "--json")
@@ -300,6 +302,14 @@ class TestPFQ:
         doc = json.loads(out)
         assert abs(doc["value"]["re"] - math.e) <= 1e-12
         assert doc["terms_used"] > 1
+
+    def test_regularized_past_the_gamma_overflow(self):
+        code, out, err = run_cli(
+            "pfq", "--upper", "0.5,1.5", "--lower", "2.5", "--z", "0.9",
+            "--regularized", "--json",
+        )
+        assert code == 0, err
+        assert json.loads(out)["status"] == "converged"
 
     def test_long_regularized_sum_is_truncated(self):
         code, out, err = run_cli(

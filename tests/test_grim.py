@@ -10,6 +10,7 @@ from polysolve import (
     GrimError,
     Polynomial,
     all_roots_oracle,
+    cauchy_bound,
     eval_poly,
     grim_coverage,
     grim_solve,
@@ -45,6 +46,21 @@ def _two_horner_iterate(fc, p, n, d, seed, iters):
             return [x_next, best]
         x = x_next
     return [x, best]
+
+
+def _mpmath_roots(p, mpmath):
+    """p's roots by mpmath.polyroots at 40 digits and each root's error
+    magnification max(1, sum |c_k| |r|^k) / |p'(r)|: a point whose scaled
+    residual is eta lies about eta times it from the root."""
+    with mpmath.workdps(40):
+        cs = [mpmath.mpc(c.real, c.imag) for c in p.coeffs]
+        dcs = [k * c for k, c in enumerate(cs)][1:]
+        roots = mpmath.polyroots(cs[::-1], maxsteps=200, extraprec=100)
+        mags = []
+        for r in roots:
+            size = mpmath.fsum(abs(c) * abs(r) ** k for k, c in enumerate(cs))
+            mags.append(float(max(1, size) / abs(mpmath.polyval(dcs[::-1], r))))
+    return [complex(r) for r in roots], mags
 
 
 class TestGrimSolve:
@@ -97,8 +113,6 @@ class TestGrimSolve:
                     assert abs(values[i] - values[j]) > 1e-6 * (1.0 + small)
 
     def test_seed_invariance_on_safe_corpus(self):
-        from polysolve import cauchy_bound
-
         rng = random.Random(2024)
         agreements = 0
         for _ in range(10):
@@ -125,24 +139,26 @@ class TestGrimSolve:
         with pytest.raises(ValueError):
             GrimConfig(seeds=[])
 
-    def test_matches_two_horner_orbits(self, monkeypatch):
-        # one F^c pass per step ranks the iterates as p itself did
+    def test_matches_two_horner_orbits(self):
+        # one F^c pass per step ranks the iterates as p itself did: the
+        # candidate points are the reference orbit's, its limit given once
+        # when it is also the best point
         rng = random.Random(4077)
-        polys = []
         for degree in range(5, 25):
             p, _ = separated_roots_poly(rng, degree)
             lead = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
-            polys.append(Polynomial([c * lead for c in p.coeffs]))
-        got = [grim_solve(p).roots for p in polys]
-        for p, roots in zip(polys, got):
-            monkeypatch.setattr(
-                polysolve.grim,
-                "_iterate",
-                lambda rev, n, d, start, iters: _two_horner_iterate(
-                    Polynomial(rev[::-1]), p, n, d, start[0], iters
-                ),
-            )
-            assert repr(roots) == repr(grim_solve(p).roots)
+            p = Polynomial([c * lead for c in p.coeffs])
+            fc = polysolve.grim._complementary(p)
+            rev = tuple(reversed(fc.coeffs))
+            seeds = [0.01 + 0j, 1j, -1j, cauchy_bound(p) / 2.0 + 0j]
+            for d in range(degree):
+                for seed in seeds:
+                    start = (seed, fc(seed), abs(eval_poly(p, seed)) / abs(p.lead))
+                    got = polysolve.grim._iterate(rev, degree, d, start, 80)
+                    ref = _two_horner_iterate(fc, p, degree, d, seed, 80)
+                    if len(ref) == 2 and ref[0] == ref[1]:
+                        ref = ref[:1]
+                    assert repr(got) == repr(ref)
 
     def test_zero_roots_split_off(self):
         report = grim_solve(Polynomial([0] * 7 + [1]))
@@ -169,14 +185,72 @@ class TestGrimSolve:
             grim_solve(Polynomial([1e70, 0, 0, 0, 0, 1]))
 
     def test_shortfall_warning(self):
-        # instance 26 of the criterion-7 stream: 5 of its 6 roots survive
+        # instance 2 of the criterion-7 stream has degree 9; one branch
+        # gives at most 8 candidate points, so at most 8 roots
         rng = random.Random(0x5EED07)
-        for _ in range(27):
+        for _ in range(3):
             p, _ = separated_roots_poly(rng, rng.randint(2, 10))
-        report = grim_solve(p)
-        assert len(report.roots) == 5
-        assert report.warnings[-1] == "found 5 of 6 roots"
+        report = grim_solve(p, GrimConfig(branches=[0]))
+        assert len(report.roots) == 8
+        assert report.warnings[-1] == "found 8 of 9 roots"
+        assert len(grim_solve(p).roots) == 9
         assert grim_solve(Polynomial([-1, 0, 0, 1])).warnings == []
+
+    def test_repeated_roots_once_per_copy(self):
+        # each deflated polish finds one more copy of -1; the zeros are exact
+        for roots in ([-1, -1], [0, 0, 0, -1, -1]):
+            report = grim_solve(poly_from_roots(roots))
+            assert len(report.roots) == len(roots)
+            assert report.warnings == []
+            assert [e.root for e in report.roots].count(0j) == roots.count(0)
+            for e in report.roots:
+                if e.root != 0:
+                    assert abs(e.root + 1) <= 1e-5
+                    assert e.residual <= GrimConfig().polish_tol
+
+    def test_wilkinson_twenty_roots(self):
+        # The float coefficients alone move the roots of Wilkinson's
+        # polynomial off the integers by up to 6.1e-4 (at 13), and rounding
+        # in a Horner pass moves Newton's iterates near 14 by up to 1e-2, so
+        # no Newton iteration in doubles settles within 1e-6 k of k. What it can reach: each root
+        # within 1e-14 times its error magnification of a root of the same
+        # coefficients, a residual at rounding level. Points where p is
+        # tiny but Newton still moves by 0.1 or more (8.12+2.72i, say)
+        # have residuals under polish_tol too, and GRIM must not stop there.
+        mpmath = pytest.importorskip("mpmath")
+        p = poly_from_roots(range(1, 21))
+        report = grim_solve(p)
+        assert len(report.roots) == 20
+        assert report.warnings == []
+        _, pairs = match_roots(report, list(range(1, 21)))
+        for i, j in pairs:
+            assert abs(report.roots[i].root - (j + 1)) <= 1e-3 * (j + 1)
+            assert report.roots[i].residual <= GrimConfig().polish_tol
+        ref, mags = _mpmath_roots(p, mpmath)
+        _, pairs = match_roots(report, ref)
+        for i, j in pairs:
+            assert abs(report.roots[i].root - ref[j]) <= 1e-14 * mags[j]
+
+    def test_separated_roots_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @given(st.integers(0, 2**32 - 1), st.integers(2, 16))
+        @settings(max_examples=40, deadline=None)
+        def check(seed, degree):
+            p, _ = separated_roots_poly(random.Random(seed), degree)
+            report = grim_solve(p)
+            assert len(report.roots) == degree
+            assert report.warnings == []
+            ref, mags = _mpmath_roots(p, mpmath)
+            _, pairs = match_roots(report, ref)
+            assert len(pairs) == degree
+            for i, j in pairs:
+                tol = 1e-8 * mags[j] + 1e-14 * (1.0 + abs(ref[j]))
+                assert abs(report.roots[i].root - ref[j]) <= tol
+
+        check()
 
 
 class TestGrimCoverage:

@@ -77,6 +77,14 @@ class TestRecipGamma:
         ref = math.sin(-2.5 * math.pi) * gamma_real(3.5) / math.pi
         assert abs(recip_gamma_real(-2.5) - ref) <= 1e-12 * abs(ref)
 
+    def test_past_the_lanczos_overflow(self):
+        # t ** (z + 0.5) in gamma_real overflows from about x = 143
+        mp = pytest.importorskip("mpmath")
+        for x in (150.0, 200.0):
+            ref = float(mp.rgamma(x))  # 2.6e-261, and 2.5e-373 underflows to 0
+            assert abs(recip_gamma_real(x) - ref) <= 1e-12 * ref
+        assert recip_gamma_real(140.0) == 1.0 / gamma_real(140.0)
+
 
 class TestPrincipalPow:
     def test_matches_python_complex_power(self):
@@ -259,6 +267,17 @@ class TestPFQEval:
         assert abs(plain.value - regu.value) <= 1e-12
         # terms 0.99^n for n < 400
         assert abs(regu.value - (1 - 0.99**400) / 0.01) <= 1e-11
+
+    def test_regularized_past_the_gamma_overflow(self):
+        # the sum runs past n = 170, where (0.5)_n (1.5)_n / n! overflows a
+        # float and 1/Gamma(2.5 + n) underflows; their product does neither
+        params = PFQParams((0.5, 1.5), (2.5,))
+        plain = pfq_eval(params, 0.9)
+        regu = pfq_eval(params, 0.9, regularized=True)
+        assert plain.status == regu.status == "converged"
+        assert regu.terms_used == plain.terms_used > 171
+        rescaled = plain.value / gamma_real(2.5)
+        assert abs(regu.value - rescaled) <= 1e-12 * abs(rescaled)
 
     def test_regularized_at_lower_pole_is_finite(self):
         # lower parameter -1: 1/Gamma(-1+n) kills terms n <= 1

@@ -93,3 +93,12 @@ def test_cross_check_rejects_non_finite_roots():
     report = RootReport([RootEntry(1.0 + 0j, 0.0), RootEntry(complex("nan"), 0.0)], "test")
     assert cross_check(p, report, 1e-8) == "mismatch"
     assert report.warnings == ["root (nan+0j) is not finite"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("-inf"))])
+def test_solve_rejects_non_finite_coefficients(bad):
+    # the same error parse_coefficient gives the command line
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        solve(Polynomial([1, bad, 1]))
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        solve(Trinomial(5, 1, bad, 1))

@@ -165,6 +165,54 @@ class TestNewtonPolish:
 
         check()
 
+    def test_deflation_never_converges_onto_a_given_root(self):
+        # Maehly's step divides (x - 1) out of (x - 1)(x - 2)(x - 3): from
+        # starts all around 1, every polish finds 2 or 3
+        p = poly_from_roots([1, 2, 3])
+        for settle in (False, True):
+            for k in range(24):
+                for radius in (1e-5, 1e-3, 0.1, 0.5, 2.0):
+                    x0 = 1 + radius * cmath.exp(2j * math.pi * k / 24)
+                    root, res, _, converged = polish(
+                        p, x0, 1e-12, 60, deflate=[1.0], settle=settle
+                    )
+                    assert converged
+                    assert min(abs(root - 2), abs(root - 3)) <= 1e-9
+
+    def test_deflated_roots_in_turn(self):
+        # each polish from the same start, with the roots so far divided
+        # out, finds one more root of p itself
+        roots = [0.5 + 1j, 0.5 - 1j, -1.2, 0.3, 2 + 0.1j]
+        p = poly_from_roots(roots)
+        found: list[complex] = []
+        for _ in roots:
+            root, res, _, converged = polish(p, 0.1 + 0.1j, 1e-12, 60, deflate=found)
+            assert converged and res <= 1e-12
+            found.append(root)
+        worst, _ = match_roots(found, roots)
+        assert worst <= 1e-12
+
+    def test_settle_keeps_the_best_iterate(self):
+        # x^2 - 2 from 1.4 meets 1e-6 after two steps; three finishing
+        # steps then leave the best iterate, at rounding level
+        p = Polynomial([-2, 0, 1])
+        plain = newton_polish(p, 1.4, tol=1e-6)
+        settled = newton_polish(p, 1.4, tol=1e-6, settle=True)
+        assert plain[1] > 1e-10
+        assert settled[1] <= 1e-15
+        assert abs(settled[0] - SQRT2) <= 1e-15
+
+    def test_settle_does_not_stop_where_newton_still_moves(self):
+        # near 8.57+0.08i Wilkinson's polynomial has a scaled residual of
+        # 4e-14, yet Newton moves from there by 0.78: no root is near.
+        # The plain polish stops at once; a settling one goes on to 9.
+        p = poly_from_roots(range(1, 21))
+        x0 = 8.5683 + 0.0775j
+        assert newton_polish(p, x0, 1e-10) == (x0, scaled_residual(p, x0), 0)
+        root, res, _ = newton_polish(p, x0, 1e-10, max_iter=80, settle=True)
+        assert abs(root - 9) <= 1e-3
+        assert res <= 1e-17
+
     def test_polish_returns_flag_instead_of_raising(self):
         p = Polynomial([-2, 0, 1])
         assert polish(p, 1.4) == (*newton_polish(p, 1.4), True)
