@@ -1,19 +1,22 @@
 """Special-function kernel: Gamma, reciprocal Gamma, principal powers,
-Pochhammer, pFq series.
+Pochhammer, the one series stopping rule and pFq series.
 
 Everything here is plain 64-bit floating point (``float`` / ``complex``);
-no arbitrary precision. The pFq evaluator works on the term recurrence
+no arbitrary precision. sum_series holds the one stopping rule of the
+series sums, all but the septic correction series (which stops at its
+first growing term), and reads each as converged, diverged or truncated.
+The pFq evaluator feeds it the term recurrence
 
-    t_{n+1} = t_n * prod(a_i + n) / prod(b_j + n) * z / (n + 1)
-
-and reports one of three outcomes: converged, diverged or truncated.
+    t_{n+1} = t_n * prod(a_i + n) / prod(b_j + n) * z / (n + 1).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import count, islice
 
 
 class PoleError(ValueError):
@@ -28,45 +31,16 @@ class DivergenceError(ArithmeticError):
         self.partial = partial
 
 
-# Lanczos approximation, g = 7 with 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0.0 and x == math.floor(x)
 
 
-def _lanczos_sum(x: float) -> float:
-    acc = _LANCZOS[0]
-    for i, coeff in enumerate(_LANCZOS[1:], start=1):
-        acc += coeff / (x + i)
-    return acc
-
-
 def gamma_real(x: float) -> float:
-    """Gamma(x) for real x via the Lanczos approximation with reflection.
-
-    Raises PoleError at nonpositive integers.
-    """
+    """Gamma(x) for real x (math.gamma). Raises PoleError at nonpositive
+    integers and OverflowError from x = 171.62 on."""
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x={x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_real(1.0 - x))
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * _lanczos_sum(z)
+    return math.gamma(x)
 
 
 def recip_gamma_real(x: float) -> float:
@@ -76,7 +50,7 @@ def recip_gamma_real(x: float) -> float:
     if x >= 0.5:
         try:
             return 1.0 / gamma_real(x)
-        except OverflowError:  # Lanczos' t ** (z + 0.5) from x near 143 on
+        except OverflowError:  # Gamma(x) overflows from x = 171.62 on
             return math.exp(-math.lgamma(x))
     # 1/Gamma(x) = sin(pi x) Gamma(1-x) / pi, stable for x far below zero.
     s = math.sin(math.pi * x)
@@ -133,15 +107,12 @@ class SeriesConfig:
 
     max_terms: int = 400
     rel_tol: float = 1e-12
-    divergence_window: int = 8
 
     def __post_init__(self):
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
         if self.rel_tol < 2.3e-16:
             raise ValueError("rel_tol below machine epsilon")
-        if self.divergence_window < 1:
-            raise ValueError("divergence_window must be >= 1")
 
 
 @dataclass
@@ -151,25 +122,70 @@ class PFQResult:
     status: str  # converged | diverged | truncated
 
 
-# Divergence counting starts at term n = 16 on both paths: convergent pFq
-# series routinely grow before the n! in the denominator takes over.
-_DIVERGENCE_MIN_TERMS = 16
+# Growth counts from term 16 on, because convergent series (a pFq before
+# the n! in its denominator takes over) routinely grow first; a residue
+# class that grows this many times in a row has diverged.
+_GROWTH_FROM = 16
+_GROWTH_RUN = 8
 
 
-def _finished(total: complex, terms_used: int, status: str) -> PFQResult:
-    """A sum that overflowed to inf or nan has diverged, whatever the
-    stopping test said (inf <= rel_tol * inf holds)."""
+def sum_series(
+    term0: complex, terms: Iterable[complex], budget: int, rel_tol: float, stride: int = 1
+) -> tuple[complex, int, str]:
+    """Sum term0 and then terms 1, 2, ... as ``terms`` yields them, taking at
+    most ``budget`` of them. Returns the sum, how many of ``terms`` it took
+    and one of three verdicts, by one rule for every series:
+
+    - a zero term (a reciprocal-Gamma pole) is added and otherwise skipped;
+    - converged once the last ``stride`` nonzero terms (fewer, if fewer
+      have come) are each <= rel_tol |sum|, from term ``stride`` on;
+    - diverged once, from term 16 on, the terms of one residue class
+      n mod ``stride`` grow 8 times in a row;
+    - converged when ``terms`` runs out before the budget is spent: the
+      series is exact;
+    - when the budget is spent, diverged if the latest nonzero term of some
+      class still exceeds |sum|, otherwise truncated;
+    - diverged, whatever the above said, when the sum is not finite.
+
+    The stride is the period of the terms' magnitude pattern: the
+    trinomial series zigzags across the classes n mod s and decays or grows
+    only along each.
+    """
+    total = term0
+    last = [0.0] * stride  # latest nonzero magnitude per class, 0.0 before one
+    runs = [0] * stride
+    ring = [0.0] * stride  # the last stride nonzero magnitudes
+    slot = 0
+    n = 0
+    status = "converged"  # by the test at the bottom, or when terms runs out
+    for term in islice(terms, budget):
+        n += 1
+        total += term
+        mag = abs(term)
+        if not mag:
+            continue
+        cls = n % stride
+        if n >= _GROWTH_FROM and mag > last[cls] > 0.0:
+            runs[cls] += 1
+            if runs[cls] == _GROWTH_RUN:
+                status = "diverged"
+                break
+        else:
+            runs[cls] = 0
+        last[cls] = mag
+        ring[slot] = mag
+        slot += 1
+        if slot == stride:
+            slot = 0
+        bound = rel_tol * abs(total)
+        if mag <= bound and n >= stride and max(ring) <= bound:
+            break
+    else:
+        if n == budget:
+            status = "diverged" if max(last) > abs(total) else "truncated"
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         status = "diverged"
-    return PFQResult(total, terms_used, status)
-
-
-def _end_status(terminate_at: int | None, cfg: SeriesConfig) -> str:
-    """Status of a sum that used all max_terms terms: converged when the
-    series terminates within them (its last nonzero term was summed)."""
-    if terminate_at is not None and terminate_at < cfg.max_terms:
-        return "converged"
-    return "truncated"
+    return total, n, status
 
 
 def _real_nonpositive_int(c: complex) -> int | None:
@@ -188,15 +204,14 @@ def pfq_eval(
     cfg: SeriesConfig = SeriesConfig(),
     regularized: bool = False,
 ) -> PFQResult:
-    """Sum the generalized hypergeometric series pFq(a; b; z).
+    """Sum the generalized hypergeometric series pFq(a; b; z) by sum_series.
 
     A nonpositive-integer upper parameter -m terminates the series at
     n = m (polynomial case) and takes precedence over lower-parameter
-    pole detection. With ``regularized`` each lower Pochhammer is read
+    pole detection; at z = 0 the series is its constant term. With ``regularized`` each lower Pochhammer is read
     through 1/Gamma, i.e. the sum of prod(a)_n z^n / (n! prod Gamma(b_j+n)).
-    A sum that overflowed to inf or nan reads diverged. Both paths sum at
-    most max_terms terms, and terms_used counts the terms summed, the
-    constant term included.
+    Both paths sum at most max_terms terms, and terms_used counts the terms
+    summed, the constant term included.
     """
     z = complex(z)
     terminate_at: int | None = None
@@ -217,83 +232,70 @@ def pfq_eval(
                 f"lower pFq parameter {-pole_at} is a nonpositive integer"
             )
 
+    if z == 0:  # only the constant term is nonzero
+        terminate_at = 0
+    # the term indices n of a terminating series are 0..terminate_at
+    indices = count() if terminate_at is None else range(terminate_at + 1)
     if regularized:
-        return _pfq_regularized(params, z, cfg, terminate_at)
+        terms = _regularized_terms(params, z, indices)
+    else:
+        terms = _pfq_terms(params, z, indices)
+    # a series that terminates within max_terms runs out before its budget
+    budget = cfg.max_terms - 1
+    if terminate_at is not None and terminate_at < cfg.max_terms:
+        budget = terminate_at + 1
+    total, n, status = sum_series(next(terms), terms, budget, cfg.rel_tol)
+    return PFQResult(total, n + 1, status)
 
-    # terms 0..n are summed when term n+1 is formed
-    total: complex = 1.0
+
+def _pfq_terms(params: PFQParams, z: complex, indices: Iterable[int]) -> Iterator[complex]:
+    """Terms n of pFq(a; b; z) for n in indices (0, 1, ...), by the term
+    recurrence; they stop after a zero term, as every later one is zero."""
+    upper, lower = params.upper, params.lower
     term: complex = 1.0
-    prev_mag = 1.0
-    growth = 0
-    for n in range(cfg.max_terms - 1):
-        if terminate_at is not None and n >= terminate_at:
-            return _finished(total, n + 1, "converged")
-        num: complex = 1.0
-        for a in params.upper:
-            num *= a + n
-        den: complex = n + 1.0
-        for b in params.lower:
-            den *= b + n
-        term = term * num / den * z
-        total += term
-        mag = abs(term)
-        if mag <= cfg.rel_tol * max(abs(total), 1e-300):
-            return _finished(total, n + 2, "converged")
-        if n + 1 >= _DIVERGENCE_MIN_TERMS and mag > prev_mag:
-            growth += 1
-            if growth >= cfg.divergence_window:
-                return PFQResult(total, n + 2, "diverged")
-        else:
-            growth = 0
-        prev_mag = mag
-    return _finished(total, cfg.max_terms, _end_status(terminate_at, cfg))
+    for n in indices:
+        if n:
+            m = n - 1
+            num: complex = 1.0
+            for a in upper:
+                num *= a + m
+            den: complex = n + 0.0
+            for b in lower:
+                den *= b + m
+            term = term * num / den * z
+        yield term
+        if not term:
+            return
 
 
-def _pfq_regularized(
-    params: PFQParams, z: complex, cfg: SeriesConfig, terminate_at: int | None
-) -> PFQResult:
-    """Regularized sum; lower parameters may sit on poles (those terms vanish)."""
+def _regularized_terms(
+    params: PFQParams, z: complex, indices: Iterable[int]
+) -> Iterator[complex]:
+    """Terms n of the regularized sum for n in indices (0, 1, ...); lower
+    parameters may sit on poles (those terms vanish)."""
     for b in params.lower:
         if abs(b.imag) > 0.0:
             raise ValueError("regularized evaluation expects real lower parameters")
-
-    total: complex = 0.0
+    lower = [b.real for b in params.lower]
     # prod (a)_n z^n / n!, kept as a running product; once every b + n is
     # positive it takes in prod 1/Gamma(b + n) too, so that it cannot
     # overflow while the terms themselves stay finite
     ratio: complex = 1.0
     folded = False
-    prev_mag = 0.0
-    growth = 0
-    n_used = 0
-    for n in range(cfg.max_terms):
-        if terminate_at is not None and n > terminate_at:
-            return _finished(total, n_used, "converged")
-        if not folded and all(b.real + n > 0 for b in params.lower):
-            for b in params.lower:
-                ratio *= recip_gamma_real(b.real + n)
+    for n in indices:
+        if not folded and all(b + n > 0 for b in lower):
+            for b in lower:
+                ratio *= recip_gamma_real(b + n)
             folded = True
         term = ratio
         if not folded:
-            for b in params.lower:
-                term *= recip_gamma_real(b.real + n)
-        total += term
-        n_used = n + 1
-        mag = abs(term)
-        if n >= 1 and mag > 0.0 and mag <= cfg.rel_tol * max(abs(total), 1e-300):
-            return _finished(total, n_used, "converged")
-        if n >= _DIVERGENCE_MIN_TERMS and mag > prev_mag > 0.0:
-            growth += 1
-            if growth >= cfg.divergence_window:
-                return PFQResult(total, n_used, "diverged")
-        else:
-            growth = 0
-        prev_mag = mag
+            for b in lower:
+                term *= recip_gamma_real(b + n)
+        yield term
         step = z / (n + 1.0)
         for a in params.upper:
             step *= a + n
         if folded:
-            for b in params.lower:
-                step /= b.real + n
+            for b in lower:
+                step /= b + n
         ratio *= step
-    return _finished(total, cfg.max_terms, _end_status(terminate_at, cfg))

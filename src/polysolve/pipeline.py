@@ -101,7 +101,7 @@ def _branch_report(method: str, branches: list[int] | None, n: int, attempt,
     """Run attempt(k) for each branch k (all n by default): it returns a
     RootEntry, or the warning text of a branch that failed. The roots go
     through poly.distinct_roots; any failed branch marks the report
-    partial."""
+    partial, and so do distinct branches that landed on one root."""
     ks = branches if branches is not None else range(n)
     entries: list[RootEntry] = []
     warnings: list[str] = []
@@ -111,9 +111,15 @@ def _branch_report(method: str, branches: list[int] | None, n: int, attempt,
             warnings.append(got)
         else:
             entries.append(got)
-    report = RootReport(distinct_roots(entries), method=method, warnings=warnings).sort()
+    kept = distinct_roots(entries)
+    report = RootReport(kept, method=method, warnings=warnings).sort()
     if len(entries) < len(ks):
         report.warnings.append(f"partial results: some branches {failed}")
+    converged = len({e.branch % n for e in entries})  # branch k + n is branch k
+    if len(kept) < converged:
+        report.warnings.append(
+            f"partial results: {converged} branches gave {len(kept)} distinct roots"
+        )
     return report
 
 

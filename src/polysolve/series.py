@@ -13,9 +13,11 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
 from .closedform import solve_cubic
 from .numerics import (
@@ -24,6 +26,7 @@ from .numerics import (
     SeriesConfig,
     gamma_sign,
     pfq_eval,
+    sum_series,
 )
 from .poly import (
     Polynomial,
@@ -36,6 +39,7 @@ from .poly import (
 )
 
 _TWO_PI = 2.0 * math.pi
+_INF = complex(math.inf, 0.0)
 
 
 @dataclass(frozen=True)
@@ -120,24 +124,17 @@ def reciprocal_series_root(
         return alpha
     if alpha == 0:
         raise DivergenceError("expansion point alpha = 0", None)
-    total = alpha
-    term = s / alpha
     ratio_base = s / (alpha * alpha)
-    prev = abs(term)
-    growth = 0
-    for m in range(1, cfg.max_terms + 1):
-        total += term
-        mag = abs(term)
-        if mag <= cfg.rel_tol * abs(total):
-            return total
-        if m > 1 and mag > prev:
-            growth += 1
-            if growth >= cfg.divergence_window:
-                raise DivergenceError("series terms grow", total)
-        else:
-            growth = 0
-        prev = mag
-        term = term * (-ratio_base) * (2.0 * (2 * m - 1) / (m + 1))
+
+    def terms():
+        term = s / alpha
+        for m in count(1):
+            yield term
+            term = term * (-ratio_base) * (2.0 * (2 * m - 1) / (m + 1))
+
+    total, _, status = sum_series(alpha, terms(), cfg.max_terms, cfg.rel_tol)
+    if status == "diverged":
+        raise DivergenceError("series terms grow", total)
     return total
 
 
@@ -179,8 +176,8 @@ def _covering_table(s: int, b: int, n: int) -> tuple[array, array]:
 
 def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
     """Term n >= 1 of the inverse-power series for branch k; exact 0 at the
-    reciprocal-Gamma poles. trinomial_series_root sums an inlined copy;
-    this is the reference the tests compare it with."""
+    reciprocal-Gamma poles. _trinomial_terms yields an inlined copy; this
+    is the reference the tests compare it with."""
     s, b = t.s, t.b
     sign, log_mag = _covering_table(s, b, n)
     if sign[n] == 0.0 or t.alpha == 0:
@@ -200,75 +197,17 @@ def trinomial_series_root(
 
     The series sits on top of the principal s-th root of q rotated by
     e^(2*pi*i*k/s); every term carries the phase e^(2*pi*i*k*(1+b*n)/s).
-    Converged values are Newton-polished against the trinomial. Divergence
-    (terms growing for a full window) raises DivergenceError carrying the
-    partial sum.
+    sum_series decides when to stop, at stride s. Converged and truncated
+    values are Newton-polished against the trinomial; a diverged sum raises
+    DivergenceError carrying the partial sum.
     """
-    s, b = t.s, t.b
-    log_q = cmath.log(t.q)
-    lead = cmath.exp(log_q / s + 2j * math.pi * k / s)
-    total = lead
-    sign, log_mag = _covering_table(s, b, 1)
-    log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
-    two_pi_k = _TWO_PI * k
+    s = t.s
+    lead = cmath.exp(cmath.log(t.q) / s + 2j * math.pi * k / s)
     # term magnitudes zigzag across residue classes mod s; geometric decay
-    # or growth is only visible at stride s, so track each class separately
-    prev_by_class: list[float | None] = [None] * s
-    growth_by_class = [0] * s
-    recent: list[float] = []
-    terms_used = 0
-    status = "truncated"
-    for n in range(1, cfg.max_terms + 1):
-        if n == len(sign):
-            sign, log_mag = _covering_table(s, b, n)
-        # trinomial_log_term(t, k, n), inlined with the logs taken once
-        sg = sign[n]
-        if sg == 0.0 or t.alpha == 0:
-            term = 0j
-        else:
-            term = sg * cmath.exp(
-                n * log_alpha
-                + ((1 + b * n - n * s) / s) * log_q
-                + complex(log_mag[n], two_pi_k * (1 + b * n) / s)
-            )
-        total += term
-        terms_used = n
-        mag = abs(term)
-        cls = n % s
-        if mag == 0.0:
-            if t.alpha == 0:
-                status = "converged"
-                break
-            continue
-        if mag > 1e100:
-            status = "diverged"
-            break
-        prev = prev_by_class[cls]
-        if prev is not None:
-            if mag > prev and n >= 16:
-                growth_by_class[cls] += 1
-                if growth_by_class[cls] >= cfg.divergence_window:
-                    status = "diverged"
-                    break
-            else:
-                growth_by_class[cls] = 0
-        prev_by_class[cls] = mag
-        recent.append(mag)
-        if len(recent) > s:
-            recent.pop(0)
-        if n >= s and max(recent) <= cfg.rel_tol * abs(total):
-            status = "converged"
-            break
-    else:
-        status = "truncated"
-
-    if status == "truncated" and prev_by_class:
-        trailing = max(m for m in prev_by_class if m is not None) if any(
-            m is not None for m in prev_by_class
-        ) else 0.0
-        if trailing > abs(total):
-            status = "diverged"
-
+    # or growth is only visible at stride s
+    total, terms_used, status = sum_series(
+        lead, _trinomial_terms(t, k, cfg.max_terms), cfg.max_terms, cfg.rel_tol, stride=s
+    )
     p = t.polynomial()
     pre = scaled_residual(p, total)
     if status == "diverged":
@@ -278,6 +217,34 @@ def trinomial_series_root(
     root, res, its, _ = polish(p, total, tol=1e-12, max_iter=80)
     diag = SeriesDiagnostics(status, terms_used, total, pre, res, its)
     return root, diag
+
+
+def _trinomial_terms(t: Trinomial, k: int, stop: int) -> Iterator[complex]:
+    """Terms n = 1..stop of the branch-k series (trinomial_log_term, inlined
+    with the logs taken once). With alpha = 0 there are no terms."""
+    if t.alpha == 0:
+        return
+    s, b = t.s, t.b
+    log_q = cmath.log(t.q)
+    log_alpha = cmath.log(t.alpha)
+    two_pi_k = _TWO_PI * k
+    sign, log_mag = _covering_table(s, b, 1)
+    for n in range(1, stop + 1):
+        if n == len(sign):
+            sign, log_mag = _covering_table(s, b, n)
+        sg = sign[n]
+        if sg == 0.0:
+            yield 0j
+            continue
+        try:
+            term = sg * cmath.exp(
+                n * log_alpha
+                + ((1 + b * n - n * s) / s) * log_q
+                + complex(log_mag[n], two_pi_k * (1 + b * n) / s)
+            )
+        except OverflowError:  # past the float range: the sum reads diverged
+            term = _INF
+        yield term
 
 
 @lru_cache(maxsize=256)
@@ -450,7 +417,7 @@ def quadrinomial_series_root(
     derivative: ((-1)^n) sum_j c^(n-j) / (j! (n-j)!) * alpha^(-n)
     * Gamma(mu+1)/Gamma(mu+2-n) * z^(mu+1-n) with mu = r n + (s-r) j,
     all evaluated at z = b/alpha. The stated convergence prechecks are
-    advisory; term decay governs.
+    advisory; sum_series decides.
     """
     s, r = w.s, w.r
     p = w.polynomial()
@@ -485,33 +452,15 @@ def quadrinomial_series_root(
             )
             if log_c is not None:
                 logv += (n - j) * log_c
-            acc += cmath.exp(logv)
+            try:
+                acc += cmath.exp(logv)
+            except OverflowError:  # past the float range: the sum reads diverged
+                return _INF
         return acc if n % 2 == 0 else -acc
 
-    total = z
-    prev = abs(z)
-    growth = 0
-    status = "truncated"
-    terms_used = 0
-    for n in range(1, cfg.max_terms + 1):
-        term = term_at(n)
-        total += term
-        terms_used = n
-        mag = abs(term)
-        if mag <= cfg.rel_tol * abs(total):
-            status = "converged"
-            break
-        if mag > 1e100:
-            status = "diverged"
-            break
-        if n >= 4 and mag > prev:
-            growth += 1
-            if growth >= cfg.divergence_window:
-                status = "diverged"
-                break
-        else:
-            growth = 0
-        prev = mag
+    total, terms_used, status = sum_series(
+        z, map(term_at, count(1)), cfg.max_terms, cfg.rel_tol
+    )
     if status == "diverged":
         raise DivergenceError(
             f"quadrinomial series diverged after {terms_used} terms", total
@@ -647,8 +596,10 @@ def general_poly_series_root(
         z = c - (alpha_0/alpha_1) * sum (n-1)!/(n_1! n_2! ... n_k!)
             * prod_j (alpha_0^(j-1) alpha_j / (-alpha_1)^j)^(n_j)
 
-    where n = W + 1 and n_1 = sum (j-1) n_j + 1. Weight-group growth is the
-    divergence signal; the returned value is Newton-polished.
+    where n = W + 1 and n_1 = sum (j-1) n_j + 1. The weight groups are the
+    terms of sum_series, with order as the budget and stride k; when it
+    reads diverged, the sum is cut at the smallest group, and that cut must
+    polish to a root. The value is Newton-polished.
     """
     alphas = _taylor_shift(p, c)
     if len(alphas) < 2 or alphas[1] == 0:
@@ -664,79 +615,72 @@ def general_poly_series_root(
     dominance = abs(a0 / a1)
     advisory_ok = all(abs(rt) * dominance < 1.0 for rt in ratios[2:]) if k >= 2 else True
 
-    groups = [0j] * (order + 1)
     index: list[int] = [0] * (k + 1)
 
-    def walk(j: int, weight: int):
-        if j > k:
-            n = weight + 1
-            n1 = sum((jj - 1) * index[jj] for jj in range(2, k + 1)) + 1
-            denom = math.factorial(n1)
-            for jj in range(2, k + 1):
-                denom *= math.factorial(index[jj])
-            coeff = math.factorial(n - 1) / denom
-            val = complex(coeff)
-            for jj in range(2, k + 1):
-                if index[jj]:
-                    val *= ratios[jj] ** index[jj]
-            groups[weight] += val
+    def group(w: int) -> complex:
+        """Sum of the terms of weight w, in increasing multi-index order."""
+        acc = 0j
+
+        def walk(j: int, weight: int):
+            nonlocal acc
+            if j == k:  # the last count is what the weight leaves
+                rest = w - weight
+                if rest % k:
+                    return
+                index[k] = rest // k
+                n1 = sum((jj - 1) * index[jj] for jj in range(2, k + 1)) + 1
+                denom = math.factorial(n1)
+                for jj in range(2, k + 1):
+                    denom *= math.factorial(index[jj])
+                val = complex(math.factorial(w) / denom)  # (n - 1)! with n = w + 1
+                for jj in range(2, k + 1):
+                    if index[jj]:
+                        val *= ratios[jj] ** index[jj]
+                acc += val
+                index[k] = 0
+                return
+            for count_j in range((w - weight) // j + 1):
+                index[j] = count_j
+                walk(j + 1, weight + j * count_j)
+            index[j] = 0
+
+        walk(2, 0)
+        return acc
+
+    groups = [1 + 0j]  # weight 0: the empty multi-index
+
+    def weights():
+        """Groups of weight 1, 2, ..., built as the sum asks for them; a
+        linear p is its own series, with nothing past weight 0."""
+        if k == 1:
             return
-        max_count = (order - weight) // j
-        for count in range(max_count + 1):
-            index[j] = count
-            walk(j + 1, weight + j * count)
-        index[j] = 0
+        for w in count(1):
+            try:
+                groups.append(group(w))
+            except OverflowError:  # past the float range: the sum reads diverged
+                groups.append(_INF)
+            yield groups[w]
 
-    walk(2, 0)
-
-    total = 0j
-    prev = math.inf
-    growth = 0
-    small = 0
-    status = "truncated"
-    terms_used = 0
-    best_total = 0j
-    best_mag = math.inf
-    best_terms = 0
+    # the groups zigzag across the weight classes, each ratio j setting a
+    # period j <= k, so k groups in a row must be small
+    total, n, status = sum_series(groups[0], weights(), order, cfg.rel_tol, stride=k)
+    terms_used = n + 1
     warnings: list[str] = []
-    for wgt in range(order + 1):
-        total += groups[wgt]
-        terms_used = wgt + 1
-        mag = abs(groups[wgt])
-        if mag > 0.0 and mag < best_mag:
-            best_mag = mag
-            best_total = total
-            best_terms = terms_used
-        # weight classes with no admissible multi-index are identically zero;
-        # convergence needs two consecutive small groups
-        if wgt >= 1 and mag <= cfg.rel_tol * max(abs(total), 1e-300):
-            small += 1
-            if small >= 2:
-                status = "converged"
-                break
-            continue
-        small = 0
-        if wgt >= 4 and mag > prev:
-            growth += 1
-            if growth >= min(cfg.divergence_window, 4):
-                status = "diverged"
-                break
-        else:
-            growth = 0
-        prev = mag
-
     if status == "diverged":
         # asymptotic rescue: truncate at the smallest group and let the
         # polish decide whether that prefix was close enough
-        total = best_total
-        terms_used = best_terms
+        best = min((w for w in range(terms_used) if groups[w]), key=lambda w: abs(groups[w]))
+        total = groups[0]
+        for g in groups[1 : best + 1]:
+            total += g
+        terms_used = best + 1
         warnings.append("series groups grow; truncated at the smallest group")
         status = "truncated"
 
     value = c - (a0 / a1) * total
     pre = scaled_residual(p, value)
     root, res, its, _ = polish(p, value, tol=1e-12, max_iter=80)
-    if warnings and res > 1e-8:
+    if warnings and not res <= 1e-8:  # a NaN residual fails too
         raise DivergenceError("multinomial series diverged", value)
     diag = SeriesDiagnostics(
         status, terms_used, value, pre, res, its,

@@ -201,6 +201,28 @@ class TestSolve:
             "partial results: some branches did not converge"
         ]
 
+    def test_colliding_series_branches_are_partial(self):
+        # with 10 terms a truncated branch polishes onto another branch's
+        # root, and distinct_roots keeps 6 roots of 7
+        code, out, _ = run_cli(
+            "solve", "--trinomial", "7", "1", "1.6", "1", "--max-terms", "10", "--json"
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert len(doc["roots"]) == 6
+        assert doc["status"] == "partial"
+        assert doc["warnings"] == ["partial results: 7 branches gave 6 distinct roots"]
+        # the same branches asked for by name collide the same way; branch
+        # 13 is branch 6 again
+        code, out, _ = run_cli(
+            "solve", "--trinomial", "7", "1", "1.6", "1", "--max-terms", "10",
+            "--branches", "0,1,2,3,4,5,6,13", "--json",
+        )
+        assert code == 2
+        assert json.loads(out)["warnings"] == [
+            "partial results: 7 branches gave 6 distinct roots"
+        ]
+
     def test_grim_failure_is_an_error_line(self):
         # x^5 + 1e70: its default seed 5e69 overflows when raised to the 5th
         for coeffs in ("1e200,0,1e-200", "1e70,0,0,0,0,1"):

@@ -48,14 +48,30 @@ class TestGammaReal:
         assert abs(gamma_real(-0.5) - ref) <= 1e-12 * abs(ref)
 
     def test_relative_error_contract_on_interval(self):
-        # 1e-13 relative on [0.5, 20], swept against arbitrary precision
+        # 1e-14 relative on [0.5, 171.5], swept against arbitrary precision;
+        # Gamma(171.5) is 9.5e307, and past the float range it raises
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         x = 0.5
-        while x <= 20.0:
+        while x <= 171.5:
             ref = float(mp.gamma(x))
-            assert abs(gamma_real(x) - ref) <= 1e-13 * abs(ref), x
+            assert abs(gamma_real(x) - ref) <= 1e-14 * abs(ref), x
             x += 0.173
+        with pytest.raises(OverflowError):
+            gamma_real(171.7)
+
+    def test_negative_non_integers_match_mpmath(self):
+        # down to -170.5, where Gamma is -3.3e-308; the reflection must not
+        # overflow on the way (Gamma(-150.5) is -4.5e-264)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        for m in range(171):
+            for frac in (0.5, 0.3, 0.9):
+                x = -m - frac
+                if x < -170.5:
+                    continue
+                ref = float(mp.gamma(x))
+                assert abs(gamma_real(x) - ref) <= 1e-14 * abs(ref), x
 
 
 

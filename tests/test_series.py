@@ -385,6 +385,17 @@ class TestBringJerrard:
             assert worst <= 1e-7
 
 
+class TestOverflow:
+    def test_terms_past_the_float_range_read_diverged(self):
+        # a term whose exp overflows is infinite, and the sum reads diverged
+        for t in (Trinomial(5, 1, 1e60, 1), Trinomial(3, 1, 1e200, 1)):
+            for k in range(t.s):
+                with pytest.raises(DivergenceError):
+                    trinomial_series_root(t, k)
+        with pytest.raises(DivergenceError):
+            quadrinomial_series_root(Quadrinomial(7, 2, 1e50, 1, 1e10))
+
+
 class TestQuadrinomialSeries:
     def test_b_zero_gives_origin(self):
         root, diag = quadrinomial_series_root(Quadrinomial(7, 2, 0.3, 1.0, 0.0))
@@ -484,3 +495,18 @@ class TestGeneralPolySeries:
     def test_requires_nonzero_derivative(self):
         with pytest.raises(ValueError):
             general_poly_series_root(Polynomial([1, 0, 1]), 0)
+
+    def test_a_tiny_group_between_larger_ones_does_not_stop_the_sum(self):
+        # ratios 0.1 and -1e-14: group 2 is 0.1, group 3 is -1e-14 and
+        # group 4 is 0.02, so one small group is not convergence
+        p = Polynomial([1, 1, 0.1, 1e-14])
+        root, diag = general_poly_series_root(p, 0)
+        assert diag.terms_used > 4
+        assert abs(diag.series_value - root) <= 1e-6
+        assert abs(root - (-1.1270166537925831)) <= 1e-12
+
+    def test_overflowing_groups_raise(self):
+        # group 4 holds (1e203)^2: past the float range, the sum reads
+        # diverged and the smallest-group cut does not polish to a root
+        with pytest.raises(DivergenceError):
+            general_poly_series_root(Polynomial([1e3, 1, 1e200, 1]), 0)
