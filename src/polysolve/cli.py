@@ -119,20 +119,14 @@ def cmd_solve(args, out, err) -> int:
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return USAGE_ERROR
-    except DivergenceError as exc:
-        report = RootReport([], method=args.method, warnings=[str(exc)])
-        _print_report(report, "diverged", args.json, out)
-        return PARTIAL_RESULTS
     except (ConvergenceError, GrimError) as exc:
         err.write(f"error: {exc}\n")
         return PARTIAL_RESULTS
 
-    status = "ok"
-    if not args.no_oracle:
-        status = cross_check(shape.poly, report, args.tolerance)
-    partial = any("partial" in w or "diverged" in w for w in report.warnings)
-    _print_report(report, "partial" if partial else status, args.json, out)
-    return PARTIAL_RESULTS if partial else 0
+    tol = None if args.no_oracle else args.tolerance
+    status = cross_check(shape.poly, report, tol)
+    _print_report(report, status, args.json, out)
+    return PARTIAL_RESULTS if status == "partial" else 0
 
 
 def _plot_basins(args, shape: Shape, out, err) -> int:
@@ -163,7 +157,7 @@ def _plot_basins(args, shape: Shape, out, err) -> int:
                     rep = grim_solve(probe_p)
                     status = "converged" if len(rep.roots) == probe_p.degree else "partial"
                     residual = max(e.residual for e in rep.roots)
-                except Exception:
+                except GrimError:
                     status, residual = "diverged", float("nan")
                 method = "grim"
             out.write(

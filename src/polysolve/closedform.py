@@ -379,7 +379,7 @@ def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:
     it leaves behind recovered by deflation to a closed-form residue. All
     roots are polished against F before reporting.
     """
-    from .grim import GrimConfig, grim_solve
+    from .grim import grim_solve
 
     split = square_difference_split(F)
     warnings: list[str] = []
@@ -389,18 +389,16 @@ def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:
         if deg <= 4:
             roots = solve_closed(factor).values()
         elif deg == 5:
-            rep = grim_solve(factor, GrimConfig())
+            rep = grim_solve(factor)
             warnings.extend(f"factor {which}: {w}" for w in rep.warnings)
-            roots = sorted(rep.roots, key=lambda e: e.residual)[:deg]
-            roots = [e.root for e in roots]
+            roots = rep.values()
             if len(roots) < deg:
                 residue = factor
                 for r in roots:
                     residue = _synthetic_deflate(residue, r)
                 roots.extend(solve_closed(residue).values())
                 warnings.append(
-                    f"factor {which}: {deg - len(roots) + residue.degree} "
-                    "root(s) recovered by deflation"
+                    f"factor {which}: {residue.degree} root(s) recovered by deflation"
                 )
         else:
             raise DegreeError(f"unexpected factor degree {deg}")

@@ -86,7 +86,7 @@ def _auto(shape: Shape) -> str:
         return "closed"
     if n % 2 == 0 and n <= 10:
         return "split"
-    if shape.tri is not None or shape.quad is not None:
+    if shape.tri is not None:
         return "series"
     return "grim"
 
@@ -100,8 +100,8 @@ def _branch_report(method: str, branches: list[int] | None, n: int, attempt,
                    failed: str = "did not converge") -> RootReport:
     """Run attempt(k) for each branch k (all n by default): it returns a
     RootEntry, or the warning text of a branch that failed. The roots go
-    through poly.distinct_roots; any failed branch marks the report
-    partial, and so do distinct branches that landed on one root."""
+    through poly.distinct_roots, and the report aims at one root per
+    distinct branch mod n; the warnings say why fewer came back."""
     ks = branches if branches is not None else range(n)
     entries: list[RootEntry] = []
     warnings: list[str] = []
@@ -112,10 +112,11 @@ def _branch_report(method: str, branches: list[int] | None, n: int, attempt,
         else:
             entries.append(got)
     kept = distinct_roots(entries)
-    report = RootReport(kept, method=method, warnings=warnings).sort()
+    aimed = len({k % n for k in ks})  # branch k + n is branch k
+    report = RootReport(kept, method=method, warnings=warnings, aimed=aimed).sort()
     if len(entries) < len(ks):
         report.warnings.append(f"partial results: some branches {failed}")
-    converged = len({e.branch % n for e in entries})  # branch k + n is branch k
+    converged = len({e.branch % n for e in entries})
     if len(kept) < converged:
         report.warnings.append(
             f"partial results: {converged} branches gave {len(kept)} distinct roots"
@@ -217,7 +218,7 @@ def _adjacent(shape: Shape, branches, cfg) -> RootReport:
     c, a, b, c0 = shape.septic
     root, diag = adjacent_septic_root(c, a, b, -c0, cfg)
     entry = RootEntry(root, diag.residual, branch=0, iterations=diag.iterations)
-    return RootReport([entry], method="adjacent-septic", warnings=diag.warnings)
+    return RootReport([entry], method="adjacent-septic", warnings=diag.warnings, aimed=1)
 
 
 METHODS = {
@@ -242,7 +243,7 @@ def solve(
 ) -> RootReport:
     """Roots of eq by a method of METHODS. "auto" takes the closed forms up
     to degree 4, the split for even degrees up to 10, the series for
-    trinomial and quadrinomial shapes and GRIM otherwise. branches picks
+    trinomial shapes and GRIM otherwise. branches picks
     the branches of the series, pfq, radical and GRIM routes. A method that
     is unknown or cannot take eq's shape raises ValueError, and so does a
     non-finite coefficient."""
@@ -257,10 +258,18 @@ def solve(
     return route(shape, branches, cfg)
 
 
-def cross_check(p: Polynomial, report: RootReport, tol: float) -> str:
-    """"ok", "empty" or "mismatch" against the all-roots oracle of p: a
-    non-finite root, a root farther than max(tol, 1e-7) (relative) from the
-    oracle set, or a grim report with fewer than n roots is a mismatch."""
+def cross_check(p: Polynomial, report: RootReport, tol: float | None) -> str:
+    """"partial" when the report holds fewer roots than it aimed at (all n
+    unless report.aimed says otherwise); else "ok", "empty" or "mismatch"
+    against the all-roots oracle of p, where a non-finite root or one
+    farther than max(tol, 1e-7) (relative) from the oracle set is a
+    mismatch. tol=None skips the oracle and reads "ok" unless partial."""
+    status = "ok" if tol is None else _oracle_status(p, report, tol)
+    aimed = p.degree if report.aimed is None else report.aimed
+    return "partial" if len(report.roots) < aimed else status
+
+
+def _oracle_status(p: Polynomial, report: RootReport, tol: float) -> str:
     got = report.values()
     if not got:
         return "empty"
@@ -272,9 +281,6 @@ def cross_check(p: Polynomial, report: RootReport, tol: float) -> str:
         oracle = all_roots_oracle(p)
     except ConvergenceError as exc:
         oracle = exc.best
-    # GRIM aims at every root; the series routes return the branches asked for
-    if report.method == "grim" and len(got) < p.degree:
-        return "mismatch"
     if len(got) == len(oracle.roots):
         worst, _ = match_roots(report, oracle)
         if worst <= max(tol, 1e-7) * (1.0 + max(abs(g) for g in got)):

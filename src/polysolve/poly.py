@@ -87,6 +87,7 @@ class RootReport:
     roots: list[RootEntry]
     method: str
     warnings: list[str] = field(default_factory=list)
+    aimed: int | None = None  # roots the route aimed at; None means all n
 
     def values(self) -> list[complex]:
         return [e.root for e in self.roots]

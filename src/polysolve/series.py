@@ -42,6 +42,14 @@ _TWO_PI = 2.0 * math.pi
 _INF = complex(math.inf, 0.0)
 
 
+def _inf_on_overflow(f, *args) -> complex:
+    """f(*args), or _INF when the value is past the float range."""
+    try:
+        return f(*args)
+    except OverflowError:
+        return _INF
+
+
 @dataclass(frozen=True)
 class Trinomial:
     """z**s - alpha * z**b - q = 0 with integer exponents s > b >= 1."""
@@ -277,6 +285,8 @@ class PFQRootForm:
     groups: list[PFQRootGroup]
 
     def evaluate(self, cfg: SeriesConfig = SeriesConfig()) -> tuple[complex, str]:
+        """The sum and the worst pFq status; a total that is not finite
+        (a power of q or a class sum past the float range) reads diverged."""
         total = 0j
         status = "converged"
         log_q = cmath.log(self.trinomial.q)
@@ -286,7 +296,10 @@ class PFQRootForm:
             res = pfq_eval(g.params, g.argument, cfg)
             if res.status != "converged":
                 status = res.status
-            total += g.prefactor * cmath.exp(float(g.power_of_q) * log_q) * res.value
+            q_power = _inf_on_overflow(cmath.exp, float(g.power_of_q) * log_q)
+            total += g.prefactor * q_power * res.value
+        if not cmath.isfinite(total):
+            status = "diverged"
         return total, status
 
 
@@ -304,12 +317,13 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
     s, b = t.s, t.b
     const = argument_modulus_constant(s, b)
     sign = -1.0 if (s - b) % 2 else 1.0
-    # e^(2*pi*i*k*b) is an integer turn: exactly one
+    # e^(2*pi*i*k*b) is an integer turn: exactly one; a power past the
+    # float range is infinite, and the class sums then read diverged
     argument = (
         sign
         * float(const)
-        * t.alpha**s
-        * cmath.exp((b - s) * cmath.log(t.q))
+        * _inf_on_overflow(pow, t.alpha, s)
+        * _inf_on_overflow(cmath.exp, (b - s) * cmath.log(t.q))
     )
     sign, log_mag = _covering_table(s, b, s - 1)
     log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
@@ -326,7 +340,7 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
             pref = 0j  # pure binomial: every later class vanishes
         else:
             z = n0 * log_alpha + complex(log_mag[n0], _TWO_PI * k * (1 + b * n0) / s)
-            pref = sign[n0] * cmath.exp(z)
+            pref = sign[n0] * _inf_on_overflow(cmath.exp, z)
         groups.append(PFQRootGroup(pref, power, params, argument))
     return PFQRootForm(t, k, groups)
 

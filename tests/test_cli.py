@@ -3,6 +3,8 @@ import json
 import math
 import random
 
+import pytest
+
 from polysolve import Polynomial, all_roots_oracle, poly_from_roots
 from polysolve.cli import canonical_json, main
 from polysolve.poly import format_poly
@@ -52,7 +54,8 @@ class TestSolve:
             z = complex(r["re"], r["im"])
             assert min(abs(z - e.root) for e in oracle.roots) <= 1e-8
 
-    def test_grim_shortfall_is_mismatch(self):
+    @pytest.mark.parametrize("oracle", [[], ["--no-oracle"]], ids=["oracle", "no-oracle"])
+    def test_grim_shortfall_is_partial(self, oracle):
         # instance 2 of the criterion-7 stream has degree 9; one branch
         # gives at most 8 candidate points, so at most 8 roots
         rng = random.Random(0x5EED07)
@@ -60,13 +63,24 @@ class TestSolve:
             p, _ = separated_roots_poly(rng, rng.randint(2, 10))
         code, out, _ = run_cli(
             "solve", f"--coeffs={format_poly(p)}", "--method", "grim",
-            "--branches", "0", "--json",
+            "--branches", "0", "--json", *oracle,
         )
-        assert code == 0
+        assert code == 2
         doc = json.loads(out)
         assert len(doc["roots"]) == 8
-        assert doc["status"] == "mismatch"
+        assert doc["status"] == "partial"
         assert "found 8 of 9 roots" in doc["warnings"]
+
+    def test_auto_solves_a_quadrinomial_by_grim(self):
+        # the Command line example of the README
+        code, out, err = run_cli(
+            "solve", "--quadrinomial", "7", "2", "0.1", "2", "0.5", "--json"
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["method"] == "grim"
+        assert len(doc["roots"]) == 7
+        assert doc["status"] == "ok"
 
     def test_method_dispatch_split(self):
         code, out, _ = run_cli("solve", "--coeffs", "-1,0,0,0,0,0,1", "--json")
@@ -198,6 +212,23 @@ class TestSolve:
         assert doc["roots"] == []
         assert doc["status"] == "partial"
         assert doc["warnings"] == [f"branch {k}: pfq diverged" for k in range(5)] + [
+            "partial results: some branches did not converge"
+        ]
+
+    @pytest.mark.parametrize("s, b, alpha, q", [
+        ("3", "1", "1e200", "1"), ("4", "1", "1e100", "1"), ("5", "2", "1e300", "1e-300"),
+    ])
+    def test_pfq_powers_past_the_float_range_are_diverged(self, s, b, alpha, q):
+        # alpha^s, the q power of the argument, the class prefactors and
+        # the q powers of the sum all overflow here
+        code, out, err = run_cli(
+            "solve", "--trinomial", s, b, alpha, q, "--method", "pfq", "--json"
+        )
+        assert code == 2, err
+        doc = json.loads(out)
+        assert doc["roots"] == []
+        assert doc["status"] == "partial"
+        assert doc["warnings"] == [f"branch {k}: pfq diverged" for k in range(int(s))] + [
             "partial results: some branches did not converge"
         ]
 
@@ -395,3 +426,13 @@ class TestBasins:
             fields = line.split(",")
             assert len(fields) == 5
             assert fields[3] in {"converged", "diverged", "truncated", "partial"}
+
+    def test_grim_failure_is_a_diverged_row(self):
+        # x^5 + 1e70: grim_solve raises GrimError, and the row says so
+        code, out, _ = run_cli(
+            "solve", "--coeffs", "1e70,0,0,0,0,1",
+            "--plot", "basins", "--grid", "1e70:1e70:1,0:0:1",
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[2:] for row in rows] == [["grim", "diverged", "nan"]]

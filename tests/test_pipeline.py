@@ -2,6 +2,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polysolve import Polynomial, Quadrinomial, Trinomial, cross_check, solve
 from polysolve.cli import main
@@ -102,3 +103,54 @@ def test_solve_rejects_non_finite_coefficients(bad):
         solve(Polynomial([1, bad, 1]))
     with pytest.raises(ValueError, match="non-finite coefficient"):
         solve(Trinomial(5, 1, bad, 1))
+
+
+@pytest.mark.parametrize("tol", [1e-8, None])
+def test_cross_check_reads_a_short_grim_report_partial(tol):
+    p = Polynomial([-6, 11, -6, 1])  # (x - 1)(x - 2)(x - 3)
+    report = RootReport([RootEntry(1 + 0j, 0.0), RootEntry(2 + 0j, 0.0)], "grim")
+    assert cross_check(p, report, tol) == "partial"
+
+
+def test_branch_reports_aim_at_the_branches_asked_for():
+    # branch 5 is branch 0 again, and the quadrinomial series aims at one root
+    p = Polynomial([-1, -1, 0, 0, 0, 1])
+    report = solve(p, "series", branches=[0, 5])
+    assert (report.aimed, len(report.roots)) == (1, 1)
+    assert cross_check(p, report, 1e-8) == "ok"
+    w = Quadrinomial(7, 2, 0.1, 2, 0.5)
+    report = solve(w, "series")
+    assert (report.aimed, len(report.roots)) == (1, 1)
+    assert cross_check(w.polynomial(), report, 1e-8) == "ok"
+
+
+_coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+_nonzero = _coeff.filter(lambda c: abs(c) > 0.05)
+
+
+@st.composite
+def _auto_shapes(draw):
+    """A polynomial of one of the shapes auto tells apart, and its kind."""
+    kind = draw(st.sampled_from(["closed", "split", "trinomial", "quadrinomial", "general"]))
+    if kind == "closed":
+        n = draw(st.integers(1, 4))
+        return kind, Polynomial(draw(st.lists(_coeff, min_size=n, max_size=n)) + [draw(_nonzero)])
+    n = draw(st.sampled_from([6, 8, 10] if kind == "split" else [5, 7, 9, 11]))
+    if kind in ("split", "general"):
+        return kind, Polynomial(draw(st.lists(_coeff, min_size=n, max_size=n)) + [1])
+    coeffs = [0j] * n + [1]
+    coeffs[0] = draw(_nonzero)
+    middle = [draw(st.integers(1, n - 1))] if kind == "trinomial" else [1, draw(st.integers(2, n - 2))]
+    for i in middle:
+        coeffs[i] = draw(_nonzero)
+    return kind, Polynomial(coeffs)
+
+
+@given(_auto_shapes())
+@settings(max_examples=150, deadline=None)
+def test_auto_gives_n_roots_or_a_status_other_than_ok(case):
+    kind, p = case
+    report = solve(p)
+    if kind == "quadrinomial":
+        assert report.method == "grim"
+    assert len(report.roots) == p.degree or cross_check(p, report, 1e-8) != "ok"
