@@ -42,6 +42,7 @@ from .poly import (
     eval_poly_and_deriv,
     match_roots,
     newton_polish,
+    newton_polygon,
     parse_poly,
     polish,
     poly_from_roots,

@@ -149,7 +149,7 @@ def _quartic_halves(
     the resolvent roots and both signs of the inner radical (the first such
     pair on ties), as (mismatch, w+, w-)."""
     best = None
-    for entry in solve_cubic(_resolvent_cubic(c)).roots:
+    for entry in solve_closed(_resolvent_cubic(c)).roots:
         for sigma in (1.0, -1.0):
             w1p, w1m, w0p, w0m = _quartic_w_pairs(c, entry.root, sigma)
             wp = [w0p, w1p, 1.0 + 0j]
@@ -357,7 +357,9 @@ def _synthetic_deflate(p: Polynomial, root: complex) -> Polynomial:
 
 def solve_closed(p: Polynomial) -> RootReport:
     """Roots of a polynomial of degree at most 4 by the closed form of its
-    degree; a constant has none. Higher degrees raise DegreeError."""
+    degree; a constant has none. Higher degrees raise DegreeError. A closed
+    form whose intermediate powers overflow (say (alpha/3)^3 of a cubic
+    with a 1e200 coefficient) raises ConvergenceError."""
     if p.degree == 0:
         return RootReport([], method="closed-constant")
     if p.degree == 1:
@@ -368,7 +370,10 @@ def solve_closed(p: Polynomial) -> RootReport:
     solver = {2: solve_quadratic, 3: solve_cubic, 4: solve_quartic}.get(p.degree)
     if solver is None:
         raise DegreeError("closed method needs degree <= 4")
-    return solver(p)
+    try:
+        return solver(p)
+    except OverflowError as exc:
+        raise ConvergenceError(f"closed form overflowed: {exc}") from exc
 
 
 def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:

@@ -6,14 +6,20 @@ gives the iteration map
 
     x <- exp((Log F^c(x) + 2*pi*i*d) / n)
 
-Since F(x) = c_n (x^n - F^c(x)) and each step makes x^n equal the previous
-F^c value up to rounding, one Horner pass of F^c per step both advances
-an orbit and ranks its points by residual. A factor x^m of F is split off exactly
-first, and its m zero roots are reported as they are. The limit and best
-points of the (branch, seed) orbits are taken in turn, and each is
+A factor x^m of F is split off exactly first, and its m zero roots are
+reported as they are. The search starts from the Newton polygon of the
+quotient (poly.newton_polygon), as MPSolve does: for each edge (i, j, u),
+j - i points at radius u, at angles kept off the real axis, since a real
+start keeps Newton real on a real polynomial. Each start is
 Newton-polished with the roots found so far divided out implicitly
 (Maehly's deflation), so each polish finds a new root; the search stops
-at n roots.
+at n roots. Only when the polygon's points leave roots unfound do the
+(branch, seed) orbits of the map run, and their limit and best points are
+polished in turn the same way. Since F(x) = c_n (x^n - F^c(x)) and each
+step makes x^n equal the previous F^c value up to rounding, one Horner
+pass of F^c per step both advances an orbit and ranks its points by
+residual. Every root carries the branch whose map fixes it, however it
+was found.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .poly import (
     ConvergenceError,
@@ -31,6 +38,7 @@ from .poly import (
     cauchy_bound,
     eval_poly,
     is_new_root,
+    newton_polygon,
     polish,
     scaled_residual,
 )
@@ -49,6 +57,8 @@ class GrimError(ArithmeticError):
 
 @dataclass
 class GrimConfig:
+    # branches, seeds and iters steer the orbits that run only when the
+    # Newton polygon's points leave roots unfound
     branches: list[int] | None = None  # default 0..n-1
     seeds: list[complex] | None = None  # default {0.01, i, -i, rho/2}
     iters: int = 80
@@ -113,30 +123,19 @@ def _iterate(
     return [x] if x == best else [x, best]
 
 
-def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
-    """Find the roots of p from the dominant-term orbits over all branches
-    and seeds.
+def _polygon_points(q: Polynomial):
+    """For each edge (i, j, u) of q's Newton polygon, j - i points at
+    radius u, at angles 2 pi (k + 1/2) / (j - i) + 0.7 (i + 1): off the
+    real axis, and turned from one edge to the next."""
+    for i, j, u in newton_polygon(q):
+        for k in range(j - i):
+            angle = 2.0 * math.pi * (k + 0.5) / (j - i) + 0.7 * (i + 1)
+            yield f"polygon edge ({i}, {j}) point {k}", u * cmath.exp(1j * angle)
 
-    A factor x^m is split off exactly first: its m roots are reported at 0
-    with residual 0, and the iteration runs on the quotient q. The orbits'
-    candidate points are taken in (branch, seed) order. A point within
-    poly.is_new_root's radius of a root found already is skipped; any other
-    is Newton-polished on q to cfg.polish_tol with the found roots deflated
-    (poly.newton_polish), so a converged polish is a new root, or another
-    copy of a repeated one. Each root carries its scaled residual on p;
-    polishes that stall go to the warnings. The search stops once q's
-    degree is reached, so at most n roots come back; when fewer are found,
-    the warnings end with "found k of n roots".
-    """
-    cfg = cfg if cfg is not None else GrimConfig()
-    n = p.degree
-    if n < 1:
-        raise ValueError("grim_solve needs degree >= 1")
-    m = next(i for i, c in enumerate(p.coeffs) if c != 0)
-    zeros = [RootEntry(0j, 0.0)] * m
-    q = Polynomial(p.coeffs[m:]) if m else p
-    if q.degree == 0:
-        return RootReport(zeros, method="grim")
+
+def _orbit_points(q: Polynomial, cfg: GrimConfig):
+    """The limit and best points of the orbits, in (branch, seed) order;
+    nothing is computed before the first point is asked for."""
     fc = _complementary(q)
     rev = tuple(reversed(fc.coeffs))
     branches = cfg.branches if cfg.branches is not None else list(range(q.degree))
@@ -151,36 +150,65 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
     # rather than an OverflowError.
     lead = abs(q.lead)
     starts = [(complex(s), fc(s), abs(eval_poly(q, s)) / lead) for s in seeds]
+    for d in branches:
+        for seed, start in zip(seeds, starts):
+            for point in _iterate(rev, q.degree, d, start, cfg.iters):
+                yield f"branch {d} seed {seed}", point
+
+
+def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
+    """Find the roots of p from the points of its Newton polygon, and from
+    the dominant-term orbits over all branches and seeds for any root those
+    points miss.
+
+    A factor x^m is split off exactly first: its m roots are reported at 0
+    with residual 0, and the search runs on the quotient q. The candidate
+    points are the polygon's, then, only while roots are missing, the
+    orbits' in (branch, seed) order. A point within poly.is_new_root's
+    radius of a root found already is skipped; any other is
+    Newton-polished on q to cfg.polish_tol with the found roots deflated
+    (poly.newton_polish), so a converged polish is a new root, or another
+    copy of a repeated one. Each root carries its scaled residual on p and
+    the branch whose map fixes it; polishes that stall go to the warnings.
+    The search stops once q's degree is reached, so at most n roots come
+    back; when fewer are found, the warnings end with "found k of n roots".
+    """
+    cfg = cfg if cfg is not None else GrimConfig()
+    n = p.degree
+    if n < 1:
+        raise ValueError("grim_solve needs degree >= 1")
+    m = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    zeros = [RootEntry(0j, 0.0)] * m
+    q = Polynomial(p.coeffs[m:]) if m else p
+    if q.degree == 0:
+        return RootReport(zeros, method="grim")
 
     found: list[RootEntry] = []
     roots: list[complex] = []  # their values, deflated out of q
     diagnostics: list[str] = []
-    points = (
-        (d, seed, point)
-        for d in branches
-        for seed, start in zip(seeds, starts)
-        for point in _iterate(rev, q.degree, d, start, cfg.iters)
-    )
-    for d, seed, point in points:
+    for start, point in chain(_polygon_points(q), _orbit_points(q, cfg)):
         if not is_new_root(point, roots):
             continue  # the deflated step would start on a pole
         root, res, its, converged = polish(
             q, point, cfg.polish_tol, 80, deflate=roots, settle=True
         )
         if not converged:
-            diagnostics.append(
-                f"branch {d} seed {seed}: polish stalled at {res:.3e}"
-            )
+            diagnostics.append(f"{start}: polish stalled at {res:.3e}")
             continue
         if q is not p:
             res = scaled_residual(p, root)
+        # the branch whose map fixes the root: at a root Arg F^c = Arg x^n,
+        # so d = round((n arg x - Arg F^c(x)) / 2 pi) mod n reads as below.
+        # F^c(x) itself is not evaluated: its Horner value can be all
+        # rounding error (Wilkinson's polynomial near 1).
+        d = round(q.degree * cmath.phase(root) / (2.0 * math.pi)) % q.degree
         roots.append(root)
         found.append(RootEntry(root, res, branch=d, iterations=its))
         if len(roots) == q.degree:
             break
 
     if not found and not zeros:
-        raise GrimError("no (branch, seed) run converged", diagnostics)
+        raise GrimError("no polygon point or orbit point converged", diagnostics)
 
     entries = zeros + found
     warnings = []

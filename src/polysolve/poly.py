@@ -145,13 +145,16 @@ def eval_poly_and_deriv(p: Polynomial, x: complex) -> tuple[complex, complex]:
 
 
 def scaled_residual(p: Polynomial, x: complex) -> float:
-    """|p(x)| / max(1, sum |c_i| |x|^i), the universal success metric here."""
+    """|p(x)| / max(1, sum |c_i| |x|^i), the universal success metric here;
+    inf when the sum is not finite, since then nothing is known of p(x)."""
     ax = abs(x)
     scale = 0.0
     pw = 1.0
     for c in p.coeffs:
         scale += abs(c) * pw
         pw *= ax
+    if not scale < math.inf:
+        return math.inf
     return abs(eval_poly(p, x)) / max(1.0, scale)
 
 
@@ -162,6 +165,34 @@ def cauchy_bound(p: Polynomial) -> float:
     lead = abs(p.lead)
     top = max(abs(c) for c in p.coeffs[:-1])
     return 1.0 + top / lead
+
+
+def newton_polygon(p: Polynomial) -> list[tuple[int, int, float]]:
+    """Edges (i, j, u) of the upper convex hull of the points (i, log|c_i|)
+    over the non-zero coefficients, left to right, with
+    u = |c_i / c_j|^(1/(j-i)) taken from the logs so that no coefficient
+    ratio is formed (inf when u itself overflows). Collinear points join
+    one edge. The slopes bound the root moduli in groups: about j - i roots
+    of p have modulus near u (Ostrowski; Bini 1996 starts Aberth's method
+    there), so the edge lengths sum to n - m when x^m divides p.
+    """
+    hull: list[tuple[int, float]] = []
+    for i, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        li = math.log(abs(c))
+        while len(hull) >= 2:
+            (i0, l0), (i1, l1) = hull[-2], hull[-1]
+            # drop the middle point when it is on or under the chord
+            if (l1 - l0) * (i - i0) > (li - l0) * (i1 - i0):
+                break
+            hull.pop()
+        hull.append((i, li))
+    edges = []
+    for (i, li), (j, lj) in zip(hull, hull[1:]):
+        e = (li - lj) / (j - i)
+        edges.append((i, j, math.exp(e) if e <= 709.78 else math.inf))
+    return edges
 
 
 def _newton_pass(terms: list[tuple[complex, float]], x: complex):
@@ -241,7 +272,7 @@ def newton_polish(
             step = fx / dfx
             x = x - step
             fx, dfx, scale = _newton_pass(terms, x)
-            res = abs(fx) / max(1.0, scale)
+            res = abs(fx) / max(1.0, scale) if scale < math.inf else math.inf
             if res < best[1]:
                 best = (x, res, it)
             if left is None and res <= tol:

@@ -1,15 +1,12 @@
 import io
 import json
 import math
-import random
 
 import pytest
 
 from polysolve import Polynomial, all_roots_oracle, poly_from_roots
 from polysolve.cli import canonical_json, main
 from polysolve.poly import format_poly
-
-from conftest import separated_roots_poly
 
 X5M_ROOT = 1.1673039782614187  # bisection oracle for x^5 - x - 1 on [1, 2]
 
@@ -56,20 +53,18 @@ class TestSolve:
 
     @pytest.mark.parametrize("oracle", [[], ["--no-oracle"]], ids=["oracle", "no-oracle"])
     def test_grim_shortfall_is_partial(self, oracle):
-        # instance 2 of the criterion-7 stream has degree 9; one branch
-        # gives at most 8 candidate points, so at most 8 roots
-        rng = random.Random(0x5EED07)
-        for _ in range(3):
-            p, _ = separated_roots_poly(rng, rng.randint(2, 10))
+        # Wilkinson's degree-24 polynomial: GRIM settles on fewer than 24
+        p = poly_from_roots(range(1, 25))
         code, out, _ = run_cli(
             "solve", f"--coeffs={format_poly(p)}", "--method", "grim",
-            "--branches", "0", "--json", *oracle,
+            "--json", *oracle,
         )
         assert code == 2
         doc = json.loads(out)
-        assert len(doc["roots"]) == 8
+        k = len(doc["roots"])
+        assert k < 24
         assert doc["status"] == "partial"
-        assert "found 8 of 9 roots" in doc["warnings"]
+        assert f"found {k} of 24 roots" in doc["warnings"]
 
     def test_auto_solves_a_quadrinomial_by_grim(self):
         # the Command line example of the README
@@ -255,13 +250,45 @@ class TestSolve:
         ]
 
     def test_grim_failure_is_an_error_line(self):
-        # x^5 + 1e70: its default seed 5e69 overflows when raised to the 5th
-        for coeffs in ("1e200,0,1e-200", "1e70,0,0,0,0,1"):
+        # 1e300 + 1e-300 x^5: its default seed overflows, and its roots
+        # (modulus 1e120) overflow when raised to the 5th
+        for coeffs in ("1e200,0,1e-200", "1e300,0,0,0,0,1e-300"):
             code, out, err = run_cli("solve", "--coeffs", coeffs, "--method", "grim")
             assert code == 2
             assert out == ""
             assert err.startswith("error: ")
             assert "Traceback" not in err
+
+    def test_closed_form_overflow_is_an_error_line(self):
+        # the closed cubic and the quartic's resolvent overflow; GRIM, from
+        # the Newton polygon, gives every root of both
+        for args, methods in (
+            (("3", "1", "1e200", "1"), ("auto", "closed")),
+            (("4", "1", "1e100", "1"), ("auto", "closed", "split")),
+        ):
+            for method in methods:
+                code, out, err = run_cli("solve", "--trinomial", *args, "--method", method)
+                assert code == 2, (args, method)
+                assert out == ""
+                assert err.startswith("error: closed form overflowed")
+            code, out, err = run_cli(
+                "solve", "--trinomial", *args, "--method", "grim", "--json"
+            )
+            assert code == 0, err
+            doc = json.loads(out)
+            assert len(doc["roots"]) == int(args[0])
+            assert doc["status"] == "ok"
+
+    def test_grim_finds_the_small_root(self):
+        # x^5 - 1e6 x - 1: the root near -1e-6 comes from the polygon
+        code, out, err = run_cli(
+            "solve", "--trinomial", "5", "1", "1e6", "1", "--method", "grim", "--json"
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert len(doc["roots"]) == 5
+        assert doc["status"] == "ok"
+        assert min(abs(complex(r["re"], r["im"]) + 1e-6) for r in doc["roots"]) <= 1e-18
 
     def test_grim_large_seed_gives_roots(self):
         # Wilkinson's degree-20 polynomial: its default seed is about 7e18
@@ -428,10 +455,10 @@ class TestBasins:
             assert fields[3] in {"converged", "diverged", "truncated", "partial"}
 
     def test_grim_failure_is_a_diverged_row(self):
-        # x^5 + 1e70: grim_solve raises GrimError, and the row says so
+        # 1e300 + 1e-300 x^5: grim_solve raises GrimError, and the row says so
         code, out, _ = run_cli(
-            "solve", "--coeffs", "1e70,0,0,0,0,1",
-            "--plot", "basins", "--grid", "1e70:1e70:1,0:0:1",
+            "solve", "--coeffs", "1e300,0,0,0,0,1e-300",
+            "--plot", "basins", "--grid", "1e300:1e300:1,0:0:1",
         )
         assert code == 0
         rows = out.splitlines()[1:]

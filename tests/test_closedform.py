@@ -140,6 +140,15 @@ class TestSolveClosed:
         with pytest.raises(DegreeError):
             solve_closed(unit_disk_poly(rng, 5))
 
+    def test_overflow_is_a_convergence_error(self):
+        # x^3 - 1e200 x - 1 and x^4 - 1e100 x - 1: (alpha/3)^3 of the cubic
+        # and of the quartic's resolvent overflows
+        for p in (Polynomial([-1, -1e200, 0, 1]), Polynomial([-1, -1e100, 0, 0, 1])):
+            with pytest.raises(ConvergenceError, match="closed form overflowed"):
+                solve_closed(p)
+        with pytest.raises(ConvergenceError, match="closed form overflowed"):
+            square_difference_split(Polynomial([-1, -1e100, 0, 0, 1]))
+
 
 class TestVieta:
     @pytest.mark.parametrize("degree", [2, 3, 4])

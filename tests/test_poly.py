@@ -17,6 +17,7 @@ from polysolve import (
     eval_poly_and_deriv,
     match_roots,
     newton_polish,
+    newton_polygon,
     polish,
     parse_poly,
     poly_from_roots,
@@ -80,6 +81,154 @@ class TestCauchyBound:
                 report = exc.best
             for e in report.roots:
                 assert abs(e.root) <= bound * (1 + 1e-9)
+
+
+class TestScaledResidual:
+    def test_overflowed_scale_is_an_infinite_residual(self):
+        # at |x| = 1e200, sum |c_i| |x|^i overflows while p(x) does not;
+        # x is no root, and its residual must not read 0
+        p = Polynomial([1e200, 0, 1e-200])
+        x = 1e200 * cmath.exp(2.27j)
+        assert math.isfinite(abs(eval_poly(p, x)))
+        assert scaled_residual(p, x) == math.inf
+        assert scaled_residual(p, complex(math.nan, 0)) == math.inf
+
+    def test_overflowed_scale_in_newton_is_no_convergence(self):
+        # the first step from 1e150 e^(2.27i) lands near 5e249, where p is
+        # finite and the scale is not: the step may not read as converged
+        p = Polynomial([1e200, 0, 1e-200])
+        with pytest.raises(ConvergenceError) as exc:
+            newton_polish(p, 1e150 * cmath.exp(2.27j), 1e-10, 20)
+        assert exc.value.best[1] > 1e-10
+        assert not polish(p, 1e200 * cmath.exp(2.27j), 1e-10, 20)[3]
+
+
+def _polygon_ok(p, edges):
+    """Edges chain left to right from the lowest to the highest non-zero
+    coefficient, with radii that do not fall."""
+    nonzero = [i for i, c in enumerate(p.coeffs) if c != 0]
+    assert edges[0][0] == nonzero[0] and edges[-1][1] == p.degree
+    for (_, j, u), (i, _, v) in zip(edges, edges[1:]):
+        assert j == i and u <= v
+
+
+class TestNewtonPolygon:
+    def test_trinomial_on_each_side_of_the_boundary(self):
+        # x^5 - a x - 1: the middle vertex is on the hull iff |a|^5 > 1
+        far = newton_polygon(Polynomial([-1, -1e6, 0, 0, 0, 1]))
+        assert [(i, j) for i, j, _ in far] == [(0, 1), (1, 5)]
+        assert far[0][2] == pytest.approx(1e-6, rel=1e-12)
+        assert far[1][2] == pytest.approx(1e6 ** 0.25, rel=1e-12)
+        near = newton_polygon(Polynomial([-1, -0.5, 0, 0, 0, 1]))
+        assert near == [(0, 5, 1.0)]
+        # on the boundary the three points are collinear: one edge
+        assert newton_polygon(Polynomial([-1, -1, 0, 0, 0, 1])) == [(0, 5, 1.0)]
+
+    def test_wilkinson_twenty(self):
+        # the coefficients of prod (x - k) are log-concave (Newton's
+        # inequalities), so every point is a vertex: 20 unit edges with
+        # u_k = |c_k / c_(k+1)|, whose product is 20!
+        p = poly_from_roots(range(1, 21))
+        edges = newton_polygon(p)
+        assert [(i, j) for i, j, _ in edges] == [(k, k + 1) for k in range(20)]
+        for k, (_, _, u) in enumerate(edges):
+            assert u == pytest.approx(abs(p.coeffs[k] / p.coeffs[k + 1]), rel=1e-12)
+        assert math.prod(u for _, _, u in edges) == pytest.approx(
+            math.factorial(20), rel=1e-12
+        )
+        _polygon_ok(p, edges)
+
+    def test_zero_roots_start_the_polygon(self):
+        # x^3 (x^2 - 4): the first edge starts at the zero-root count
+        assert newton_polygon(Polynomial([0, 0, 0, -4, 0, 1])) == [(3, 5, 2.0)]
+        assert newton_polygon(Polynomial([0, 0, 1])) == []
+
+    def test_interior_zero_coefficients(self):
+        edges = newton_polygon(Polynomial([1, 0, 0, 1e6, 0, 0, 1]))
+        assert [(i, j) for i, j, _ in edges] == [(0, 3), (3, 6)]
+        assert edges[0][2] == pytest.approx(1e-2, rel=1e-12)
+        assert edges[1][2] == pytest.approx(1e2, rel=1e-12)
+        assert newton_polygon(Polynomial([-32, 0, 0, 0, 0, 1])) == [
+            (0, 5, pytest.approx(2.0, rel=1e-15))
+        ]
+
+    def test_extreme_scales(self):
+        # from the logs: no ratio 1e400 or 1e600 is ever formed
+        (edge,) = newton_polygon(Polynomial([1e200, 1e-100, 1e-200]))
+        assert edge[:2] == (0, 2)
+        assert edge[2] == pytest.approx(1e200, rel=1e-12)
+        (edge,) = newton_polygon(Polynomial([1e300, 0, 0, 0, 0, 1e-300]))
+        assert edge[:2] == (0, 5)
+        assert edge[2] == pytest.approx(1e120, rel=1e-12)
+        # radii past the float range: 1e-400 underflows, 1e600 overflows
+        assert newton_polygon(Polynomial([1e-200, 1e200])) == [(0, 1, 0.0)]
+        assert newton_polygon(Polynomial([1e300, 1e-300])) == [(0, 1, math.inf)]
+
+    def test_edge_lengths_sum_to_n_minus_m(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        coeff = st.one_of(
+            st.just(0j),
+            st.builds(
+                lambda m, e, t: m * 10.0**e * cmath.exp(1j * t),
+                st.floats(0.1, 10.0),
+                st.integers(-200, 200),
+                st.floats(0.0, 6.3),
+            ),
+        )
+
+        @given(st.lists(coeff, min_size=2, max_size=25))
+        @settings(max_examples=300, deadline=None)
+        def check(coeffs):
+            p = Polynomial(coeffs)
+            if p.degree < 1 or all(c == 0 for c in p.coeffs):
+                return
+            m = next(i for i, c in enumerate(p.coeffs) if c != 0)
+            edges = newton_polygon(p)
+            assert sum(j - i for i, j, _ in edges) == p.degree - m
+            if edges:
+                _polygon_ok(p, edges)
+
+        check()
+
+    def test_edges_count_the_roots_of_their_group(self):
+        # roots grouped near 1e-3, 1 and 1e3: on a circle per group, each
+        # edge's length is the number of mpmath roots near its radius; with
+        # moduli spread within a group, a group's edges sum to that number
+        mpmath = pytest.importorskip("mpmath")
+
+        def mp_roots(p):
+            with mpmath.workdps(40):
+                cs = [mpmath.mpc(c.real, c.imag) for c in reversed(p.coeffs)]
+                return [complex(r) for r in mpmath.polyroots(cs, maxsteps=200, extraprec=100)]
+
+        def near(u, moduli):
+            return sum(1 for r in moduli if u / 30 <= r <= u * 30)
+
+        rng = random.Random(1111)
+        for _ in range(15):
+            circles, spread = [], []
+            for center in (1e-3, 1.0, 1e3):
+                k = rng.randint(1, 6)
+                radius, phase = center * rng.uniform(0.5, 2), rng.uniform(0, 6.3)
+                circles += [radius * cmath.exp(1j * (phase + 2 * math.pi * t / k)) for t in range(k)]
+                spread += [
+                    center * rng.uniform(0.5, 2) * cmath.exp(1j * rng.uniform(0, 6.3))
+                    for _ in range(rng.randint(1, 5))
+                ]
+            p = poly_from_roots(circles)
+            moduli = [abs(r) for r in mp_roots(p)]
+            edges = newton_polygon(p)
+            assert len(edges) == 3
+            for i, j, u in edges:
+                assert j - i == near(u, moduli)
+            p = poly_from_roots(spread)
+            moduli = [abs(r) for r in mp_roots(p)]
+            edges = newton_polygon(p)
+            for center in (1e-3, 1.0, 1e3):
+                lengths = sum(j - i for i, j, u in edges if center / 30 <= u <= center * 30)
+                assert lengths == near(center, moduli)
 
 
 def _two_pass_newton(p, x0, tol=1e-12, max_iter=60):
