@@ -1,77 +1,106 @@
 """Polynomial root solving via closed-form difference identities, inverse
 series, generalized hypergeometric regrouping, periodic nested radicals and
 dominant-term fixed-point iteration, all cross-checked against a
-Durand-Kerner oracle."""
+Durand-Kerner oracle.
 
-from .closedform import (
-    SquareDifferenceSplit,
-    solve_by_split,
-    solve_closed,
-    solve_cubic,
-    solve_quadratic,
-    solve_quartic,
-    square_difference_split,
-)
-from .grim import GrimConfig, GrimError, grim_coverage, grim_solve
-from .numerics import (
-    DivergenceError,
-    PFQParams,
-    PFQResult,
-    PoleError,
-    SeriesConfig,
-    gamma_real,
-    pfq_eval,
-    pochhammer,
-    principal_pow,
-    recip_gamma_real,
-)
-from .pipeline import cross_check, solve
-from .poly import (
-    ConvergenceError,
-    DegenerateError,
-    DegreeError,
-    Polynomial,
-    RDBoundRow,
-    RootEntry,
-    RootReport,
-    all_roots_oracle,
-    brauer_rd,
-    cauchy_bound,
-    distinct_roots,
-    eval_poly,
-    eval_poly_and_deriv,
-    match_roots,
-    newton_polish,
-    newton_polygon,
-    parse_poly,
-    polish,
-    poly_from_roots,
-    scaled_residual,
-    sylvester_resultant,
-    tschirnhaus_quadratic,
-)
-from .radicals import (
-    RadicalIterConfig,
-    quadrinomial_radical_root,
-    septic_radical_root,
-    sextic_radical_residual,
-    sextic_radical_root,
-    trinomial_radical_root,
-)
-from .series import (
-    PFQRootForm,
-    PFQRootGroup,
-    Quadrinomial,
-    SeriesDiagnostics,
-    Trinomial,
-    adjacent_septic_root,
-    argument_modulus_constant,
-    bring_jerrard_quintic,
-    general_poly_series_root,
-    quadrinomial_series_root,
-    reciprocal_series_root,
-    trinomial_pfq_root,
-    trinomial_series_root,
-)
+Each public name is imported from its module on first use, so importing
+the package (or polysolve.cli) compiles none of the route modules; a solve
+then loads only the route it runs.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# module -> the public names it defines
+_HOMES = {
+    "algebra": (
+        "RDBoundRow",
+        "brauer_rd",
+        "sylvester_resultant",
+        "tschirnhaus_quadratic",
+    ),
+    "closedform": (
+        "SquareDifferenceSplit",
+        "solve_by_split",
+        "solve_closed",
+        "solve_cubic",
+        "solve_quadratic",
+        "solve_quartic",
+        "square_difference_split",
+    ),
+    "grim": ("GrimConfig", "grim_coverage", "grim_solve"),
+    "numerics": (
+        "DivergenceError",
+        "PFQParams",
+        "PFQResult",
+        "PoleError",
+        "SeriesConfig",
+        "gamma_real",
+        "pfq_eval",
+        "pochhammer",
+        "principal_pow",
+        "recip_gamma_real",
+    ),
+    "pipeline": ("cross_check", "solve"),
+    "poly": (
+        "ConvergenceError",
+        "DegenerateError",
+        "DegreeError",
+        "GrimError",
+        "Polynomial",
+        "Quadrinomial",
+        "RootEntry",
+        "RootReport",
+        "Trinomial",
+        "all_roots_oracle",
+        "cauchy_bound",
+        "distinct_roots",
+        "eval_poly",
+        "eval_poly_and_deriv",
+        "match_roots",
+        "newton_polish",
+        "newton_polygon",
+        "parse_poly",
+        "polish",
+        "poly_from_roots",
+        "scaled_residual",
+    ),
+    "radicals": (
+        "RadicalIterConfig",
+        "quadrinomial_radical_root",
+        "septic_radical_root",
+        "sextic_radical_residual",
+        "sextic_radical_root",
+        "trinomial_radical_root",
+    ),
+    "series": (
+        "PFQRootForm",
+        "PFQRootGroup",
+        "SeriesDiagnostics",
+        "adjacent_septic_root",
+        "argument_modulus_constant",
+        "bring_jerrard_quintic",
+        "general_poly_series_root",
+        "quadrinomial_series_root",
+        "reciprocal_series_root",
+        "trinomial_pfq_root",
+        "trinomial_series_root",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: solve, rd-table, pfq, resultant, tschirnhaus. Output is
+Subcommands: solve, rd-table, pfq, resultant, tschirnhaus. Each handler
+imports the route or algebra module it runs, so importing this module loads
+only pipeline, poly and numerics of the package. Output is
 deterministic; JSON uses a fixed key order and 17-significant-digit float
 formatting so that identical invocations are byte-identical and emitted
 documents round-trip through a parser unchanged.
@@ -18,20 +20,18 @@ import math
 import re
 import sys
 
-from .grim import GrimError, grim_solve
 from .numerics import DivergenceError, PFQParams, PoleError, SeriesConfig, pfq_eval
-from .pipeline import METHODS, Quadrinomial, Shape, Trinomial, cross_check, shape_of, solve
+from .pipeline import METHODS, Shape, cross_check, shape_of, solve
 from .poly import (
     ConvergenceError,
+    GrimError,
     Polynomial,
+    Quadrinomial,
     RootReport,
-    brauer_rd,
+    Trinomial,
     parse_coefficient,
     parse_poly,
-    sylvester_resultant,
-    tschirnhaus_quadratic,
 )
-from .series import trinomial_series_root
 
 USAGE_ERROR = 1
 PARTIAL_RESULTS = 2
@@ -96,6 +96,8 @@ def _print_report(report: RootReport, status: str, as_json: bool, out) -> None:
 
 def cmd_solve(args, out, err) -> int:
     cfg = SeriesConfig(max_terms=args.max_terms)
+    if not 0 <= args.tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {args.tolerance}")
     if args.trinomial:
         s, b = int(args.trinomial[0]), int(args.trinomial[1])
         alpha, q = (parse_coefficient(v) for v in args.trinomial[2:])
@@ -130,6 +132,9 @@ def cmd_solve(args, out, err) -> int:
 
 
 def _plot_basins(args, shape: Shape, out, err) -> int:
+    from .grim import grim_solve
+    from .series import trinomial_series_root
+
     try:
         re0, re1, nre, im0, im1, nim = _parse_grid(args.grid)
     except ValueError as exc:
@@ -167,18 +172,22 @@ def _plot_basins(args, shape: Shape, out, err) -> int:
 
 
 def _parse_grid(text: str) -> tuple[float, float, int, float, float, int]:
+    bad = f"bad grid {text!r}, expected 'r0:r1:n,i0:i1:m'"
     try:
         re_part, im_part = text.split(",")
         r0, r1, nr = re_part.split(":")
         i0, i1, ni = im_part.split(":")
-        return float(r0), float(r1), int(nr), float(i0), float(i1), int(ni)
+        grid = float(r0), float(r1), int(nr), float(i0), float(i1), int(ni)
     except Exception as exc:
-        raise ValueError(
-            f"bad grid {text!r}, expected 'r0:r1:n,i0:i1:m'"
-        ) from exc
+        raise ValueError(bad) from exc
+    if grid[2] < 1 or grid[5] < 1:
+        raise ValueError(bad)  # a count below 1 plots no point
+    return grid
 
 
 def cmd_rd_table(args, out, err) -> int:
+    from .algebra import brauer_rd
+
     rows = []
     for n in args.n:
         if n < 5:
@@ -225,6 +234,8 @@ def cmd_pfq(args, out, err) -> int:
 
 
 def cmd_resultant(args, out, err) -> int:
+    from .algebra import sylvester_resultant
+
     p = parse_poly(args.p)
     q = parse_poly(args.q)
     value = sylvester_resultant(p, q)
@@ -236,6 +247,8 @@ def cmd_resultant(args, out, err) -> int:
 
 
 def cmd_tschirnhaus(args, out, err) -> int:
+    from .algebra import tschirnhaus_quadratic
+
     p = parse_poly(args.coeffs)
     try:
         transformed, a1, a2 = tschirnhaus_quadratic(p.monic())

@@ -31,6 +31,7 @@ from itertools import chain
 
 from .poly import (
     ConvergenceError,
+    GrimError,
     Polynomial,
     RootEntry,
     RootReport,
@@ -45,14 +46,6 @@ from .poly import (
 
 _STEP_TOL = 1e-13
 _MAX_MODULUS = 1e12
-
-
-class GrimError(ArithmeticError):
-    """No (branch, seed) run produced a usable root."""
-
-    def __init__(self, message: str, diagnostics: list[str]):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 @dataclass

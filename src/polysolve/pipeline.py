@@ -1,7 +1,14 @@
 """One solve pipeline for the library and the command line: shape
 recognition, the method table with its ``auto`` rule, and the oracle
-cross-check. Routes look solvers up as module globals at call time, so a
-wrapper installed on a module attribute sees every call."""
+cross-check.
+
+Each route imports the module it runs (closedform, grim, radicals, series)
+inside the route, so a solve compiles and imports only its own route. The
+import reads the module attribute at call time: a wrapper installed on,
+say, ``polysolve.grim.grim_solve`` sees every call, but only once that
+module is loaded, so a tracer that wraps what is in ``sys.modules`` must
+import the route modules before it installs.
+"""
 
 from __future__ import annotations
 
@@ -9,34 +16,20 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from .closedform import solve_by_split, solve_closed
-from .grim import GrimConfig, grim_solve
 from .numerics import DivergenceError, SeriesConfig
 from .poly import (
     ConvergenceError,
     Polynomial,
+    Quadrinomial,
     RootEntry,
     RootReport,
+    Trinomial,
     all_roots_oracle,
     distinct_roots,
     format_coefficient,
     match_roots,
     polish,
     scaled_residual,
-)
-from .radicals import (
-    RadicalIterConfig,
-    quadrinomial_radical_root,
-    septic_radical_root,
-    trinomial_radical_root,
-)
-from .series import (
-    Quadrinomial,
-    Trinomial,
-    adjacent_septic_root,
-    quadrinomial_series_root,
-    trinomial_pfq_root,
-    trinomial_series_root,
 )
 
 
@@ -124,7 +117,15 @@ def _branch_report(method: str, branches: list[int] | None, n: int, attempt,
     return report
 
 
+def _closed(shape: Shape, branches, cfg) -> RootReport:
+    from .closedform import solve_closed
+
+    return solve_closed(shape.poly)
+
+
 def _split(shape: Shape, branches, cfg) -> RootReport:
+    from .closedform import solve_by_split
+
     p = shape.poly
     if p.degree % 2 or not 4 <= p.degree <= 10:
         raise ValueError("split needs even degree 4..10")
@@ -132,6 +133,8 @@ def _split(shape: Shape, branches, cfg) -> RootReport:
 
 
 def _series(shape: Shape, branches, cfg) -> RootReport:
+    from .series import quadrinomial_series_root, trinomial_series_root
+
     t, w = shape.tri, shape.quad
     if t is not None:
         def attempt(k):
@@ -156,6 +159,8 @@ def _series(shape: Shape, branches, cfg) -> RootReport:
 
 
 def _pfq(shape: Shape, branches, cfg) -> RootReport:
+    from .series import trinomial_pfq_root
+
     t = shape.tri
     if t is None:
         raise ValueError("pfq method needs a trinomial shape")
@@ -171,6 +176,13 @@ def _pfq(shape: Shape, branches, cfg) -> RootReport:
 
 
 def _radical(shape: Shape, branches, cfg) -> RootReport:
+    from .radicals import (
+        RadicalIterConfig,
+        quadrinomial_radical_root,
+        septic_radical_root,
+        trinomial_radical_root,
+    )
+
     t, w = shape.tri, shape.quad
     if t is not None:
         method, n, target = "radical-trinomial", t.s, t.polynomial()
@@ -210,7 +222,15 @@ def _radical(shape: Shape, branches, cfg) -> RootReport:
     return _branch_report(method, branches, n, attempt)
 
 
+def _grim(shape: Shape, branches, cfg) -> RootReport:
+    from .grim import GrimConfig, grim_solve
+
+    return grim_solve(shape.poly, GrimConfig(branches=branches))
+
+
 def _adjacent(shape: Shape, branches, cfg) -> RootReport:
+    from .series import adjacent_septic_root
+
     if shape.septic is None or shape.septic[0] == 0:
         raise ValueError(
             "adjacent method needs the x^7 + c x^3 + a x^2 + b x - q shape"
@@ -222,14 +242,12 @@ def _adjacent(shape: Shape, branches, cfg) -> RootReport:
 
 
 METHODS = {
-    "closed": lambda shape, branches, cfg: solve_closed(shape.poly),
+    "closed": _closed,
     "split": _split,
     "series": _series,
     "pfq": _pfq,
     "radical": _radical,
-    "grim": lambda shape, branches, cfg: grim_solve(
-        shape.poly, GrimConfig(branches=branches)
-    ),
+    "grim": _grim,
     "adjacent": _adjacent,
     "oracle": lambda shape, branches, cfg: all_roots_oracle(shape.poly),
 }

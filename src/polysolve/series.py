@@ -1,7 +1,8 @@
 """Series root engines: inverse-power trinomial and quadrinomial expansions,
 their regrouping into generalized hypergeometric form, the Bring-Jerrard
 quintic, the general-polynomial multinomial series and the cubic-seeded
-correction series for the four-term septic.
+correction series for the four-term septic. The Trinomial and Quadrinomial
+shapes are poly's, re-exported here.
 
 All term construction runs in log space (lgamma plus complex logs) so that
 Gamma-ratio terms far past the pole line neither overflow nor lose the
@@ -19,7 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
-from .closedform import solve_cubic
 from .numerics import (
     DivergenceError,
     PFQParams,
@@ -30,8 +30,10 @@ from .numerics import (
 )
 from .poly import (
     Polynomial,
+    Quadrinomial,
     RootEntry,
     RootReport,
+    Trinomial,
     all_roots_oracle,
     distinct_roots,
     polish,
@@ -48,62 +50,6 @@ def _inf_on_overflow(f, *args) -> complex:
         return f(*args)
     except OverflowError:
         return _INF
-
-
-@dataclass(frozen=True)
-class Trinomial:
-    """z**s - alpha * z**b - q = 0 with integer exponents s > b >= 1."""
-
-    s: int
-    b: int
-    alpha: complex
-    q: complex
-
-    def __post_init__(self):
-        if self.s < 2:
-            raise ValueError("trinomial needs s >= 2")
-        if not 1 <= self.b <= self.s - 1:
-            raise ValueError("trinomial needs 1 <= b <= s-1")
-        if self.q == 0:
-            raise ValueError("trinomial needs q != 0")
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "q", complex(self.q))
-
-    def polynomial(self) -> Polynomial:
-        coeffs = [0j] * (self.s + 1)
-        coeffs[0] = -self.q
-        coeffs[self.b] = -self.alpha
-        coeffs[self.s] = 1.0
-        return Polynomial(coeffs)
-
-
-@dataclass(frozen=True)
-class Quadrinomial:
-    """x**s + c * x**r + alpha * x - b = 0 with s >= 4 and 2 <= r <= s-2."""
-
-    s: int
-    r: int
-    c: complex
-    alpha: complex
-    b: complex
-
-    def __post_init__(self):
-        if self.s < 4:
-            raise ValueError("quadrinomial needs s >= 4")
-        if not 2 <= self.r <= self.s - 2:
-            raise ValueError("quadrinomial needs 2 <= r <= s-2")
-        if self.alpha == 0:
-            raise ValueError("quadrinomial needs alpha != 0")
-        for name in ("c", "alpha", "b"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-
-    def polynomial(self) -> Polynomial:
-        coeffs = [0j] * (self.s + 1)
-        coeffs[0] = -self.b
-        coeffs[1] = self.alpha
-        coeffs[self.r] = self.c
-        coeffs[self.s] = 1.0
-        return Polynomial(coeffs)
 
 
 @dataclass
@@ -510,6 +456,8 @@ def adjacent_septic_root(
     the seed's residual, Newton polish supplies the final root. If the
     series terms grow immediately the seed is returned with a warning.
     """
+    from .closedform import solve_cubic
+
     if c == 0:
         raise ValueError("adjacent method needs a nonzero x^3 coefficient")
     p = Polynomial([-q, b, a, c, 0, 0, 0, 1.0])

@@ -306,6 +306,21 @@ class TestSolve:
             assert out == ""
             assert "non-finite coefficient" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
+    def test_bad_tolerance_is_a_usage_error(self, tol):
+        # nan would read every answer as within tolerance, and so would inf
+        code, out, err = run_cli(
+            "solve", "--coeffs", "1,2,3", "--tolerance", tol, "--json"
+        )
+        assert code == 1
+        assert out == ""
+        assert "tolerance must be finite and >= 0" in err
+
+    def test_zero_tolerance_is_accepted(self):
+        code, out, err = run_cli("solve", "--coeffs", "1,2,3", "--tolerance", "0", "--json")
+        assert code == 0, err
+        assert json.loads(out)["status"] == "ok"
+
     def test_non_finite_roots_are_null_and_mismatch(self):
         def refuse(token):
             raise ValueError(f"bare {token} in JSON output")
@@ -463,3 +478,12 @@ class TestBasins:
         assert code == 0
         rows = out.splitlines()[1:]
         assert [row.split(",")[2:] for row in rows] == [["grim", "diverged", "nan"]]
+
+    @pytest.mark.parametrize("grid", ["0:1:0,0:1:1", "0:1:1,0:1:0", "0:1:-2,0:1:3"])
+    def test_grid_count_below_one_is_a_usage_error(self, grid):
+        code, out, err = run_cli(
+            "solve", "--coeffs", "1,2,3", "--plot", "basins", "--grid", grid
+        )
+        assert code == 1
+        assert out == ""
+        assert "bad grid" in err

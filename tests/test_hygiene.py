@@ -1,6 +1,8 @@
 """Static hygiene of the package, read with the stdlib ast module: no
 module in src/polysolve keeps an unused top-level import, or a private
-top-level function or class that nothing in the package references."""
+top-level function or class that nothing in the package references, and
+every name in the package's lazy name table is defined at the top level
+of the module the table names for it."""
 
 from __future__ import annotations
 
@@ -31,10 +33,7 @@ def _references(tree: ast.AST) -> set[str]:
     return names
 
 
-# __init__.py is left out: its imports are the public API
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     tree = _parse(path)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -63,3 +62,35 @@ def test_no_unreferenced_private_definition():
         and stmt.name not in referenced
     ]
     assert not dead, f"private definitions nothing references: {dead}"
+
+
+def _top_level_definitions(tree: ast.Module) -> set[str]:
+    names: set[str] = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+    return names
+
+
+def test_lazy_name_table_matches_definitions():
+    init = _parse(PACKAGE / "__init__.py")
+    (table,) = [
+        stmt.value
+        for stmt in init.body
+        if isinstance(stmt, ast.Assign)
+        and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == ["_HOMES"]
+    ]
+    homes = ast.literal_eval(table)
+    missing = [
+        f"{module}.{name}"
+        for module, names in homes.items()
+        for name in names
+        if name not in _top_level_definitions(_parse(PACKAGE / f"{module}.py"))
+    ]
+    assert not missing, f"names the table sends to a module that does not define them: {missing}"
+    every = [name for names in homes.values() for name in names]
+    assert len(every) == len(set(every)), "a name is listed under two modules"
