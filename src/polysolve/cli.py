@@ -182,6 +182,8 @@ def _parse_grid(text: str) -> tuple[float, float, int, float, float, int]:
         raise ValueError(bad) from exc
     if grid[2] < 1 or grid[5] < 1:
         raise ValueError(bad)  # a count below 1 plots no point
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(bad)
     return grid
 
 

@@ -7,15 +7,20 @@ series sums, all but the septic correction series (which stops at its
 first growing term), and reads each as converged, diverged or truncated.
 The pFq evaluator feeds it the term recurrence
 
-    t_{n+1} = t_n * prod(a_i + n) / prod(b_j + n) * z / (n + 1).
+    t_{n+1} = t_n * prod(a_i + n) / ((n + 1) prod(b_j + n)) * z,
+
+whose step factors depend on the parameters alone: they are tabled once per
+parameter set (_step_table), and every sum with those parameters reads them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count, islice
 
 
@@ -245,27 +250,67 @@ def pfq_eval(
     if terminate_at is not None and terminate_at < cfg.max_terms:
         budget = terminate_at + 1
     total, n, status = sum_series(next(terms), terms, budget, cfg.rel_tol)
+    terms.close()  # the plain path's new steps go into its step table
     return PFQResult(total, n + 1, status)
 
 
 def _pfq_terms(params: PFQParams, z: complex, indices: Iterable[int]) -> Iterator[complex]:
     """Terms n of pFq(a; b; z) for n in indices (0, 1, ...), by the term
-    recurrence; they stop after a zero term, as every later one is zero."""
+    recurrence; they stop after a zero term, as every later one is zero.
+    The step factors prod(a_i + m) and (m + 1) prod(b_j + m) come from the
+    step table of params as far as it reaches, and the steps computed past
+    it go into the table when the generator closes."""
+    nums, dens = _step_table(params)
+    known = len(dens)
+    new_nums: list[complex] = []
+    new_dens: list[complex] = []
     upper, lower = params.upper, params.lower
     term: complex = 1.0
-    for n in indices:
-        if n:
-            m = n - 1
-            num: complex = 1.0
-            for a in upper:
-                num *= a + m
-            den: complex = n + 0.0
-            for b in lower:
-                den *= b + m
-            term = term * num / den * z
-        yield term
-        if not term:
-            return
+    try:
+        for n in indices:
+            if n:
+                m = n - 1
+                if m < known:
+                    num, den = nums[m], dens[m]
+                else:
+                    num = 1.0
+                    for a in upper:
+                        num *= a + m
+                    den = n + 0.0
+                    for b in lower:
+                        den *= b + m
+                    if m < _STEPS_MAX:
+                        new_nums.append(num)
+                        new_dens.append(den)
+                term = term * num / den * z
+            yield term
+            if not term:
+                return
+    finally:
+        if new_dens:
+            # dens after nums, so that nums[m] and dens[m] are whole once
+            # m < len(dens); past the steps another sum added meanwhile
+            with _GROW:
+                added = len(dens) - known
+                nums.extend(new_nums[added:])
+                dens.extend(new_dens[added:])
+
+
+# Step tables hold at most the first 2048 steps, so that no memo grows with
+# max_terms; a sum that reads further computes the later steps as it goes.
+_STEPS_MAX = 2048
+_GROW = threading.Lock()
+
+
+@lru_cache(maxsize=16)
+def _step_table(params: PFQParams) -> tuple[list[complex], list[complex]]:
+    """The step table (nums, dens) of params: the factors of the steps from
+    term m to term m + 1 for m = 0 .. len - 1, as far as sums have read.
+    The branches of a trinomial share their class parameter sets (s of
+    them, so up to s = 16 they all stay in the memo), and its classes'
+    tables are built once for all its branches; the values summed are
+    never cached."""
+    return [], []
 
 
 def _regularized_terms(

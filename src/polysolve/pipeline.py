@@ -263,8 +263,10 @@ def solve(
     to degree 4, the split for even degrees up to 10, the series for
     trinomial shapes and GRIM otherwise. branches picks
     the branches of the series, pfq, radical and GRIM routes. A method that
-    is unknown or cannot take eq's shape raises ValueError, and so does a
-    non-finite coefficient."""
+    is unknown or cannot take eq's shape raises ValueError, and so do an
+    empty branch list and a non-finite coefficient."""
+    if branches is not None and not branches:
+        raise ValueError("branches must be nonempty")
     shape = shape_of(eq)
     for c in shape.poly.coeffs:
         if not cmath.isfinite(c):

@@ -191,8 +191,8 @@ def eval_poly(p: Polynomial, x: complex) -> complex:
 def eval_poly_and_deriv(p: Polynomial, x: complex) -> tuple[complex, complex]:
     """Extended Horner: returns (p(x), p'(x)).
 
-    Public API and the tests' reference for newton_polish's one-pass
-    kernel, _newton_pass; nothing in the package calls it.
+    newton_polish takes its start from it, and the tests take it as the
+    reference for newton_polish's one-pass kernel, _newton_pass.
     """
     b: complex = 0.0
     d: complex = 0.0
@@ -205,15 +205,21 @@ def eval_poly_and_deriv(p: Polynomial, x: complex) -> tuple[complex, complex]:
 def scaled_residual(p: Polynomial, x: complex) -> float:
     """|p(x)| / max(1, sum |c_i| |x|^i), the universal success metric here;
     inf when the sum is not finite, since then nothing is known of p(x)."""
+    scale = _scale(p, x)
+    if not scale < math.inf:
+        return math.inf
+    return abs(eval_poly(p, x)) / max(1.0, scale)
+
+
+def _scale(p: Polynomial, x: complex) -> float:
+    """The residual scale sum |c_i| |x|^i, summed from i = 0 up."""
     ax = abs(x)
     scale = 0.0
     pw = 1.0
     for c in p.coeffs:
         scale += abs(c) * pw
         pw *= ax
-    if not scale < math.inf:
-        return math.inf
-    return abs(eval_poly(p, x)) / max(1.0, scale)
+    return scale
 
 
 def cauchy_bound(p: Polynomial) -> float:
@@ -270,6 +276,12 @@ def _newton_pass(terms: list[tuple[complex, float]], x: complex):
     return fx, dfx, scale
 
 
+def _residual(fx: complex, scale: float) -> float:
+    """scaled_residual from p(x) and the scale: |p(x)| / max(1, scale), inf
+    when the scale is not finite."""
+    return abs(fx) / max(1.0, scale) if scale < math.inf else math.inf
+
+
 def _maehly(x: complex, fx: complex, dfx: complex, deflate: Sequence[complex]):
     """p'(x) - p(x) sum 1/(x - r) over r in deflate: the derivative Newton
     needs to step on p(x) / prod (x - r). 0 when x is one of the r."""
@@ -311,12 +323,12 @@ def newton_polish(
     runs out; the caller decides whether a stale iterate is usable.
     """
     x = complex(x0)
-    best = (x, scaled_residual(p, x), 0)
+    fx, dfx = eval_poly_and_deriv(p, x)
+    best = (x, _residual(fx, _scale(p, x)), 0)
     if best[1] <= tol and not settle:
         return best
     step_tol = math.sqrt(tol)
     terms = list(zip(reversed(p.coeffs), map(abs, p.coeffs)))
-    fx, dfx, _ = _newton_pass(terms, x)
     left = None  # once settled, the finishing steps still to take
     it = 0
     while it < max_iter or left:
@@ -330,7 +342,7 @@ def newton_polish(
             step = fx / dfx
             x = x - step
             fx, dfx, scale = _newton_pass(terms, x)
-            res = abs(fx) / max(1.0, scale) if scale < math.inf else math.inf
+            res = _residual(fx, scale)
             if res < best[1]:
                 best = (x, res, it)
             if left is None and res <= tol:

@@ -249,6 +249,15 @@ class TestSolve:
             "partial results: 7 branches gave 6 distinct roots"
         ]
 
+    @pytest.mark.parametrize("method", ["series", "grim", "closed"])
+    def test_empty_branch_list_is_a_usage_error(self, method):
+        code, out, err = run_cli(
+            "solve", "--trinomial", "3", "1", "0.5", "1", "--method", method,
+            "--branches", ",", "--json",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: branches must be nonempty\n"
+
     def test_grim_failure_is_an_error_line(self):
         # 1e300 + 1e-300 x^5: its default seed overflows, and its roots
         # (modulus 1e120) overflow when raised to the 5th
@@ -479,7 +488,10 @@ class TestBasins:
         rows = out.splitlines()[1:]
         assert [row.split(",")[2:] for row in rows] == [["grim", "diverged", "nan"]]
 
-    @pytest.mark.parametrize("grid", ["0:1:0,0:1:1", "0:1:1,0:1:0", "0:1:-2,0:1:3"])
+    @pytest.mark.parametrize("grid", [
+        "0:1:0,0:1:1", "0:1:1,0:1:0", "0:1:-2,0:1:3",
+        "nan:1:2,0:1:1", "0:inf:2,0:1:1", "0:1:2,-inf:1:1",  # a non-finite bound too
+    ])
     def test_grid_count_below_one_is_a_usage_error(self, grid):
         code, out, err = run_cli(
             "solve", "--coeffs", "1,2,3", "--plot", "basins", "--grid", grid

@@ -89,6 +89,13 @@ def test_branch_loop_drops_aliased_branches(method):
     assert report.warnings == []
 
 
+@pytest.mark.parametrize("method", sorted(CASES))
+def test_empty_branch_list_is_rejected(method):
+    # every method, including those that take no branches
+    with pytest.raises(ValueError, match="branches must be nonempty"):
+        solve(CASES[method][1], method, branches=[])
+
+
 def test_cross_check_rejects_non_finite_roots():
     p = Polynomial([-1, 0, 1])
     report = RootReport([RootEntry(1.0 + 0j, 0.0), RootEntry(complex("nan"), 0.0)], "test")

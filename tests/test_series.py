@@ -33,7 +33,7 @@ from polysolve.series import (
     _term_table,
     trinomial_log_term,
 )
-from polysolve.numerics import PFQParams, gamma_sign
+from polysolve.numerics import PFQParams, _step_table, gamma_sign
 
 from conftest import bisect_root, seeded_trinomial
 
@@ -270,7 +270,7 @@ class TestTermMemo:
     def test_cold_and_warm_results_equal(self, rng):
         trinomials = [seeded_trinomial(rng, s_max=9) for _ in range(12)]
         trinomials.append(Trinomial(5, 2, 0, 2 + 1j))
-        for cache in (_class_params, _term_table, argument_modulus_constant):
+        for cache in (_class_params, _term_table, _step_table, argument_modulus_constant):
             cache.cache_clear()
         cold = [_branch_outputs(t) for t in trinomials]
         warm = [_branch_outputs(t) for t in trinomials]
@@ -306,7 +306,7 @@ class TestTermMemo:
 
         def clear():
             while not stop.is_set():
-                for cache in (_class_params, _term_table, argument_modulus_constant):
+                for cache in (_class_params, _term_table, _step_table, argument_modulus_constant):
                     cache.cache_clear()
 
         def solve():

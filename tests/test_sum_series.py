@@ -6,12 +6,14 @@ import cmath
 import itertools
 import math
 import re
+import sys
+import threading
 
 from hypothesis import example, given, settings, strategies as st
 
 from polysolve import DivergenceError, PFQParams, SeriesConfig, Trinomial
-from polysolve import pfq_eval, trinomial_series_root
-from polysolve.numerics import sum_series
+from polysolve import pfq_eval, trinomial_pfq_root, trinomial_series_root
+from polysolve.numerics import _STEPS_MAX, _step_table, sum_series
 from polysolve.series import argument_modulus_constant, trinomial_log_term
 
 
@@ -276,3 +278,88 @@ def test_plain_pfq_matches_the_parent_loop(upper, lower, z, max_terms):
     if z == 0:
         used, status = 1, "converged"
     assert (_bits(res.value), res.terms_used, res.status) == (value, used, status)
+
+
+class TestStepTables:
+    """pfq_eval reads its step factors from a table per parameter set; each
+    sum must still be the parent loop's, bit for bit, however far the table
+    reaches when it starts."""
+
+    def test_sum_past_the_table_matches_the_parent_loop(self):
+        params = PFQParams((1.0,), ())
+        _step_table.cache_clear()
+        for max_terms in (30, 400):  # the second sum reads past the first's steps
+            cfg = SeriesConfig(max_terms=max_terms)
+            res = pfq_eval(params, 0.99, cfg)
+            want, _ = _parent_pfq_loop(params, 0.99, cfg)
+            assert (_bits(res.value), res.terms_used, res.status) == want
+            assert want[1:] == (max_terms, "truncated")
+            assert len(_step_table(params)[1]) == max_terms - 1
+
+    def test_sum_past_the_table_cap_matches_the_parent_loop(self):
+        params = PFQParams((1.0,), ())
+        cfg = SeriesConfig(max_terms=_STEPS_MAX + 500)
+        _step_table.cache_clear()
+        res = pfq_eval(params, 0.999, cfg)
+        want, _ = _parent_pfq_loop(params, 0.999, cfg)
+        assert (_bits(res.value), res.terms_used, res.status) == want
+        assert len(_step_table(params)[1]) == _STEPS_MAX
+
+    def test_terminating_sum_tables_only_its_steps(self):
+        # -3 ends the series at term 3, before the lower pole at -6
+        for params, z in [
+            (PFQParams((-5.0, 1.5), (2.5,)), 0.7 + 0.2j),
+            (PFQParams((-3.0,), (-6.0,)), 2.0 - 1.0j),
+        ]:
+            _step_table.cache_clear()
+            for _ in range(2):  # building the table, then reading it
+                res = pfq_eval(params, z)
+                want, _ = _parent_pfq_loop(params, z, SeriesConfig())
+                assert (_bits(res.value), res.terms_used, res.status) == want
+            terminate_at = -int(params.upper[0].real)
+            assert res.terms_used == terminate_at + 1
+            assert len(_step_table(params)[1]) == terminate_at
+
+    def test_memo_stays_bounded_over_every_trinomial_shape(self):
+        _step_table.cache_clear()
+        for s in range(2, 13):
+            for b in range(1, s):
+                t = Trinomial(s, b, 0.3 + 0.1j, 1.0 + 0.5j)
+                for k in range(s):
+                    trinomial_pfq_root(t, k).evaluate()
+        info = _step_table.cache_info()
+        assert info.maxsize == 16
+        assert info.currsize <= info.maxsize
+        assert info.hits > info.misses  # the branches share their classes' tables
+
+    def test_concurrent_sums_build_one_whole_table(self):
+        params = PFQParams((0.5, 1.25), (1.75,))
+        cfg = SeriesConfig(max_terms=1500)
+        want, _ = _parent_pfq_loop(params, 0.995, cfg)
+        _step_table.cache_clear()
+        pfq_eval(params, 0.995, cfg)  # one thread alone
+        table = tuple(map(list, _step_table(params)))
+        assert len(table[1]) == want[1] - 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                _step_table.cache_clear()
+                start = threading.Barrier(8)
+                got: list = []
+
+                def run():
+                    start.wait(timeout=60)
+                    res = pfq_eval(params, 0.995, cfg)
+                    got.append((_bits(res.value), res.terms_used, res.status))
+
+                workers = [threading.Thread(target=run, daemon=True) for _ in range(8)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=60)
+                assert not any(w.is_alive() for w in workers)
+                assert got == [want] * len(workers)
+                assert _step_table(params) == table
+        finally:
+            sys.setswitchinterval(interval)
