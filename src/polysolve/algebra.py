@@ -8,16 +8,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .poly import DegenerateError, DegreeError, Polynomial, lu_solve
+from .poly import DegenerateError, DegreeError, Polynomial, _Record, lu_solve
 
 
-@dataclass(frozen=True)
-class RDBoundRow:
-    n: int
-    r: int
-    rd_max: int
+class RDBoundRow(_Record, frozen=True):
+    __slots__ = ("n", "r", "rd_max")
+
+    def __init__(self, n: int, r: int, rd_max: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "rd_max", rd_max)
 
 
 def sylvester_resultant(p: Polynomial, q: Polynomial) -> complex:

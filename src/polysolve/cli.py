@@ -2,7 +2,10 @@
 
 Subcommands: solve, rd-table, pfq, resultant, tschirnhaus. Each handler
 imports the route or algebra module it runs, so importing this module loads
-only pipeline, poly and numerics of the package. Output is
+only pipeline, poly and numerics of the package. The result and config
+types are plain slotted classes, so neither importing this module nor a
+solve loads the standard library's dataclasses (or the inspect module it
+pulls in). Output is
 deterministic; JSON uses a fixed key order and 17-significant-digit float
 formatting so that identical invocations are byte-identical and emitted
 documents round-trip through a parser unchanged.

@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 
 from .numerics import principal_pow
 from .poly import (
@@ -25,6 +24,7 @@ from .poly import (
     Polynomial,
     RootEntry,
     RootReport,
+    _Record,
     lu_solve,
     polish,
     scaled_residual,
@@ -183,8 +183,7 @@ def solve_quartic(p: Polynomial) -> RootReport:
     return _roots_report(p, cleaned, "closed-quartic")
 
 
-@dataclass
-class SquareDifferenceSplit:
+class SquareDifferenceSplit(_Record):
     """Monic factor pair (Q-P, Q+P) of an even-degree polynomial.
 
     omega[j] is the coefficient product of slot j (omega[0] = c0 and the
@@ -193,11 +192,21 @@ class SquareDifferenceSplit:
     full monic coefficient lists of the two factors.
     """
 
-    omega: list[complex]
-    l_vars: list[complex]
-    w_plus: list[complex]
-    w_minus: list[complex]
-    residual: float
+    __slots__ = ("omega", "l_vars", "w_plus", "w_minus", "residual")
+
+    def __init__(
+        self,
+        omega: list[complex],
+        l_vars: list[complex],
+        w_plus: list[complex],
+        w_minus: list[complex],
+        residual: float,
+    ):
+        self.omega = omega
+        self.l_vars = l_vars
+        self.w_plus = w_plus
+        self.w_minus = w_minus
+        self.residual = residual
 
     def factors(self) -> tuple[Polynomial, Polynomial]:
         return Polynomial(self.w_minus), Polynomial(self.w_plus)

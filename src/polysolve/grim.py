@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 from .poly import (
@@ -35,6 +34,9 @@ from .poly import (
     Polynomial,
     RootEntry,
     RootReport,
+    _Record,
+    _require_count,
+    _require_positive,
     all_roots_oracle,
     cauchy_bound,
     eval_poly,
@@ -48,22 +50,28 @@ _STEP_TOL = 1e-13
 _MAX_MODULUS = 1e12
 
 
-@dataclass
-class GrimConfig:
+class GrimConfig(_Record):
     # branches, seeds and iters steer the orbits that run only when the
     # Newton polygon's points leave roots unfound
-    branches: list[int] | None = None  # default 0..n-1
-    seeds: list[complex] | None = None  # default {0.01, i, -i, rho/2}
-    iters: int = 80
-    polish_tol: float = 1e-10
+    __slots__ = ("branches", "seeds", "iters", "polish_tol")
 
-    def __post_init__(self):
-        if self.iters < 1:
-            raise ValueError("iters must be >= 1")
-        if self.branches is not None and not self.branches:
+    def __init__(
+        self,
+        branches: list[int] | None = None,  # default 0..n-1
+        seeds: list[complex] | None = None,  # default {0.01, i, -i, rho/2}
+        iters: int = 80,
+        polish_tol: float = 1e-10,
+    ):
+        _require_count("iters", iters)
+        if branches is not None and not branches:
             raise ValueError("branches must be nonempty")
-        if self.seeds is not None and not self.seeds:
+        if seeds is not None and not seeds:
             raise ValueError("seeds must be nonempty")
+        _require_positive("polish_tol", polish_tol)
+        self.branches = branches
+        self.seeds = seeds
+        self.iters = iters
+        self.polish_tol = polish_tol
 
 
 def _complementary(p: Polynomial) -> Polynomial:

@@ -19,9 +19,10 @@ import cmath
 import math
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, islice
+
+from .poly import _Record, _require_count, _require_positive
 
 
 class PoleError(ValueError):
@@ -94,37 +95,37 @@ def pochhammer(a: complex, n: int) -> complex:
     return acc
 
 
-@dataclass(frozen=True)
-class PFQParams:
+class PFQParams(_Record, frozen=True):
     """Upper (a_1..a_p) and lower (b_1..b_q) parameter lists of a pFq."""
 
-    upper: tuple[complex, ...]
-    lower: tuple[complex, ...]
+    __slots__ = ("upper", "lower")
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(complex(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(complex(b) for b in self.lower))
+    def __init__(self, upper: Iterable[complex], lower: Iterable[complex]):
+        object.__setattr__(self, "upper", tuple(complex(a) for a in upper))
+        object.__setattr__(self, "lower", tuple(complex(b) for b in lower))
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
+class SeriesConfig(_Record, frozen=True):
     """Truncation and convergence control for series summation."""
 
-    max_terms: int = 400
-    rel_tol: float = 1e-12
+    __slots__ = ("max_terms", "rel_tol")
 
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if self.rel_tol < 2.3e-16:
+    def __init__(self, max_terms: int = 400, rel_tol: float = 1e-12):
+        _require_count("max_terms", max_terms)
+        _require_positive("rel_tol", rel_tol)
+        if rel_tol < 2.3e-16:
             raise ValueError("rel_tol below machine epsilon")
+        object.__setattr__(self, "max_terms", max_terms)
+        object.__setattr__(self, "rel_tol", rel_tol)
 
 
-@dataclass
-class PFQResult:
-    value: complex
-    terms_used: int
-    status: str  # converged | diverged | truncated
+class PFQResult(_Record):
+    __slots__ = ("value", "terms_used", "status")
+
+    def __init__(self, value: complex, terms_used: int, status: str):
+        self.value = value
+        self.terms_used = terms_used
+        self.status = status  # converged | diverged | truncated
 
 
 # Growth counts from term 16 on, because convergent series (a pFq before

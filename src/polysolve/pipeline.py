@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 
 from .numerics import DivergenceError, SeriesConfig
 from .poly import (
@@ -24,6 +23,7 @@ from .poly import (
     RootEntry,
     RootReport,
     Trinomial,
+    _Record,
     all_roots_oracle,
     distinct_roots,
     format_coefficient,
@@ -33,8 +33,7 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(_Record, frozen=True):
     """What the routes need to know about an equation.
 
     tri is x^s - alpha x^b - q (q != 0); quad is x^s + c x^r + alpha x - b
@@ -42,10 +41,19 @@ class Shape:
     polynomial without x^4..x^6 terms.
     """
 
-    poly: Polynomial
-    tri: Trinomial | None = None
-    quad: Quadrinomial | None = None
-    septic: tuple[complex, complex, complex, complex] | None = None
+    __slots__ = ("poly", "tri", "quad", "septic")
+
+    def __init__(
+        self,
+        poly: Polynomial,
+        tri: Trinomial | None = None,
+        quad: Quadrinomial | None = None,
+        septic: tuple[complex, complex, complex, complex] | None = None,
+    ):
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "tri", tri)
+        object.__setattr__(self, "quad", quad)
+        object.__setattr__(self, "septic", septic)
 
 
 def shape_of(eq: Polynomial | Trinomial | Quadrinomial) -> Shape:
@@ -54,8 +62,8 @@ def shape_of(eq: Polynomial | Trinomial | Quadrinomial) -> Shape:
     if isinstance(eq, (Trinomial, Quadrinomial)):
         found = shape_of(eq.polynomial())
         if isinstance(eq, Trinomial):
-            return replace(found, tri=eq, quad=None)
-        return replace(found, tri=None, quad=eq)
+            return Shape(found.poly, eq, None, found.septic)
+        return Shape(found.poly, None, eq, found.septic)
     s = eq.degree
     if s < 1:
         raise ValueError("constant polynomial has no roots to find")

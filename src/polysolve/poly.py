@@ -1,6 +1,7 @@
 """Polynomial core: representation (with the trinomial and quadrinomial
 shapes the routes recognize), evaluation, bounds, Newton polishing, the
-Durand-Kerner all-roots oracle and the errors every route may raise.
+Durand-Kerner all-roots oracle, the errors every route may raise and the
+base of the package's result and config types.
 
 Coefficients are stored constant-term first: coeffs[i] multiplies x**i.
 """
@@ -10,7 +11,62 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from operator import attrgetter
+
+
+class _Record:
+    """Base of the package's result and config types, plain slotted
+    classes. A subclass lists its fields in constructor order in __slots__
+    and sets them in its own __init__. Records compare field by field and
+    print as Name(field=value, ...). A subclass declared with frozen=True
+    sets its fields through object.__setattr__, hashes by them and raises
+    AttributeError on assignment and deletion; any other one is unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        # the field values as a tuple, which attrgetter of one name is not
+        cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        if frozen:
+            cls.__hash__ = _field_hash
+            cls.__setattr__ = cls.__delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its constructor
+        return self.__class__, self._values
+
+
+def _field_hash(self: _Record) -> int:
+    return hash(self._values)
+
+
+def _read_only(self: _Record, name: str, *value) -> None:
+    raise AttributeError(f"{self.__class__.__qualname__} is frozen: cannot set or delete {name!r}")
+
+
+def _require_count(name: str, n) -> None:
+    """A config's iteration or term count: an int of at least 1."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"{name} must be an int >= 1")
+
+
+def _require_positive(name: str, x) -> None:
+    """A config's tolerance or bound: a finite positive number."""
+    if not 0 < x < math.inf:
+        raise ValueError(f"{name} must be finite and positive")
+
 
 class DegreeError(ValueError):
     """Operation applied to a polynomial of unsupported degree."""
@@ -37,13 +93,12 @@ class GrimError(ArithmeticError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Record, frozen=True):
     """Dense complex polynomial c_0 + c_1 x + ... + c_n x^n."""
 
-    coeffs: tuple[complex, ...]
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs):
+    def __init__(self, coeffs: Iterable[complex]):
         cs = [complex(c) for c in coeffs]
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
@@ -83,24 +138,22 @@ class Polynomial:
         return format_poly(self)
 
 
-@dataclass(frozen=True)
-class Trinomial:
+class Trinomial(_Record, frozen=True):
     """z**s - alpha * z**b - q = 0 with integer exponents s > b >= 1."""
 
-    s: int
-    b: int
-    alpha: complex
-    q: complex
+    __slots__ = ("s", "b", "alpha", "q")
 
-    def __post_init__(self):
-        if self.s < 2:
+    def __init__(self, s: int, b: int, alpha: complex, q: complex):
+        if s < 2:
             raise ValueError("trinomial needs s >= 2")
-        if not 1 <= self.b <= self.s - 1:
+        if not 1 <= b <= s - 1:
             raise ValueError("trinomial needs 1 <= b <= s-1")
-        if self.q == 0:
+        if q == 0:
             raise ValueError("trinomial needs q != 0")
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "q", complex(self.q))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "alpha", complex(alpha))
+        object.__setattr__(self, "q", complex(q))
 
     def polynomial(self) -> Polynomial:
         coeffs = [0j] * (self.s + 1)
@@ -110,25 +163,23 @@ class Trinomial:
         return Polynomial(coeffs)
 
 
-@dataclass(frozen=True)
-class Quadrinomial:
+class Quadrinomial(_Record, frozen=True):
     """x**s + c * x**r + alpha * x - b = 0 with s >= 4 and 2 <= r <= s-2."""
 
-    s: int
-    r: int
-    c: complex
-    alpha: complex
-    b: complex
+    __slots__ = ("s", "r", "c", "alpha", "b")
 
-    def __post_init__(self):
-        if self.s < 4:
+    def __init__(self, s: int, r: int, c: complex, alpha: complex, b: complex):
+        if s < 4:
             raise ValueError("quadrinomial needs s >= 4")
-        if not 2 <= self.r <= self.s - 2:
+        if not 2 <= r <= s - 2:
             raise ValueError("quadrinomial needs 2 <= r <= s-2")
-        if self.alpha == 0:
+        if alpha == 0:
             raise ValueError("quadrinomial needs alpha != 0")
-        for name in ("c", "alpha", "b"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c", complex(c))
+        object.__setattr__(self, "alpha", complex(alpha))
+        object.__setattr__(self, "b", complex(b))
 
     def polynomial(self) -> Polynomial:
         coeffs = [0j] * (self.s + 1)
@@ -139,20 +190,30 @@ class Quadrinomial:
         return Polynomial(coeffs)
 
 
-@dataclass(frozen=True)
-class RootEntry:
-    root: complex
-    residual: float
-    branch: int = 0
-    iterations: int = 0
+class RootEntry(_Record, frozen=True):
+    __slots__ = ("root", "residual", "branch", "iterations")
+
+    def __init__(self, root: complex, residual: float, branch: int = 0, iterations: int = 0):
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "iterations", iterations)
 
 
-@dataclass
-class RootReport:
-    roots: list[RootEntry]
-    method: str
-    warnings: list[str] = field(default_factory=list)
-    aimed: int | None = None  # roots the route aimed at; None means all n
+class RootReport(_Record):
+    __slots__ = ("roots", "method", "warnings", "aimed")
+
+    def __init__(
+        self,
+        roots: list[RootEntry],
+        method: str,
+        warnings: list[str] | None = None,  # a fresh list when None
+        aimed: int | None = None,  # roots the route aimed at; None means all n
+    ):
+        self.roots = roots
+        self.method = method
+        self.warnings = [] if warnings is None else warnings
+        self.aimed = aimed
 
     def values(self) -> list[complex]:
         return [e.root for e in self.roots]

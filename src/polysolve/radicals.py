@@ -11,25 +11,31 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .numerics import principal_pow
-from .poly import Polynomial, polish
+from .poly import Polynomial, _Record, _require_count, _require_positive, polish
 
 
-@dataclass(frozen=True)
-class RadicalIterConfig:
-    k: int = 0  # branch index
-    inner_iters: int = 40  # v
-    outer_iters: int = 60  # mu
-    tol: float = 1e-12
-    max_modulus: float = 1e8
+class RadicalIterConfig(_Record, frozen=True):
+    __slots__ = ("k", "inner_iters", "outer_iters", "tol", "max_modulus")
 
-    def __post_init__(self):
-        if self.inner_iters < 1 or self.outer_iters < 1:
-            raise ValueError("iteration counts must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+    def __init__(
+        self,
+        k: int = 0,  # branch index
+        inner_iters: int = 40,  # v
+        outer_iters: int = 60,  # mu
+        tol: float = 1e-12,
+        max_modulus: float = 1e8,
+    ):
+        _require_count("inner_iters", inner_iters)
+        _require_count("outer_iters", outer_iters)
+        _require_positive("tol", tol)
+        _require_positive("max_modulus", max_modulus)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "inner_iters", inner_iters)
+        object.__setattr__(self, "outer_iters", outer_iters)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_modulus", max_modulus)
 
 
 def _guarded_fixed_point(

@@ -15,7 +15,6 @@ import cmath
 import math
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -34,6 +33,7 @@ from .poly import (
     RootEntry,
     RootReport,
     Trinomial,
+    _Record,
     all_roots_oracle,
     distinct_roots,
     polish,
@@ -42,6 +42,7 @@ from .poly import (
 
 _TWO_PI = 2.0 * math.pi
 _INF = complex(math.inf, 0.0)
+_DEFAULT_TERMS = SeriesConfig().max_terms
 
 
 def _inf_on_overflow(f, *args) -> complex:
@@ -52,16 +53,31 @@ def _inf_on_overflow(f, *args) -> complex:
         return _INF
 
 
-@dataclass
-class SeriesDiagnostics:
-    status: str  # converged | diverged | truncated
-    terms_used: int
-    series_value: complex
-    pre_polish_residual: float
-    residual: float
-    iterations: int = 0
-    warnings: list[str] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+class SeriesDiagnostics(_Record):
+    __slots__ = (
+        "status", "terms_used", "series_value", "pre_polish_residual", "residual",
+        "iterations", "warnings", "notes",
+    )
+
+    def __init__(
+        self,
+        status: str,  # converged | diverged | truncated
+        terms_used: int,
+        series_value: complex,
+        pre_polish_residual: float,
+        residual: float,
+        iterations: int = 0,
+        warnings: list[str] | None = None,  # a fresh list when None
+        notes: dict | None = None,  # a fresh dict when None
+    ):
+        self.status = status
+        self.terms_used = terms_used
+        self.series_value = series_value
+        self.pre_polish_residual = pre_polish_residual
+        self.residual = residual
+        self.iterations = iterations
+        self.warnings = [] if warnings is None else warnings
+        self.notes = {} if notes is None else notes
 
 
 def reciprocal_series_root(
@@ -122,7 +138,7 @@ def _covering_table(s: int, b: int, n: int) -> tuple[array, array]:
     for the pFq prefactors), doubled until it reaches n. The series and the
     pFq form share it, and a large max_terms builds no more than about
     twice the terms a series reads."""
-    length = max(SeriesConfig.max_terms, s)
+    length = max(_DEFAULT_TERMS, s)
     while length < n:
         length *= 2
     return _term_table(s, b, length)
@@ -210,25 +226,35 @@ def argument_modulus_constant(s: int, b: int) -> Fraction:
     return Fraction(b**b * (s - b) ** (s - b), s**s)
 
 
-@dataclass
-class PFQRootGroup:
-    prefactor: complex  # q-power excluded
-    power_of_q: Fraction
-    params: PFQParams
-    argument: complex
+class PFQRootGroup(_Record):
+    __slots__ = ("prefactor", "power_of_q", "params", "argument")
+
+    def __init__(
+        self,
+        prefactor: complex,  # q-power excluded
+        power_of_q: Fraction,
+        params: PFQParams,
+        argument: complex,
+    ):
+        self.prefactor = prefactor
+        self.power_of_q = power_of_q
+        self.params = params
+        self.argument = argument
 
 
-@dataclass
-class PFQRootForm:
+class PFQRootForm(_Record):
     """One trinomial root branch as a finite sum of pFq values.
 
     Evaluates to sum over residue classes of
     prefactor * q^power_of_q * pFq(params; argument).
     """
 
-    trinomial: Trinomial
-    k: int
-    groups: list[PFQRootGroup]
+    __slots__ = ("trinomial", "k", "groups")
+
+    def __init__(self, trinomial: Trinomial, k: int, groups: list[PFQRootGroup]):
+        self.trinomial = trinomial
+        self.k = k
+        self.groups = groups
 
     def evaluate(self, cfg: SeriesConfig = SeriesConfig()) -> tuple[complex, str]:
         """The sum and the worst pFq status; a total that is not finite

@@ -1,6 +1,7 @@
 """Static hygiene of the package, read with the stdlib ast module: no
 module in src/polysolve keeps an unused top-level import, or a private
-top-level function or class that nothing in the package references, and
+top-level function or class that nothing in the package references, or
+imports dataclasses, and
 every name in the package's lazy name table is defined at the top level
 of the module the table names for it."""
 
@@ -47,6 +48,18 @@ def test_no_unused_top_level_import(path):
                 if bound not in read:
                     unused.append(bound)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    # the result and config types are plain slotted classes (poly._Record)
+    imported = set()
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "dataclasses" not in imported
 
 
 def test_no_unreferenced_private_definition():

@@ -3,7 +3,8 @@
 The guard tests run fresh interpreters without a bytecode cache, as a
 ``polysolve solve`` call does, and read which polysolve modules each step
 loaded: the CLI loads none of the route modules, and a solve loads only
-the route it runs.
+the route it runs. They also read whether the standard library's
+dataclasses and inspect were loaded: no step loads either.
 """
 
 from __future__ import annotations
@@ -43,13 +44,17 @@ PUBLIC = (
     "trinomial_series_root", "tschirnhaus_quadratic",
 )
 
-# prints the polysolve modules loaded after the import, then after main(argv)
+STDLIB = {"dataclasses", "inspect"}
+
+# prints the polysolve modules, and those of STDLIB, loaded after the
+# import, then after main(argv)
 PROBE = """
 import io, json, sys
 import polysolve.cli
 
 def loaded():
-    return sorted(m.split(".")[1] for m in sys.modules if m.startswith("polysolve."))
+    names = [m.split(".")[1] for m in sys.modules if m.startswith("polysolve.")]
+    return sorted(names + [m for m in ("dataclasses", "inspect") if m in sys.modules])
 
 before = loaded()
 code = polysolve.cli.main(json.loads(sys.argv[1]), out=io.StringIO(), err=io.StringIO())
@@ -69,6 +74,7 @@ def _fresh_run(argv: list[str]) -> tuple[set[str], set[str], int]:
 
 class TestImportGuard:
     def test_cli_import_loads_no_route(self):
+        # and neither dataclasses nor inspect
         before, _, _ = _fresh_run(["rd-table", "5"])
         assert before == {"cli", "numerics", "pipeline", "poly"}
 
@@ -77,6 +83,14 @@ class TestImportGuard:
         assert code == 0
         assert "closedform" in after
         assert not after & {"algebra", "grim", "radicals", "series"}
+        assert not after & STDLIB
+
+    def test_split_solve_loads_only_closedform_and_grim(self):
+        # even degree 6: auto splits it; solve_by_split imports grim too
+        _, after, code = _fresh_run(["solve", "--coeffs=1,0,2,0,3,0,1", "--json"])
+        assert code == 0
+        assert after & set(ROUTES) == {"closedform", "grim"}
+        assert not after & STDLIB
 
     def test_grim_solve_loads_only_grim(self):
         # degree 5 with two middle terms and no trinomial shape: auto runs GRIM
@@ -84,12 +98,14 @@ class TestImportGuard:
         assert code == 0
         assert "grim" in after
         assert not after & {"algebra", "closedform", "radicals", "series"}
+        assert not after & STDLIB
 
     def test_series_solve_loads_no_other_route(self):
         _, after, code = _fresh_run(["solve", "--trinomial", "5", "1", "0.5", "1", "--json"])
         assert code == 0
         assert "series" in after
         assert not after & {"algebra", "closedform", "grim", "radicals"}
+        assert not after & STDLIB
 
     @pytest.mark.parametrize(
         "argv", [["rd-table", "5"], ["resultant", "-1,1", "1,1"], ["tschirnhaus", "1,2,3,0,0,1"]]
