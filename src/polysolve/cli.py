@@ -23,7 +23,7 @@ import math
 import re
 import sys
 
-from .numerics import DivergenceError, PFQParams, PoleError, SeriesConfig, pfq_eval
+from .numerics import PFQParams, PoleError, SeriesConfig, pfq_eval
 from .pipeline import METHODS, Shape, cross_check, shape_of, solve
 from .poly import (
     ConvergenceError,
@@ -135,9 +135,10 @@ def cmd_solve(args, out, err) -> int:
 
 
 def _plot_basins(args, shape: Shape, out, err) -> int:
-    from .grim import grim_solve
-    from .series import trinomial_series_root
-
+    """One CSV row per grid point c: the trinomial's alpha, or else the
+    constant term, set to c and solved as solve would (series branch 0,
+    or grim), with cross_check(..., None)'s word, ok or partial, and the
+    largest residual of the roots that came back (nan when none did)."""
     try:
         re0, re1, nre, im0, im1, nim = _parse_grid(args.grid)
     except ValueError as exc:
@@ -151,23 +152,17 @@ def _plot_basins(args, shape: Shape, out, err) -> int:
             im = im0 + (im1 - im0) * j / max(nim - 1, 1)
             if shape.tri is not None:
                 probe = Trinomial(shape.tri.s, shape.tri.b, complex(re, im), shape.tri.q)
-                try:
-                    _, diag = trinomial_series_root(probe, 0, cfg)
-                    status, residual = diag.status, diag.residual
-                except DivergenceError:
-                    status, residual = "diverged", float("nan")
-                method = "series"
+                method, branches = "series", [0]
             else:
                 coeffs = list(shape.poly.coeffs)
                 coeffs[0] = complex(re, im)
-                probe_p = Polynomial(coeffs)
-                try:
-                    rep = grim_solve(probe_p)
-                    status = "converged" if len(rep.roots) == probe_p.degree else "partial"
-                    residual = max(e.residual for e in rep.roots)
-                except GrimError:
-                    status, residual = "diverged", float("nan")
-                method = "grim"
+                probe, method, branches = Polynomial(coeffs), "grim", None
+            try:
+                report = solve(probe, method, branches, cfg)
+                status = cross_check(shape_of(probe).poly, report, None)
+                residual = max((e.residual for e in report.roots), default=math.nan)
+            except GrimError:
+                status, residual = "partial", math.nan
             out.write(
                 f"{_fmt_float(re)},{_fmt_float(im)},{method},{status},{_fmt_float(residual)}\n"
             )

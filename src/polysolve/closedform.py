@@ -353,17 +353,6 @@ def square_difference_split(
     )
 
 
-def _synthetic_deflate(p: Polynomial, root: complex) -> Polynomial:
-    """Quotient of p by (x - root); the remainder is discarded."""
-    coeffs = p.coeffs
-    out = [0j] * (len(coeffs) - 1)
-    acc = coeffs[-1]
-    for i in range(len(coeffs) - 2, -1, -1):
-        out[i] = acc
-        acc = coeffs[i] + acc * root
-    return Polynomial(out)
-
-
 def solve_closed(p: Polynomial) -> RootReport:
     """Roots of a polynomial of degree at most 4 by the closed form of its
     degree; a constant has none. Higher degrees raise DegreeError. A closed
@@ -389,9 +378,10 @@ def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:
     """Roots of a monic even-degree polynomial (n <= 10) via splitting.
 
     Each monic half is solved by the closed-form solver of its degree;
-    degree-5 halves go through the dominant-term iteration, with any roots
-    it leaves behind recovered by deflation to a closed-form residue. All
-    roots are polished against F before reporting.
+    degree-5 halves go through the dominant-term iteration (GRIM). A root
+    that GRIM leaves behind leaves the report short, which
+    pipeline.cross_check reads as partial. All roots are polished against
+    F before reporting.
     """
     from .grim import grim_solve
 
@@ -406,14 +396,6 @@ def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:
             rep = grim_solve(factor)
             warnings.extend(f"factor {which}: {w}" for w in rep.warnings)
             roots = rep.values()
-            if len(roots) < deg:
-                residue = factor
-                for r in roots:
-                    residue = _synthetic_deflate(residue, r)
-                roots.extend(solve_closed(residue).values())
-                warnings.append(
-                    f"factor {which}: {residue.degree} root(s) recovered by deflation"
-                )
         else:
             raise DegreeError(f"unexpected factor degree {deg}")
         raw.extend((root, which) for root in roots)

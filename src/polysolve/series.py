@@ -30,12 +30,9 @@ from .numerics import (
 from .poly import (
     Polynomial,
     Quadrinomial,
-    RootEntry,
     RootReport,
     Trinomial,
     _Record,
-    all_roots_oracle,
-    distinct_roots,
     polish,
     scaled_residual,
 )
@@ -350,48 +347,16 @@ def _cancel_params(
 
 
 def bring_jerrard_quintic(alpha: complex, q: complex) -> RootReport:
-    """All five roots of z^5 + alpha z - q = 0.
+    """The roots of z^5 + alpha z - q = 0 by the series route:
+    pipeline.solve(Trinomial(5, 1, -alpha, q), "series").
 
-    Runs the trinomial series over the five branches (alpha sign-flipped
-    into the standard trinomial shape) and keeps the distinct roots
-    (poly.distinct_roots). When fewer than five remain, because a series
-    diverged or branches collided, the polished all-roots oracle roots
-    (branch -1) join them, the five lowest-residual distinct roots are
-    kept, and the warnings say so.
+    A branch that diverges, or lands on another branch's root, leaves the
+    report short, and pipeline.cross_check reads it as partial. q = 0 is
+    outside the trinomial form and raises ValueError.
     """
-    p = Polynomial([-q, alpha, 0, 0, 0, 1])
-    warnings: list[str] = []
-    found: list[RootEntry] = []
-    fallback_branches: list[int] = []
-    if q == 0:
-        fallback_branches = list(range(5))
-        warnings.append("q = 0 is outside the series form; oracle fallback")
-    else:
-        t = Trinomial(5, 1, -alpha, q)
-        for k in range(5):
-            try:
-                root, diag = trinomial_series_root(t, k)
-                found.append(RootEntry(root, diag.residual, k, diag.iterations))
-            except DivergenceError:
-                fallback_branches.append(k)
-        if fallback_branches:
-            warnings.append(
-                "series diverged for branches "
-                f"{fallback_branches}; oracle fallback"
-            )
+    from .pipeline import solve
 
-    kept = distinct_roots(found)
-    if len(kept) < 5:
-        if not fallback_branches:
-            warnings.append("series branches collided; oracle fill-in")
-        fill = [
-            RootEntry(x, res, branch=-1, iterations=its)
-            for x, res, its, _ in (
-                polish(p, e.root, tol=1e-12) for e in all_roots_oracle(p).roots
-            )
-        ]
-        kept = distinct_roots(kept + fill)[:5]
-    return RootReport(kept, method="bring-jerrard", warnings=warnings).sort()
+    return solve(Trinomial(5, 1, -alpha, q), "series")
 
 
 def quadrinomial_series_root(

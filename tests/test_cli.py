@@ -4,7 +4,14 @@ import math
 
 import pytest
 
-from polysolve import Polynomial, all_roots_oracle, poly_from_roots
+from polysolve import (
+    Polynomial,
+    Trinomial,
+    all_roots_oracle,
+    cross_check,
+    poly_from_roots,
+    solve,
+)
 from polysolve.cli import canonical_json, main
 from polysolve.poly import format_poly
 
@@ -476,9 +483,9 @@ class TestBasins:
         for line in lines[1:]:
             fields = line.split(",")
             assert len(fields) == 5
-            assert fields[3] in {"converged", "diverged", "truncated", "partial"}
+            assert fields[3] in {"ok", "partial"}
 
-    def test_grim_failure_is_a_diverged_row(self):
+    def test_grim_failure_is_a_partial_row(self):
         # 1e300 + 1e-300 x^5: grim_solve raises GrimError, and the row says so
         code, out, _ = run_cli(
             "solve", "--coeffs", "1e300,0,0,0,0,1e-300",
@@ -486,7 +493,34 @@ class TestBasins:
         )
         assert code == 0
         rows = out.splitlines()[1:]
-        assert [row.split(",")[2:] for row in rows] == [["grim", "diverged", "nan"]]
+        assert [row.split(",")[2:] for row in rows] == [["grim", "partial", "nan"]]
+
+    @pytest.mark.parametrize("argv, probe, method, branches, words", [
+        (("--trinomial", "5", "1", "0.5", "1"),
+         lambda c: Trinomial(5, 1, c, 1), "series", [0], {"ok", "partial"}),
+        (("--coeffs", "1,1,1,1,1,1"),
+         lambda c: Polynomial([c, 1, 1, 1, 1, 1]), "grim", None, {"ok"}),
+    ], ids=["trinomial", "grim"])
+    def test_rows_read_what_solve_reads(self, argv, probe, method, branches, words):
+        # each row is solve(...) plus cross_check(..., None) at its point
+        code, out, _ = run_cli(
+            "solve", *argv, "--plot", "basins", "--grid", "-3:3:7,-3:3:7"
+        )
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 49
+        seen = set()
+        for row in rows:
+            re, im, got_method, status, residual = row.split(",")
+            eq = probe(complex(float(re), float(im)))
+            report = solve(eq, method, branches)
+            p = eq.polynomial() if isinstance(eq, Trinomial) else eq
+            expected = max((e.residual for e in report.roots), default=math.nan)
+            assert got_method == method
+            assert status == cross_check(p, report, None)
+            assert residual == f"{expected:.17g}"
+            seen.add(status)
+        assert seen == words
 
     @pytest.mark.parametrize("grid", [
         "0:1:0,0:1:1", "0:1:1,0:1:0", "0:1:-2,0:1:3",

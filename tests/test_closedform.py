@@ -10,6 +10,7 @@ from polysolve import (
     Polynomial,
     SquareDifferenceSplit,
     all_roots_oracle,
+    cross_check,
     match_roots,
     poly_from_roots,
     scaled_residual,
@@ -20,6 +21,7 @@ from polysolve import (
     solve_quartic,
     square_difference_split,
 )
+from polysolve import grim
 
 from conftest import unit_disk_poly
 
@@ -275,3 +277,23 @@ class TestSolveBySplit:
         for e in report.roots:
             assert e.residual <= 1e-9
             assert abs(scaled_residual(F, e.root) - e.residual) <= 1e-12
+
+    def test_short_grim_half_leaves_the_report_short(self, monkeypatch):
+        # GRIM drops one root of the first degree-5 half: no other path
+        # recovers it, so the report holds 9 roots and reads partial
+        real = grim.grim_solve
+        calls = []
+
+        def drop_one(p, cfg=None):
+            report = real(p, cfg)
+            calls.append(p)
+            if len(calls) == 1:
+                report.roots.pop()
+            return report
+
+        monkeypatch.setattr(grim, "grim_solve", drop_one)
+        F = unit_disk_poly(random.Random(1010), 10)
+        report = solve_by_split(F)
+        assert [p.degree for p in calls] == [5, 5]
+        assert len(report.roots) == 9
+        assert cross_check(F, report, 1e-7) == "partial"

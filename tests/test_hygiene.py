@@ -1,9 +1,9 @@
 """Static hygiene of the package, read with the stdlib ast module: no
 module in src/polysolve keeps an unused top-level import, or a private
 top-level function or class that nothing in the package references, or
-imports dataclasses, and
-every name in the package's lazy name table is defined at the top level
-of the module the table names for it."""
+imports dataclasses; every name in the package's lazy name table is
+defined at the top level of the module the table names for it; and only
+the cross-check and the coverage report reach the all-roots oracle."""
 
 from __future__ import annotations
 
@@ -75,6 +75,25 @@ def test_no_unreferenced_private_definition():
         and stmt.name not in referenced
     ]
     assert not dead, f"private definitions nothing references: {dead}"
+
+
+def test_oracle_roots_stay_out_of_route_results():
+    # poly defines the oracle, pipeline runs it as the cross-check and the
+    # "oracle" method, and grim.grim_coverage compares against it; anywhere
+    # else its roots could end up in a route's report
+    offenders = []
+    for path in MODULES:
+        if path.name in ("poly.py", "pipeline.py"):
+            continue
+        for stmt in _parse(path).body:
+            if path.name == "grim.py" and (
+                isinstance(stmt, ast.ImportFrom)
+                or getattr(stmt, "name", None) == "grim_coverage"
+            ):
+                continue
+            if "all_roots_oracle" in _references(stmt):
+                offenders.append(f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}")
+    assert not offenders, f"all_roots_oracle referenced outside the cross-check: {offenders}"
 
 
 def _top_level_definitions(tree: ast.Module) -> set[str]:
