@@ -374,14 +374,14 @@ def solve_closed(p: Polynomial) -> RootReport:
         raise ConvergenceError(f"closed form overflowed: {exc}") from exc
 
 
-def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:
+def solve_by_split(F: Polynomial) -> RootReport:
     """Roots of a monic even-degree polynomial (n <= 10) via splitting.
 
     Each monic half is solved by the closed-form solver of its degree;
     degree-5 halves go through the dominant-term iteration (GRIM). A root
     that GRIM leaves behind leaves the report short, which
     pipeline.cross_check reads as partial. All roots are polished against
-    F before reporting.
+    F, to 1e-11, before reporting.
     """
     from .grim import grim_solve
 
@@ -402,7 +402,7 @@ def solve_by_split(F: Polynomial, polish_tol: float = 1e-11) -> RootReport:
 
     entries: list[RootEntry] = []
     for root, which in raw:
-        x, res, its, converged = polish(F, root, tol=polish_tol, max_iter=80)
+        x, res, its, converged = polish(F, root, tol=1e-11, max_iter=80)
         if not converged:
             warnings.append(f"polish stalled at residual {res:.3e}")
         entries.append(RootEntry(x, res, branch=which, iterations=its))

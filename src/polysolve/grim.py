@@ -219,12 +219,12 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
 
 
 def grim_coverage(
-    p: Polynomial, cfg: GrimConfig | None = None, match_tol: float = 1e-6
+    p: Polynomial, cfg: GrimConfig | None = None
 ) -> tuple[int, int, list[complex]]:
     """Compare grim_solve output against the all-roots oracle.
 
     Returns (found, total, unmatched_oracle_roots); a root counts as found
-    when some reported root lies within match_tol of it.
+    when some reported root lies within 1e-6 of it, relative.
     """
     try:
         report = grim_solve(p, cfg)
@@ -237,7 +237,7 @@ def grim_coverage(
         oracle = exc.best
     unmatched: list[complex] = []
     for entry in oracle.roots:
-        tol = match_tol * (1.0 + abs(entry.root))
+        tol = 1e-6 * (1.0 + abs(entry.root))
         covered = False
         for g in got:
             if abs(entry.root - g) <= tol:

@@ -2,9 +2,8 @@
 Pochhammer, the one series stopping rule and pFq series.
 
 Everything here is plain 64-bit floating point (``float`` / ``complex``);
-no arbitrary precision. sum_series holds the one stopping rule of the
-series sums, all but the septic correction series (which stops at its
-first growing term), and reads each as converged, diverged or truncated.
+no arbitrary precision. sum_series holds the one stopping rule of every
+series sum, and reads each as converged, diverged or truncated.
 The pFq evaluator feeds it the term recurrence
 
     t_{n+1} = t_n * prod(a_i + n) / ((n + 1) prod(b_j + n)) * z,

@@ -435,13 +435,13 @@ def polish(
         return (*exc.best, False)
 
 
-def all_roots_oracle(p: Polynomial, tol: float = 1e-12) -> RootReport:
+def all_roots_oracle(p: Polynomial) -> RootReport:
     """All roots at once by Durand-Kerner simultaneous iteration.
 
     Deliberately independent of every other solver in the package: it is
     the cross-check oracle. Initial guesses sit on a circle of radius
     cauchy_bound/2 at angles 2*pi*(k + 0.25)/n; sweeps stop when the
-    largest coordinate move drops below tol, capped at 500 sweeps.
+    largest coordinate move drops to 1e-12, capped at 500 sweeps.
     """
     if p.degree < 1:
         raise DegreeError("all_roots_oracle needs degree >= 1")
@@ -466,7 +466,7 @@ def all_roots_oracle(p: Polynomial, tol: float = 1e-12) -> RootReport:
             delta = num / den
             xs[k] -= delta
             move = max(move, abs(delta))
-        if move <= tol:
+        if move <= 1e-12:
             converged = True
             break
     entries = [

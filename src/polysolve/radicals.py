@@ -114,28 +114,26 @@ def quadrinomial_radical_root(
     c: complex,
     cfg: RadicalIterConfig = RadicalIterConfig(),
 ) -> tuple[complex, str]:
-    """Root of x^p + alpha x^q + beta x^v - c = 0 (v < q < p).
+    """Root of x^p + alpha x^q + beta x^v - c = 0 (v < q < p, 0 < q).
 
     Outer loop updates the effective constant c' = c - beta x^v; the inner
-    loop is the trinomial iteration for x^p + alpha x^q = c'.
+    loop is trinomial_radical_root for x^p + alpha x^q = c', with
+    inner_iters as its budget.
     """
-    if not (v_exp < q_exp < p_exp):
-        raise ValueError("exponents must satisfy v < q < p")
-    phase_y = cmath.exp(2j * math.pi * cfg.k * q_exp / p_exp)
-    phase_x = cmath.exp(2j * math.pi * cfg.k / p_exp)
+    if not (v_exp < q_exp < p_exp and q_exp > 0):
+        raise ValueError("exponents must satisfy v < q < p and q > 0")
+    inner_cfg = RadicalIterConfig(
+        k=cfg.k, outer_iters=cfg.inner_iters, tol=cfg.tol, max_modulus=cfg.max_modulus
+    )
 
     def outer(x: complex) -> complex:
         c_eff = c - beta * principal_pow(x, v_exp)
-        y, _, inner_status = _guarded_fixed_point(
-            lambda y: phase_y * principal_pow(c_eff - alpha * y, q_exp / p_exp),
-            0j,
-            cfg.inner_iters,
-            cfg.tol,
-            cfg.max_modulus,
+        x_next, _, inner_status = trinomial_radical_root(
+            p_exp, q_exp, alpha, c_eff, inner_cfg
         )
         if inner_status == "diverged":
             return complex(2.0 * cfg.max_modulus)
-        return phase_x * principal_pow(c_eff - alpha * y, 1.0 / p_exp)
+        return x_next
 
     x, _, status = _guarded_fixed_point(
         outer, 0j, cfg.outer_iters, cfg.tol, cfg.max_modulus

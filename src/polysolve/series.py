@@ -1,11 +1,12 @@
 """Series root engines: inverse-power trinomial and quadrinomial expansions,
 their regrouping into generalized hypergeometric form, the Bring-Jerrard
 quintic, the general-polynomial multinomial series and the cubic-seeded
-correction series for the four-term septic. The Trinomial and Quadrinomial
-shapes are poly's, re-exported here.
+correction series for the four-term septic. Every series sum stops by
+numerics.sum_series. The Trinomial and Quadrinomial shapes are poly's,
+re-exported here.
 
-All term construction runs in log space (lgamma plus complex logs) so that
-Gamma-ratio terms far past the pole line neither overflow nor lose the
+The Gamma-ratio terms are built in log space (lgamma plus complex logs) so
+that terms far past the pole line neither overflow nor lose the
 exact zeros contributed by reciprocal-Gamma factors.
 """
 
@@ -421,16 +422,42 @@ def quadrinomial_series_root(
     return root, SeriesDiagnostics(status, terms_used, total, pre, res, its, notes=notes)
 
 
-def _series_mul(a: list[complex], b: list[complex], order: int) -> list[complex]:
-    out = [0j] * (order + 1)
-    for i, av in enumerate(a):
-        if av == 0:
-            continue
-        for j, bv in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += av * bv
-    return out
+def _septic_terms(
+    z_in: complex, g1: complex, g2: complex, g3: complex
+) -> Iterator[complex]:
+    """Terms y_1, y_2, ... of the correction series: the coefficients in t
+    of the root z_in + y(t) of g(z) + t z^7 = 0, read at t = 1, with g1, g2
+    and g3 the Taylor coefficients of g at z_in. Term m solves
+
+        g1 y_m + g2 [y^2]_m + g3 [y^3]_m + [(z_in + y)^7]_(m-1) = 0.
+
+    The coefficient lists of y^2 and of (z_in + y)^j, j = 1..7, gain one
+    entry a step, so y_m costs O(m). The powers start from z_in^j by
+    repeated products, which overflow to inf where ** raises."""
+    zy = [z_in]  # z_in + y, so zy[i] = y_i from i = 1 on
+    sq = [0j]  # y^2
+    pw = [[1.0 + 0j]] + [[] for _ in range(7)]  # (z_in + y)^j
+    for m in count(1):
+        k = m - 1
+        for j in range(1, 8):
+            lower = pw[j - 1]
+            acc = 0j
+            for i in range(min(len(lower), m)):
+                if lower[i] != 0:
+                    acc += lower[i] * zy[k - i]
+            pw[j].append(acc)
+        acc = 0j
+        for i in range(1, m):
+            if zy[i] != 0:
+                acc += zy[i] * zy[m - i]
+        sq.append(acc)
+        cube = 0j
+        for i in range(2, m):
+            if sq[i] != 0:
+                cube += sq[i] * zy[m - i]
+        term = -(g2 * acc + g3 * cube + pw[7][k]) / g1
+        zy.append(term)
+        yield term
 
 
 def adjacent_septic_root(
@@ -438,66 +465,39 @@ def adjacent_septic_root(
 ) -> tuple[complex, SeriesDiagnostics]:
     """Root of x^7 + c x^3 + a x^2 + b x - q = 0 from the cubic-seeded series.
 
-    The seed z_in is the branch-0 root that solve_cubic gives for the
-    adjacent cubic g = c z^3 + a z^2 + b z - q, polished on g. The
-    correction series is the expansion of the full root in powers of the
-    degree-7 perturbation around that cubic, built by implicit series
-    inversion and summed at weight one; the first
-    term is -z_in^7 / g'(z_in). Experimental contract: the series improves
-    the seed's residual, Newton polish supplies the final root. If the
-    series terms grow immediately the seed is returned with a warning.
+    The seed z_in is the branch-0 root that solve_closed gives for the
+    adjacent cubic g = c z^3 + a z^2 + b z - q, polished on g; a cubic
+    whose closed form overflows raises ConvergenceError. The correction
+    series (_septic_terms) expands the full root in powers of the degree-7
+    perturbation around that cubic; its first term is -z_in^7 / g'(z_in).
+    sum_series sums at most min(max_terms, 40) terms. Experimental
+    contract: the series improves the seed's residual, Newton polish
+    supplies the final root. A sum whose residual exceeds the seed's, or
+    is NaN, gives way to the seed and reads diverged.
     """
-    from .closedform import solve_cubic
+    from .closedform import solve_closed
 
     if c == 0:
         raise ValueError("adjacent method needs a nonzero x^3 coefficient")
     p = Polynomial([-q, b, a, c, 0, 0, 0, 1.0])
     g = Polynomial([-q, b, a, c])
-    seed = next(e.root for e in solve_cubic(g).roots if e.branch == 0)
+    seed = next(e.root for e in solve_closed(g).roots if e.branch == 0)
     z_in = polish(g, seed, tol=1e-15, max_iter=30)[0]
     res_seed = scaled_residual(p, z_in)
 
     g1 = 3.0 * c * z_in * z_in + 2.0 * a * z_in + b
-    g2 = 3.0 * c * z_in + a
-    g3 = c
     warnings: list[str] = []
     if g1 == 0:
         warnings.append("vanishing cubic derivative at the seed; series skipped")
         value, terms_used, status = z_in, 0, "diverged"
     else:
-        order = min(cfg.max_terms, 40)
-        y = [0j] * (order + 1)
-        for m in range(1, order + 1):
-            y2 = _series_mul(y, y, m)
-            y3 = _series_mul(y2, y, m)
-            zy = y[:]
-            zy[0] = zy[0] + z_in
-            pw = [1.0 + 0j]
-            for _ in range(7):
-                pw = _series_mul(pw, zy, m)
-            rhs = g2 * y2[m] + g3 * y3[m] + (pw[m - 1] if m - 1 <= len(pw) - 1 else 0j)
-            y[m] = -rhs / g1
-        value = z_in
-        prev = math.inf
-        status = "truncated"
-        terms_used = 0
-        for m in range(1, order + 1):
-            mag = abs(y[m])
-            if mag > prev:
-                status = "converged" if prev <= cfg.rel_tol * abs(value) else "diverged"
-                break
-            value += y[m]
-            terms_used = m
-            prev = mag
-            if mag <= cfg.rel_tol * abs(value):
-                status = "converged"
-                break
-        if terms_used == 0:
-            value = z_in
-            warnings.append("first series term already grows; seed returned")
+        terms = _septic_terms(z_in, g1, 3.0 * c * z_in + a, c)
+        value, terms_used, status = sum_series(
+            z_in, terms, min(cfg.max_terms, 40), cfg.rel_tol
+        )
 
     pre = scaled_residual(p, value)
-    if pre > res_seed:
+    if not pre <= res_seed:
         value = z_in
         pre = res_seed
         if status != "diverged":

@@ -126,3 +126,23 @@ def test_lazy_name_table_matches_definitions():
     assert not missing, f"names the table sends to a module that does not define them: {missing}"
     every = [name for names in homes.values() for name in names]
     assert len(every) == len(set(every)), "a name is listed under two modules"
+
+
+def test_every_series_engine_sums_by_sum_series():
+    # a series engine gives a verdict (it builds SeriesDiagnostics or raises
+    # DivergenceError), and the one stopping rule must be what reached it
+    engines = {
+        stmt.name: _references(stmt)
+        for stmt in _parse(PACKAGE / "series.py").body
+        if isinstance(stmt, ast.FunctionDef)
+        and {"SeriesDiagnostics", "DivergenceError"} & _references(stmt)
+    }
+    assert {
+        "reciprocal_series_root",
+        "trinomial_series_root",
+        "quadrinomial_series_root",
+        "adjacent_septic_root",
+        "general_poly_series_root",
+    } <= set(engines)
+    own_loop = sorted(name for name, refs in engines.items() if "sum_series" not in refs)
+    assert not own_loop, f"series engines that do not sum by sum_series: {own_loop}"

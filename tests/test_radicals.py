@@ -105,6 +105,8 @@ class TestQuadrinomialRadical:
     def test_exponent_order_enforced(self):
         with pytest.raises(ValueError):
             quadrinomial_radical_root(3, 5, 1, 1, 1, 1)
+        with pytest.raises(ValueError):  # the inner trinomial needs q > 0
+            quadrinomial_radical_root(5, 0, -1, 1, 1, 1)
 
 
 class TestSexticRadical:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import sys
 import threading
@@ -482,6 +483,52 @@ class TestAdjacentSeptic:
     def test_requires_cubic_term(self):
         with pytest.raises(ValueError):
             adjacent_septic_root(0, 1, 1, 1)
+
+    @staticmethod
+    def _eager_terms(z_in, g1, g2, g3, order=40):
+        """y_1..y_order the direct way: each m recomputes the truncated
+        products of y from scratch. The running-list generator must match
+        it bit for bit."""
+
+        def mul(a, b, n):
+            out = [0j] * (n + 1)
+            for i, av in enumerate(a):
+                if av == 0:
+                    continue
+                for j, bv in enumerate(b):
+                    if i + j > n:
+                        break
+                    out[i + j] += av * bv
+            return out
+
+        y = [0j] * (order + 1)
+        for m in range(1, order + 1):
+            y2 = mul(y, y, m)
+            y3 = mul(y2, y, m)
+            zy = y[:]
+            zy[0] = zy[0] + z_in
+            pw = [1.0 + 0j]
+            for _ in range(7):
+                pw = mul(pw, zy, m)
+            y[m] = -(g2 * y2[m] + g3 * y3[m] + pw[m - 1]) / g1
+        return y[1:]
+
+    def test_terms_match_the_eager_build(self, rng):
+        cases = [(1, 4, 1, 1), (1, 5, 2, 0.5), (2, -1, 3, 1 + 1j), (1, 1, 1, 0)]
+        cases += [
+            tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4))
+            for _ in range(20)
+        ]
+        for c, a, b, q in cases:
+            z_in = adjacent_septic_root(c, a, b, q)[1].notes["seed"]
+            g = (3.0 * c * z_in * z_in + 2.0 * a * z_in + b, 3.0 * c * z_in + a, c)
+            got = list(itertools.islice(series._septic_terms(z_in, *g), 40))
+            assert list(map(repr, got)) == list(map(repr, self._eager_terms(z_in, *g)))
+
+    def test_overflowed_sum_reads_diverged(self):
+        # the seed is 1e50 and its seventh power overflows to inf
+        _, diag = adjacent_septic_root(1, 0, 0, 1e150)
+        assert diag.status == "diverged"
 
 
 class TestGeneralPolySeries:
