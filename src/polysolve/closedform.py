@@ -26,7 +26,9 @@ from .poly import (
     RootReport,
     _Record,
     lu_solve,
+    newton_polygon,
     polish,
+    poly_from_roots,
     scaled_residual,
 )
 
@@ -226,17 +228,60 @@ def _reconstruction_residual(c: tuple[complex, ...], wp, wm) -> float:
     return max(abs(a - b) for a, b in zip(prod, c))
 
 
+def _divide(s: list[complex], u: list[complex]) -> tuple[list[complex], list[complex]]:
+    """Quotient and remainder of s by the monic u, coefficient lists with
+    the constant first."""
+    h = len(u) - 1
+    s = list(s)
+    quotient = [0j] * (len(s) - h)
+    for k in range(len(s) - 1, h - 1, -1):
+        t = quotient[k - h] = s[k]
+        for i in range(h):
+            s[k - h + i] -= t * u[i]
+    return quotient, s[:h]
+
+
+def _bezout_step(
+    u: list[complex], v: list[complex], r: list[complex]
+) -> tuple[list[complex], list[complex]] | None:
+    """du, dv of degree below h with v du + u dv = r, for monic u and v of
+    degree h and r of degree below 2h; None when u and v share a root.
+
+    Modulo u the system is v du = r, and v = v - u there, so du solves the
+    h x h system whose column j is x^j (v - u) mod u; then u divides
+    r - v du exactly, and the quotient is dv. The half with the smaller
+    coefficients plays u, since dividing by a half with large roots
+    amplifies rounding.
+    """
+    if max(map(abs, v)) < max(map(abs, u)):
+        step = _bezout_step(v, u, r)
+        return None if step is None else (step[1], step[0])
+    h = len(u) - 1
+    cols = [[v[i] - u[i] for i in range(h)]]
+    for _ in range(h - 1):
+        cols.append(_divide([0j] + cols[-1], u)[1])
+    _, du = lu_solve([list(row) for row in zip(*cols)], _divide(r, u)[1])
+    if du is None:
+        return None
+    rest = list(r)
+    for i, a in enumerate(v):
+        for j, b in enumerate(du):
+            rest[i + j] -= a * b
+    return du, _divide(rest, u)[0]
+
+
 def _factor_newton(
     c: tuple[complex, ...], wp0: list[complex], wm0: list[complex], max_iter: int = 80
 ) -> tuple[list[complex], list[complex], float]:
     """Damped Newton on the coefficients of the two monic halves.
 
-    The unknowns are the 2h non-leading coefficients of both halves, the
-    equations the n non-leading coefficient matches of their product with
-    c (a multi-factor Bairstow iteration). The Jacobian is the pair of
-    convolution operators, exact and cheap; steps halve (up to 20 times)
-    whenever the largest coefficient mismatch would grow. Returns both
-    halves, leading 1 appended, and that mismatch.
+    The unknowns are the 2h non-leading coefficients of both halves u and
+    v, the equations the n non-leading coefficient matches of their product
+    with c (a multi-factor Bairstow iteration). The Newton step solves
+    v du + u dv = c - u v, the Sylvester system of the pair, by an h x h
+    solve (_bezout_step); steps halve (up to 20 times) whenever the largest
+    coefficient mismatch would grow. Returns both halves, leading 1
+    appended, and that mismatch.
     """
     n = len(c) - 1
     h = n // 2
@@ -251,18 +296,10 @@ def _factor_newton(
     for _ in range(max_iter):
         if fnorm < 1e-13:
             break
-        jac = [[0j] * n for _ in range(n)]
-        uu = z[:h] + [1.0 + 0j]
-        vv = z[h:] + [1.0 + 0j]
-        for i in range(n):
-            for j in range(h):
-                # d prod[i] / d u_j = v_{i-j}; / d v_j = u_{i-j}
-                if 0 <= i - j <= h:
-                    jac[i][j] = vv[i - j]
-                    jac[i][h + j] = uu[i - j]
-        _, delta = lu_solve(jac, [-x for x in fz])
-        if delta is None:
+        step = _bezout_step(z[:h] + [1.0 + 0j], z[h:] + [1.0 + 0j], [-x for x in fz])
+        if step is None:
             break
+        delta = step[0] + step[1]
         scale = 1.0
         improved = False
         for _ in range(20):
@@ -277,6 +314,24 @@ def _factor_newton(
         if not improved:
             break
     return z[:h] + [1.0 + 0j], z[h:] + [1.0 + 0j], fnorm
+
+
+def _polygon_halves(F: Polynomial) -> list[list[complex]]:
+    """Start halves from the Newton polygon of F. Each edge (i, j, u) gives
+    the j - i roots of its binomial c_j x^(j-i) + c_i, all at radius u,
+    turned by 0.1 rad so that a real F does not start from a conjugate
+    pair. The m zeros of x^m dividing F come first, then the edges from the
+    smallest radius up, each edge's points by angle; the first h points are
+    the roots of one monic half, the rest those of the other."""
+    c = F.coeffs
+    points = []
+    for i, j, u in newton_polygon(F):
+        base = cmath.phase(-c[i]) - cmath.phase(c[j])
+        turns = [(base + 2.0 * math.pi * k) / (j - i) + 0.1 for k in range(j - i)]
+        points += sorted((u * cmath.exp(1j * t) for t in turns), key=cmath.phase)
+    points[:0] = [0j] * (F.degree - len(points))
+    h = F.degree // 2
+    return [list(poly_from_roots(half).coeffs) for half in (points[:h], points[h:])]
 
 
 def _split_from_halves(
@@ -310,13 +365,14 @@ def square_difference_split(
 
     Degree 4 goes through the closed-form resolvent cubic, refined in factor
     space when a degenerate resolvent costs digits. Degrees 6-10 run the
-    factor-coefficient Newton iteration from up to max_starts seeded
-    Gaussian starts for both monic halves, returning the first split whose
-    largest coefficient mismatch is at most residual_target (the first
-    start almost always suffices). The result carries the paper's
-    omega / l_vars parameterization of the factor pair. The split always
-    exists over C; failure to reach the target indicates iteration limits
-    and raises ConvergenceError with the best split attached.
+    factor-coefficient Newton iteration from up to max_starts starts,
+    returning the first split whose largest coefficient mismatch is at most
+    residual_target. The first start takes its halves' roots from the
+    Newton polygon of F (_polygon_halves) and almost always suffices; the
+    others are seeded Gaussian coefficients. The result carries the
+    paper's omega / l_vars parameterization of the factor pair. The split
+    always exists over C; failure to reach the target indicates iteration
+    limits and raises ConvergenceError with the best split attached.
     """
     n = F.degree
     if n not in (4, 6, 8, 10):
@@ -337,15 +393,16 @@ def square_difference_split(
         raise ValueError("square_difference_split needs max_starts >= 1")
     rng = random.Random(0xD1FF ^ n)
     best_split: SquareDifferenceSplit | None = None
+    wp0, wm0 = _polygon_halves(F)
     for _ in range(max_starts):
-        wp0 = [complex(rng.gauss(0.0, 0.8), rng.gauss(0.0, 0.8)) for _ in range(h)]
-        wm0 = [complex(rng.gauss(0.0, 0.8), rng.gauss(0.0, 0.8)) for _ in range(h)]
         wp, wm, _ = _factor_newton(c, wp0, wm0)
         split = _split_from_halves(c, wp, wm)
         if best_split is None or split.residual < best_split.residual:
             best_split = split
         if best_split.residual <= residual_target:
             return best_split
+        wp0 = [complex(rng.gauss(0.0, 0.8), rng.gauss(0.0, 0.8)) for _ in range(h)]
+        wm0 = [complex(rng.gauss(0.0, 0.8), rng.gauss(0.0, 0.8)) for _ in range(h)]
 
     raise ConvergenceError(
         f"square-difference split stalled at residual {best_split.residual:.3e}",

@@ -29,6 +29,7 @@ from .numerics import (
     sum_series,
 )
 from .poly import (
+    ConvergenceError,
     Polynomial,
     Quadrinomial,
     RootReport,
@@ -467,7 +468,8 @@ def adjacent_septic_root(
 
     The seed z_in is the branch-0 root that solve_closed gives for the
     adjacent cubic g = c z^3 + a z^2 + b z - q, polished on g; a cubic
-    whose closed form overflows raises ConvergenceError. The correction
+    whose closed form overflows, or a seed whose residual on the septic
+    does not stay finite, raises ConvergenceError. The correction
     series (_septic_terms) expands the full root in powers of the degree-7
     perturbation around that cubic; its first term is -z_in^7 / g'(z_in).
     sum_series sums at most min(max_terms, 40) terms. Experimental
@@ -484,6 +486,8 @@ def adjacent_septic_root(
     seed = next(e.root for e in solve_closed(g).roots if e.branch == 0)
     z_in = polish(g, seed, tol=1e-15, max_iter=30)[0]
     res_seed = scaled_residual(p, z_in)
+    if not math.isfinite(res_seed):
+        raise ConvergenceError(f"septic residual at the seed {z_in} overflowed")
 
     g1 = 3.0 * c * z_in * z_in + 2.0 * a * z_in + b
     warnings: list[str] = []

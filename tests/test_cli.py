@@ -294,12 +294,19 @@ class TestSolve:
             doc = json.loads(out)
             assert len(doc["roots"]) == int(args[0])
             assert doc["status"] == "ok"
-        # the adjacent route seeds from the same closed cubic
-        for coeffs in ("-1e200,0,0,1,0,0,0,1", "-1,1,1e200,1,0,0,0,1"):
-            code, out, err = run_cli("solve", f"--coeffs={coeffs}", "--method", "adjacent")
+        # the adjacent route seeds from the same closed cubic; at 1e150 the
+        # cubic seed 1e50 is finite but its residual on the septic is not
+        for coeffs, error in (
+            ("-1e200,0,0,1,0,0,0,1", "error: closed form overflowed"),
+            ("-1,1,1e200,1,0,0,0,1", "error: closed form overflowed"),
+            ("-1e150,0,0,1,0,0,0,1", "error: septic residual at the seed"),
+        ):
+            code, out, err = run_cli(
+                "solve", f"--coeffs={coeffs}", "--method", "adjacent", "--json"
+            )
             assert code == 2, coeffs
             assert out == ""
-            assert err.startswith("error: closed form overflowed")
+            assert err.startswith(error)
 
     def test_grim_finds_the_small_root(self):
         # x^5 - 1e6 x - 1: the root near -1e-6 comes from the polygon

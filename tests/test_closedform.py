@@ -21,7 +21,8 @@ from polysolve import (
     solve_quartic,
     square_difference_split,
 )
-from polysolve import grim
+from polysolve import closedform, grim
+from polysolve.poly import lu_solve
 
 from conftest import unit_disk_poly
 
@@ -214,14 +215,25 @@ class TestSquareDifferenceSplit:
 
     @pytest.mark.parametrize("degree", [6, 8, 10])
     @pytest.mark.parametrize(
-        "corpus", [_clustered_poly, _real_poly, _wide_scale_poly],
-        ids=["clustered", "real", "wide_scale"],
+        "corpus", [unit_disk_poly, _clustered_poly, _real_poly, _wide_scale_poly],
+        ids=["unit_disk", "clustered", "real", "wide_scale"],
     )
-    def test_hard_corpora_residual(self, corpus, degree):
+    def test_hard_corpora_residual(self, monkeypatch, corpus, degree):
+        # the Newton-polygon start reaches the target: one Newton run each
+        calls = []
+        real = closedform._factor_newton
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(closedform, "_factor_newton", counted)
         rng = random.Random(degree * 101)
         for _ in range(50):
             F = corpus(rng, degree)
+            calls.clear()
             assert square_difference_split(F).residual <= 1e-9, F
+            assert len(calls) == 1, F
 
     def test_deterministic(self):
         F = unit_disk_poly(random.Random(610), 10)
@@ -250,7 +262,58 @@ class TestSquareDifferenceSplit:
             square_difference_split(Polynomial([1, 0, 0, 0, 0, 0, 2]))
 
 
+class TestBezoutStep:
+    @staticmethod
+    def _dense_step(u, v, r):
+        # the full n x n Jacobian of the coefficient matches: column j of
+        # the first block is x^j v, of the second x^j u
+        h = len(u) - 1
+        n = 2 * h
+        jac = [[0j] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(h):
+                if 0 <= i - j <= h:
+                    jac[i][j] = v[i - j]
+                    jac[i][h + j] = u[i - j]
+        _, delta = lu_solve(jac, r)
+        return delta[:h], delta[h:]
+
+    @pytest.mark.parametrize("h", [2, 3, 4, 5])
+    def test_matches_the_dense_jacobian_solve(self, h):
+        rng = random.Random(h)
+
+        def draw(k):
+            return [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(k)]
+
+        for _ in range(20):
+            u, v, r = draw(h) + [1], draw(h) + [1], draw(2 * h)
+            got = closedform._bezout_step(u, v, r)
+            want = self._dense_step(u, v, r)
+            for a, b in zip(got, want):
+                scale = max(abs(x) for x in b)
+                assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12 * scale
+
+    def test_shared_root_is_none(self):
+        # u = (x - 1)(x - 2) and v = (x - 1)(x + 3) share the root 1
+        assert closedform._bezout_step([2, -3, 1], [-3, 2, 1], [1, 1, 1, 1]) is None
+
+
 class TestSolveBySplit:
+    @pytest.mark.parametrize(
+        "coeffs", [[0] * 6 + [1], [0] * 8 + [1], [0, 0, 1, 0, 0, 0, 1]],
+        ids=["x^6", "x^8", "x^2(x^4+1)"],
+    )
+    def test_zero_roots_give_n_roots(self, coeffs):
+        F = Polynomial(coeffs)
+        report = solve_by_split(F)
+        assert len(report.roots) == F.degree
+        worst, _ = match_roots(report, all_roots_oracle(F))
+        assert worst <= 1e-7
+
+    def test_x6_gives_six_zeros(self):
+        report = solve_by_split(Polynomial([0] * 6 + [1]))
+        assert [e.root for e in report.roots] == [0j] * 6
+
     def test_sixth_roots_of_unity(self):
         expected = [cmath.exp(2j * math.pi * k / 6) for k in range(6)]
         report = solve_by_split(Polynomial([-1, 0, 0, 0, 0, 0, 1]))

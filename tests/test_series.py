@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from polysolve import (
+    ConvergenceError,
     DivergenceError,
     Polynomial,
     Quadrinomial,
@@ -526,9 +527,16 @@ class TestAdjacentSeptic:
             assert list(map(repr, got)) == list(map(repr, self._eager_terms(z_in, *g)))
 
     def test_overflowed_sum_reads_diverged(self):
-        # the seed is 1e50 and its seventh power overflows to inf
-        _, diag = adjacent_septic_root(1, 0, 0, 1e150)
+        # the seed 1e40 has a finite residual, but the second term of the
+        # correction series overflows
+        _, diag = adjacent_septic_root(1, 0, 0, 1e120)
         assert diag.status == "diverged"
+        assert diag.notes["seed_residual"] == 1.0
+
+    def test_overflowed_seed_residual_raises(self):
+        # the seed is 1e50 and its seventh power overflows to inf
+        with pytest.raises(ConvergenceError):
+            adjacent_septic_root(1, 0, 0, 1e150)
 
 
 class TestGeneralPolySeries:
