@@ -31,15 +31,12 @@ _HOMES = {
     ),
     "grim": ("GrimConfig", "grim_coverage", "grim_solve"),
     "numerics": (
-        "DivergenceError",
         "PFQParams",
         "PFQResult",
         "PoleError",
-        "SeriesConfig",
         "gamma_real",
         "pfq_eval",
         "pochhammer",
-        "principal_pow",
         "recip_gamma_real",
     ),
     "pipeline": ("cross_check", "solve"),
@@ -47,11 +44,13 @@ _HOMES = {
         "ConvergenceError",
         "DegenerateError",
         "DegreeError",
+        "DivergenceError",
         "GrimError",
         "Polynomial",
         "Quadrinomial",
         "RootEntry",
         "RootReport",
+        "SeriesConfig",
         "Trinomial",
         "all_roots_oracle",
         "cauchy_bound",
@@ -64,6 +63,7 @@ _HOMES = {
         "parse_poly",
         "polish",
         "poly_from_roots",
+        "principal_pow",
         "scaled_residual",
     ),
     "radicals": (

@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Subcommands: solve, rd-table, pfq, resultant, tschirnhaus. Each handler
-imports the route or algebra module it runs, so importing this module loads
-only pipeline, poly and numerics of the package. The result and config
+imports the route, algebra or numerics module it runs, so importing this
+module loads only pipeline and poly of the package. The result and config
 types are plain slotted classes, so neither importing this module nor a
 solve loads the standard library's dataclasses (or the inspect module it
-pulls in). Output is
-deterministic; JSON uses a fixed key order and 17-significant-digit float
-formatting so that identical invocations are byte-identical and emitted
-documents round-trip through a parser unchanged.
+pulls in); canonical_json escapes strings itself, so neither loads json.
+Output is deterministic; JSON uses a fixed key order and 17-significant-digit
+float formatting so that identical invocations are byte-identical and
+emitted documents round-trip through a parser unchanged.
 
 Coefficient input is constant term first ("c0,c1,...,cn"), matching the
 Polynomial type; note that hand-written algebra usually lists the leading
@@ -18,12 +18,10 @@ coefficient first.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 
-from .numerics import PFQParams, PoleError, SeriesConfig, pfq_eval
 from .pipeline import METHODS, Shape, cross_check, shape_of, solve
 from .poly import (
     ConvergenceError,
@@ -31,6 +29,7 @@ from .poly import (
     Polynomial,
     Quadrinomial,
     RootReport,
+    SeriesConfig,
     Trinomial,
     parse_coefficient,
     parse_poly,
@@ -44,10 +43,37 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# json.dumps's escapes of a quote, a backslash and every character outside
+# printable ASCII: a short escape where JSON has one, else \uXXXX (a
+# surrogate pair past the BMP)
+_STRING_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+    "\b": "\\b", "\f": "\\f",
+}
+_NEEDS_ESCAPE = re.compile(r'[\\"]|[^ -~]')
+
+
+def _escape(match: re.Match) -> str:
+    ch = match.group()
+    short = _STRING_ESCAPES.get(ch)
+    if short is not None:
+        return short
+    n = ord(ch)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _json_string(text: str) -> str:
+    """text as json.dumps writes it, byte for byte (ASCII only)."""
+    return '"' + _NEEDS_ESCAPE.sub(_escape, text) + '"'
+
+
 def canonical_json(obj) -> str:
     """Deterministic JSON: insertion-ordered keys, fixed float format."""
     if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(k)}:{canonical_json(v)}" for k, v in obj.items())
+        inner = ",".join(f"{_json_string(k)}:{canonical_json(v)}" for k, v in obj.items())
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
@@ -59,7 +85,7 @@ def canonical_json(obj) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _json_string(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -205,6 +231,8 @@ def cmd_rd_table(args, out, err) -> int:
 
 
 def cmd_pfq(args, out, err) -> int:
+    from .numerics import PFQParams, PoleError, pfq_eval
+
     upper = tuple(parse_coefficient(t) for t in args.upper.split(",") if t.strip())
     lower = tuple(parse_coefficient(t) for t in args.lower.split(",") if t.strip())
     z = parse_coefficient(args.z)

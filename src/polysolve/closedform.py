@@ -17,7 +17,6 @@ import cmath
 import math
 import random
 
-from .numerics import principal_pow
 from .poly import (
     ConvergenceError,
     DegreeError,
@@ -29,6 +28,7 @@ from .poly import (
     newton_polygon,
     polish,
     poly_from_roots,
+    principal_pow,
     scaled_residual,
 )
 
@@ -322,15 +322,19 @@ def _polygon_halves(F: Polynomial) -> list[list[complex]]:
     turned by 0.1 rad so that a real F does not start from a conjugate
     pair. The m zeros of x^m dividing F come first, then the edges from the
     smallest radius up, each edge's points by angle; the first h points are
-    the roots of one monic half, the rest those of the other."""
+    the roots of one monic half, the rest those of the other. When x^h
+    divides F the halves are the exact pair x^h and F / x^h: both halves
+    would hold a zero, where the Newton step is singular."""
     c = F.coeffs
+    h = F.degree // 2
+    if not any(c[:h]):
+        return [[0j] * h + [1 + 0j], list(c[h:])]
     points = []
     for i, j, u in newton_polygon(F):
         base = cmath.phase(-c[i]) - cmath.phase(c[j])
         turns = [(base + 2.0 * math.pi * k) / (j - i) + 0.1 for k in range(j - i)]
         points += sorted((u * cmath.exp(1j * t) for t in turns), key=cmath.phase)
     points[:0] = [0j] * (F.degree - len(points))
-    h = F.degree // 2
     return [list(poly_from_roots(half).coeffs) for half in (points[:h], points[h:])]
 
 

@@ -1,5 +1,5 @@
-"""Special-function kernel: Gamma, reciprocal Gamma, principal powers,
-Pochhammer, the one series stopping rule and pFq series.
+"""Special-function kernel: Gamma, reciprocal Gamma, Pochhammer, the one
+series stopping rule and pFq series.
 
 Everything here is plain 64-bit floating point (``float`` / ``complex``);
 no arbitrary precision. sum_series holds the one stopping rule of every
@@ -14,26 +14,17 @@ parameter set (_step_table), and every sum with those parameters reads them.
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import count, islice
 
-from .poly import _Record, _require_count, _require_positive
+from .poly import SeriesConfig, _Record
 
 
 class PoleError(ValueError):
     """Evaluation hit a Gamma pole that the series cannot step over."""
-
-
-class DivergenceError(ArithmeticError):
-    """A series or iteration failed to converge; carries the partial value."""
-
-    def __init__(self, message: str, partial: complex | None = None):
-        super().__init__(message)
-        self.partial = partial
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -73,17 +64,6 @@ def gamma_sign(x: float) -> int:
     return -1 if math.ceil(-x) % 2 else 1
 
 
-def principal_pow(z: complex, e: float) -> complex:
-    """Principal branch of z**e in polar form, |z|**e at angle e*Arg(z)
-    with Arg in [-pi, pi]; the sign of a zero imaginary part picks the side
-    of the negative real axis. 0 maps to 0."""
-    if z == 0:
-        return 0j
-    r = abs(z) ** e
-    theta = cmath.phase(z) * e
-    return complex(r * math.cos(theta), r * math.sin(theta))
-
-
 def pochhammer(a: complex, n: int) -> complex:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1); (a)_0 = 1."""
     if n < 0:
@@ -102,20 +82,6 @@ class PFQParams(_Record, frozen=True):
     def __init__(self, upper: Iterable[complex], lower: Iterable[complex]):
         object.__setattr__(self, "upper", tuple(complex(a) for a in upper))
         object.__setattr__(self, "lower", tuple(complex(b) for b in lower))
-
-
-class SeriesConfig(_Record, frozen=True):
-    """Truncation and convergence control for series summation."""
-
-    __slots__ = ("max_terms", "rel_tol")
-
-    def __init__(self, max_terms: int = 400, rel_tol: float = 1e-12):
-        _require_count("max_terms", max_terms)
-        _require_positive("rel_tol", rel_tol)
-        if rel_tol < 2.3e-16:
-            raise ValueError("rel_tol below machine epsilon")
-        object.__setattr__(self, "max_terms", max_terms)
-        object.__setattr__(self, "rel_tol", rel_tol)
 
 
 class PFQResult(_Record):

@@ -15,13 +15,14 @@ from __future__ import annotations
 import cmath
 import math
 
-from .numerics import DivergenceError, SeriesConfig
 from .poly import (
     ConvergenceError,
+    DivergenceError,
     Polynomial,
     Quadrinomial,
     RootEntry,
     RootReport,
+    SeriesConfig,
     Trinomial,
     _Record,
     all_roots_oracle,

@@ -1,7 +1,8 @@
 """Polynomial core: representation (with the trinomial and quadrinomial
-shapes the routes recognize), evaluation, bounds, Newton polishing, the
-Durand-Kerner all-roots oracle, the errors every route may raise and the
-base of the package's result and config types.
+shapes the routes recognize), evaluation, principal powers, bounds, Newton
+polishing, the Durand-Kerner all-roots oracle, the errors every route may
+raise, the series configuration and the base of the package's result and
+config types.
 
 Coefficients are stored constant-term first: coeffs[i] multiplies x**i.
 """
@@ -80,6 +81,14 @@ class ConvergenceError(ArithmeticError):
         self.best = best
 
 
+class DivergenceError(ArithmeticError):
+    """A series or iteration failed to converge; carries the partial value."""
+
+    def __init__(self, message: str, partial: complex | None = None):
+        super().__init__(message)
+        self.partial = partial
+
+
 class DegenerateError(ArithmeticError):
     """A construction collapsed (e.g. vanishing discriminant and leading term)."""
 
@@ -91,6 +100,20 @@ class GrimError(ArithmeticError):
     def __init__(self, message: str, diagnostics: list[str]):
         super().__init__(message)
         self.diagnostics = diagnostics
+
+
+class SeriesConfig(_Record, frozen=True):
+    """Truncation and convergence control for series summation."""
+
+    __slots__ = ("max_terms", "rel_tol")
+
+    def __init__(self, max_terms: int = 400, rel_tol: float = 1e-12):
+        _require_count("max_terms", max_terms)
+        _require_positive("rel_tol", rel_tol)
+        if rel_tol < 2.3e-16:
+            raise ValueError("rel_tol below machine epsilon")
+        object.__setattr__(self, "max_terms", max_terms)
+        object.__setattr__(self, "rel_tol", rel_tol)
 
 
 class Polynomial(_Record, frozen=True):
@@ -261,6 +284,17 @@ def eval_poly_and_deriv(p: Polynomial, x: complex) -> tuple[complex, complex]:
         d = d * x + b
         b = b * x + c
     return b, d
+
+
+def principal_pow(z: complex, e: float) -> complex:
+    """Principal branch of z**e in polar form, |z|**e at angle e*Arg(z)
+    with Arg in [-pi, pi]; the sign of a zero imaginary part picks the side
+    of the negative real axis. 0 maps to 0."""
+    if z == 0:
+        return 0j
+    r = abs(z) ** e
+    theta = cmath.phase(z) * e
+    return complex(r * math.cos(theta), r * math.sin(theta))
 
 
 def scaled_residual(p: Polynomial, x: complex) -> float:

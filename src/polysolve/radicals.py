@@ -12,8 +12,14 @@ from __future__ import annotations
 import cmath
 import math
 
-from .numerics import principal_pow
-from .poly import Polynomial, _Record, _require_count, _require_positive, polish
+from .poly import (
+    Polynomial,
+    _Record,
+    _require_count,
+    _require_positive,
+    polish,
+    principal_pow,
+)
 
 
 class RadicalIterConfig(_Record, frozen=True):

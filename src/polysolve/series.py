@@ -16,28 +16,26 @@ import cmath
 import math
 from array import array
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count
+from typing import TYPE_CHECKING
 
-from .numerics import (
-    DivergenceError,
-    PFQParams,
-    SeriesConfig,
-    gamma_sign,
-    pfq_eval,
-    sum_series,
-)
+from .numerics import PFQParams, gamma_sign, pfq_eval, sum_series
 from .poly import (
     ConvergenceError,
+    DivergenceError,
     Polynomial,
     Quadrinomial,
     RootReport,
+    SeriesConfig,
     Trinomial,
     _Record,
     polish,
     scaled_residual,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _TWO_PI = 2.0 * math.pi
 _INF = complex(math.inf, 0.0)
@@ -220,6 +218,8 @@ def _trinomial_terms(t: Trinomial, k: int, stop: int) -> Iterator[complex]:
 def argument_modulus_constant(s: int, b: int) -> Fraction:
     """Exact modulus coefficient b^b (s-b)^(s-b) / s^s of the regrouped
     hypergeometric argument."""
+    from fractions import Fraction
+
     if not 1 <= b < s:
         raise ValueError("need 1 <= b < s")
     return Fraction(b**b * (s - b) ** (s - b), s**s)
@@ -283,7 +283,8 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
     (-1)^(s-b) * b^b (s-b)^(s-b) / s^s * alpha^s / q^(s-b) (unit phase
     e^(2*pi*i*k*b) folded in). Parameters follow from the Gamma shift
     algebra in exact rational arithmetic, with upper/lower cancellation;
-    they depend on (s, b, class) alone and are built once (_class_params).
+    they and each class's power of q depend on (s, b, class) alone and are
+    built once (_class_params).
     """
     s, b = t.s, t.b
     const = argument_modulus_constant(s, b)
@@ -300,8 +301,7 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
     log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
     groups: list[PFQRootGroup] = []
     for n0 in range(s):
-        power = Fraction(1 + b * n0 - n0 * s, s)
-        params = _class_params(s, b, n0)
+        power, params = _class_params(s, b, n0)
         # prefactor = first class term without its q power
         if sign[n0] == 0.0:
             pref = 0j
@@ -317,20 +317,24 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
 
 
 @lru_cache(maxsize=1024)
-def _class_params(s: int, b: int, r0: int) -> PFQParams:
-    """pFq parameters of residue class r0 (term indices n = r0 mod s), from
-    the Gamma shift algebra in exact rational arithmetic with upper/lower
-    cancellation; empty for a class whose first term sits on a
-    reciprocal-Gamma pole (the whole class vanishes)."""
+def _class_params(s: int, b: int, r0: int) -> tuple[Fraction, PFQParams]:
+    """The exact power of q of residue class r0 (term indices n = r0 mod s)
+    and its pFq parameters, from the Gamma shift algebra in exact rational
+    arithmetic with upper/lower cancellation; the parameters are empty for
+    a class whose first term sits on a reciprocal-Gamma pole (the whole
+    class vanishes)."""
+    from fractions import Fraction
+
+    power = Fraction(1 + b * r0 - r0 * s, s)
     num2 = 1 + b * r0 + s - r0 * s
     if num2 % s == 0 and num2 <= 0:
-        return PFQParams((), ())
+        return power, PFQParams((), ())
     a0 = Fraction(1 + b * r0, s) + 1 - r0  # class-start denominator argument
     upper = [(Fraction(1 + b * r0, s) + i) / b for i in range(b)]
     upper += [(Fraction(tt) - a0) / (s - b) for tt in range(1, s - b + 1)]
     lower = [Fraction(r0 + j, s) for j in range(1, s + 1) if j != s - r0]
     upper_red, lower_red = _cancel_params(upper, lower)
-    return PFQParams(
+    return power, PFQParams(
         tuple(complex(float(u)) for u in upper_red),
         tuple(complex(float(l)) for l in lower_red),
     )

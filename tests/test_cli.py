@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polysolve import (
     Polynomial,
@@ -381,6 +382,35 @@ class TestDeterminism:
     def test_non_finite_floats_serialize_as_null(self):
         text = canonical_json([math.nan, math.inf, -math.inf, 0.5])
         assert text == "[null,null,null,0.5]"
+
+    @pytest.mark.parametrize(
+        "text",
+        ['"', "\\", "\n\r\t\b\f", "".join(map(chr, range(0x20))), "\x7f", "é",
+         "\U0001d11e", "a\"b\\c\u2028\ud800\U0010ffff~ "],
+        ids=["quote", "backslash", "short-escapes", "controls", "del", "e-acute",
+             "astral", "mixed"],
+    )
+    def test_strings_encode_as_json_dumps(self, text):
+        # canonical_json escapes strings itself, so that the CLI loads no json
+        assert canonical_json(text) == json.dumps(text)
+        assert canonical_json({text: [text]}) == f"{{{json.dumps(text)}:[{json.dumps(text)}]}}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_any_string_encodes_as_json_dumps(self, text):
+        assert canonical_json(text) == json.dumps(text)
+        assert canonical_json({text: text}) == f"{{{json.dumps(text)}:{json.dumps(text)}}}"
+
+    def test_report_bytes_unchanged(self):
+        # the output of the json.dumps string encoder, recorded before
+        # canonical_json wrote its own
+        code, out, _ = run_cli("solve", "--coeffs", "1e200,0,1e-200", "--json")
+        assert code == 0
+        assert out == (
+            '{"method":"closed-quadratic","roots":[{"re":-0,"im":null,"residual":null,'
+            '"branch":0},{"re":null,"im":null,"residual":null,"branch":1}],'
+            '"warnings":["root (-0-infj) is not finite"],"status":"mismatch"}\n'
+        )
 
 
 class TestRDTable:

@@ -310,6 +310,33 @@ class TestSolveBySplit:
         worst, _ = match_roots(report, all_roots_oracle(F))
         assert worst <= 1e-7
 
+    @pytest.mark.parametrize(
+        "m, tail",
+        [(5, [1, 0, 0, 1]), (6, [1, 0, 1]), (7, [1, 1]), (4, [1, 0, 1]), (6, [1, 0, 0, 0, 1]),
+         (9, [1, 1])],
+        ids=["x^5(x^3+1)", "x^6(x^2+1)", "x^7(x+1)", "x^4(x^2+1)", "x^6(x^4+1)", "x^9(x+1)"],
+    )
+    def test_zero_root_of_multiplicity_at_least_half_is_exact(self, m, tail):
+        # x^h divides F: the split starts from x^h and F / x^h, whose product
+        # is F exactly, so the zeros are not smeared over a singular step
+        F = Polynomial([0] * m + tail)
+        report = solve_by_split(F)
+        assert cross_check(F, report, 1e-8) == "ok"
+        zeros = sorted(report.values(), key=abs)[:m]
+        assert max(map(abs, zeros)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_x_h_divisor_starts_from_the_exact_pair(self, n):
+        rng = random.Random(n)
+        h = n // 2
+        for m in range(h, n):
+            rest = unit_disk_poly(rng, n - m).coeffs
+            F = Polynomial([0] * m + list(rest))
+            split = square_difference_split(F)
+            assert split.residual == 0.0
+            assert split.w_plus == [0j] * h + [1]
+            assert cross_check(F, solve_by_split(F), 1e-8) == "ok"
+
     def test_x6_gives_six_zeros(self):
         report = solve_by_split(Polynomial([0] * 6 + [1]))
         assert [e.root for e in report.roots] == [0j] * 6

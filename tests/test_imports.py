@@ -2,16 +2,20 @@
 
 The guard tests run fresh interpreters without a bytecode cache, as a
 ``polysolve solve`` call does, and read which polysolve modules each step
-loaded: the CLI loads none of the route modules, and a solve loads only
-the route it runs. They also read whether the standard library's
-dataclasses and inspect were loaded: no step loads either.
+loaded: the CLI loads none of the route modules, nor numerics, and a solve
+loads only the route it runs. They also read which of the standard
+library's dataclasses, inspect, json, fractions and decimal were loaded:
+no step loads the first three, and only the pFq form's exact rationals
+load the last two.
 """
 
 from __future__ import annotations
 
+import ast
+import copy
 import importlib
-import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -44,52 +48,63 @@ PUBLIC = (
     "trinomial_series_root", "tschirnhaus_quadratic",
 )
 
-STDLIB = {"dataclasses", "inspect"}
+STDLIB = {"dataclasses", "inspect", "json", "fractions", "decimal"}
 
 # prints the polysolve modules, and those of STDLIB, loaded after the
-# import, then after main(argv)
-PROBE = """
-import io, json, sys
-import polysolve.cli
+# statement given as argv[1], then after main(argv[2:]); it takes argv as
+# it is and prints a Python literal, so that it loads none of STDLIB itself
+PROBE = f"""
+import io, sys
+exec(sys.argv[1])
 
 def loaded():
     names = [m.split(".")[1] for m in sys.modules if m.startswith("polysolve.")]
-    return sorted(names + [m for m in ("dataclasses", "inspect") if m in sys.modules])
+    return sorted(names + [m for m in {sorted(STDLIB)!r} if m in sys.modules])
 
 before = loaded()
-code = polysolve.cli.main(json.loads(sys.argv[1]), out=io.StringIO(), err=io.StringIO())
-print(json.dumps([before, loaded(), code]))
+code = None
+if len(sys.argv) > 2:
+    import polysolve.cli
+    code = polysolve.cli.main(sys.argv[2:], out=io.StringIO(), err=io.StringIO())
+print([before, loaded(), code])
 """
 
 
-def _fresh_run(argv: list[str]) -> tuple[set[str], set[str], int]:
+def _fresh_run(
+    argv: list[str], first: str = "import polysolve.cli"
+) -> tuple[set[str], set[str], int | None]:
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(argv)],
+        [sys.executable, "-c", PROBE, first, *argv],
         env=env, capture_output=True, text=True, check=True,
     )
-    before, after, code = json.loads(proc.stdout)
+    before, after, code = ast.literal_eval(proc.stdout)
     return set(before), set(after), code
 
 
 class TestImportGuard:
     def test_cli_import_loads_no_route(self):
-        # and neither dataclasses nor inspect
+        # nor numerics, nor any of STDLIB
         before, _, _ = _fresh_run(["rd-table", "5"])
-        assert before == {"cli", "numerics", "pipeline", "poly"}
+        assert before == {"cli", "pipeline", "poly"}
 
     def test_closed_solve_loads_only_closedform(self):
         _, after, code = _fresh_run(["solve", "--coeffs=1,2,3", "--json"])
         assert code == 0
-        assert "closedform" in after
-        assert not after & {"algebra", "grim", "radicals", "series"}
-        assert not after & STDLIB
+        assert after == {"cli", "closedform", "pipeline", "poly"}
+
+    def test_closed_cubic_loads_no_numerics(self):
+        # the cubic takes its principal cube root from poly
+        _, after, code = _fresh_run(["solve", "--coeffs=-1,0,0,1", "--json"])
+        assert code == 0
+        assert after == {"cli", "closedform", "pipeline", "poly"}
 
     def test_split_solve_loads_only_closedform_and_grim(self):
         # even degree 6: auto splits it; solve_by_split imports grim too
         _, after, code = _fresh_run(["solve", "--coeffs=1,0,2,0,3,0,1", "--json"])
         assert code == 0
         assert after & set(ROUTES) == {"closedform", "grim"}
+        assert "numerics" not in after
         assert not after & STDLIB
 
     def test_grim_solve_loads_only_grim(self):
@@ -97,15 +112,30 @@ class TestImportGuard:
         _, after, code = _fresh_run(["solve", "--coeffs=1,1,1,0,0,1", "--json"])
         assert code == 0
         assert "grim" in after
-        assert not after & {"algebra", "closedform", "radicals", "series"}
+        assert not after & {"algebra", "closedform", "numerics", "radicals", "series"}
         assert not after & STDLIB
 
     def test_series_solve_loads_no_other_route(self):
+        # the series sums by numerics.sum_series, in floats: no exact rationals
         _, after, code = _fresh_run(["solve", "--trinomial", "5", "1", "0.5", "1", "--json"])
         assert code == 0
-        assert "series" in after
+        assert {"numerics", "series"} <= after
         assert not after & {"algebra", "closedform", "grim", "radicals"}
         assert not after & STDLIB
+
+    def test_pfq_solve_loads_numerics_and_the_exact_rationals(self):
+        _, after, code = _fresh_run(
+            ["solve", "--trinomial", "5", "1", "0.5", "1", "--method", "pfq", "--json"]
+        )
+        assert code == 0
+        assert after & set(ROUTES) == {"series"}
+        assert "numerics" in after
+        assert after & STDLIB == {"fractions", "decimal"}
+
+    def test_pfq_command_loads_numerics(self):
+        _, after, code = _fresh_run(["pfq", "--upper", "1", "--lower", "2", "--z", "0.5"])
+        assert code == 0
+        assert after == {"cli", "numerics", "pipeline", "poly"}
 
     @pytest.mark.parametrize(
         "argv", [["rd-table", "5"], ["resultant", "-1,1", "1,1"], ["tschirnhaus", "1,2,3,0,0,1"]]
@@ -114,6 +144,47 @@ class TestImportGuard:
         _, after, code = _fresh_run(argv)
         assert code == 0
         assert after & set(ROUTES) == {"algebra"}
+
+
+# names that moved from numerics to poly, so that a CLI solve outside the
+# series routes never loads numerics
+MOVED = ("DivergenceError", "SeriesConfig", "principal_pow")
+CLONES = (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy)
+
+
+class TestMovedNames:
+    @pytest.mark.parametrize("name", MOVED)
+    def test_package_name_is_the_poly_one(self, name):
+        from polysolve import poly
+
+        assert polysolve._HOME[name] == "poly"
+        assert getattr(polysolve, name) is getattr(poly, name)
+
+    def test_package_series_config_loads_no_numerics(self):
+        _, after, _ = _fresh_run([], "import polysolve; polysolve.SeriesConfig")
+        assert after == {"poly"}
+
+    def test_numerics_keeps_only_the_name_it_reads(self):
+        from polysolve import numerics, poly
+
+        assert numerics.SeriesConfig is poly.SeriesConfig  # pfq_eval's default
+        assert not hasattr(numerics, "DivergenceError")
+        assert not hasattr(numerics, "principal_pow")
+
+    @pytest.mark.parametrize("clone", CLONES, ids=["pickle", "copy", "deepcopy"])
+    def test_series_config_round_trips(self, clone):
+        cfg = polysolve.SeriesConfig(max_terms=37, rel_tol=1e-9)
+        got = clone(cfg)
+        assert got == cfg and hash(got) == hash(cfg)
+        assert type(got) is polysolve.poly.SeriesConfig
+
+    @pytest.mark.parametrize("clone", CLONES, ids=["pickle", "copy", "deepcopy"])
+    def test_divergence_error_round_trips(self, clone):
+        exc = polysolve.DivergenceError("series terms grow", 1.5 - 2j)
+        got = clone(exc)
+        assert type(got) is polysolve.poly.DivergenceError
+        assert got.args == ("series terms grow",) and got.partial == 1.5 - 2j
+        assert polysolve.DivergenceError("no partial").partial is None
 
 
 class TestLazyApi:

@@ -247,8 +247,9 @@ class TestTermMemo:
         for s in range(2, 17):
             for b in range(1, s):
                 for r0 in range(s):
-                    got = _class_params(s, b, r0)
+                    power, got = _class_params(s, b, r0)
                     want = _reference_class_params(s, b, r0)
+                    assert power == Fraction(1 + b * r0 - r0 * s, s), (s, b, r0)
                     assert got.upper == want.upper, (s, b, r0)
                     assert got.lower == want.lower, (s, b, r0)
 
