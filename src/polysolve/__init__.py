@@ -29,7 +29,7 @@ _HOMES = {
         "solve_quartic",
         "square_difference_split",
     ),
-    "grim": ("GrimConfig", "grim_coverage", "grim_solve"),
+    "grim": ("grim_coverage", "grim_solve"),
     "numerics": (
         "PFQParams",
         "PFQResult",
@@ -53,7 +53,6 @@ _HOMES = {
         "SeriesConfig",
         "Trinomial",
         "all_roots_oracle",
-        "cauchy_bound",
         "distinct_roots",
         "eval_poly",
         "eval_poly_and_deriv",

@@ -147,9 +147,6 @@ def cmd_solve(args, out, err) -> int:
         branches = [int(tok) for tok in args.branches.split(",") if tok.strip()]
     try:
         report = solve(eq, args.method, branches, cfg)
-    except ValueError as exc:
-        err.write(f"error: {exc}\n")
-        return USAGE_ERROR
     except (ConvergenceError, GrimError) as exc:
         err.write(f"error: {exc}\n")
         return PARTIAL_RESULTS

@@ -362,16 +362,19 @@ def _split_from_halves(
     )
 
 
-def square_difference_split(
-    F: Polynomial, residual_target: float = 1e-9, max_starts: int = 64
-) -> SquareDifferenceSplit:
+# the split's largest coefficient mismatch, and its starts for degrees 6-10
+_SPLIT_TARGET = 1e-9
+_SPLIT_STARTS = 64
+
+
+def square_difference_split(F: Polynomial) -> SquareDifferenceSplit:
     """Split a monic polynomial of even degree 4..10 as (Q-P)(Q+P).
 
     Degree 4 goes through the closed-form resolvent cubic, refined in factor
     space when a degenerate resolvent costs digits. Degrees 6-10 run the
-    factor-coefficient Newton iteration from up to max_starts starts,
+    factor-coefficient Newton iteration from up to _SPLIT_STARTS starts,
     returning the first split whose largest coefficient mismatch is at most
-    residual_target. The first start takes its halves' roots from the
+    _SPLIT_TARGET. The first start takes its halves' roots from the
     Newton polygon of F (_polygon_halves) and almost always suffices; the
     others are seeded Gaussian coefficients. The result carries the
     paper's omega / l_vars parameterization of the factor pair. The split
@@ -388,22 +391,20 @@ def square_difference_split(
 
     if n == 4:
         err, wp, wm = _quartic_halves(c)
-        if err > residual_target:
+        if err > _SPLIT_TARGET:
             # degenerate resolvents halve the attainable digits; refine
             wp, wm, _ = _factor_newton(c, wp, wm)
         return _split_from_halves(c, wp, wm)
 
-    if max_starts < 1:
-        raise ValueError("square_difference_split needs max_starts >= 1")
     rng = random.Random(0xD1FF ^ n)
     best_split: SquareDifferenceSplit | None = None
     wp0, wm0 = _polygon_halves(F)
-    for _ in range(max_starts):
+    for _ in range(_SPLIT_STARTS):
         wp, wm, _ = _factor_newton(c, wp0, wm0)
         split = _split_from_halves(c, wp, wm)
         if best_split is None or split.residual < best_split.residual:
             best_split = split
-        if best_split.residual <= residual_target:
+        if best_split.residual <= _SPLIT_TARGET:
             return best_split
         wp0 = [complex(rng.gauss(0.0, 0.8), rng.gauss(0.0, 0.8)) for _ in range(h)]
         wm0 = [complex(rng.gauss(0.0, 0.8), rng.gauss(0.0, 0.8)) for _ in range(h)]

@@ -14,8 +14,9 @@ start keeps Newton real on a real polynomial. Each start is
 Newton-polished with the roots found so far divided out implicitly
 (Maehly's deflation), so each polish finds a new root; the search stops
 at n roots. Only when the polygon's points leave roots unfound do the
-(branch, seed) orbits of the map run, and their limit and best points are
-polished in turn the same way. Since F(x) = c_n (x^n - F^c(x)) and each
+(branch, seed) orbits of the map run, from the seeds 0.01, i, -i and half
+the largest polygon radius, and their limit and best points are polished
+in turn the same way. Since F(x) = c_n (x^n - F^c(x)) and each
 step makes x^n equal the previous F^c value up to rounding, one Horner
 pass of F^c per step both advances an orbit and ranks its points by
 residual. Every root carries the branch whose map fixes it, however it
@@ -34,11 +35,8 @@ from .poly import (
     Polynomial,
     RootEntry,
     RootReport,
-    _Record,
-    _require_count,
-    _require_positive,
+    _polygon_points,
     all_roots_oracle,
-    cauchy_bound,
     eval_poly,
     is_new_root,
     newton_polygon,
@@ -48,30 +46,9 @@ from .poly import (
 
 _STEP_TOL = 1e-13
 _MAX_MODULUS = 1e12
-
-
-class GrimConfig(_Record):
-    # branches, seeds and iters steer the orbits that run only when the
-    # Newton polygon's points leave roots unfound
-    __slots__ = ("branches", "seeds", "iters", "polish_tol")
-
-    def __init__(
-        self,
-        branches: list[int] | None = None,  # default 0..n-1
-        seeds: list[complex] | None = None,  # default {0.01, i, -i, rho/2}
-        iters: int = 80,
-        polish_tol: float = 1e-10,
-    ):
-        _require_count("iters", iters)
-        if branches is not None and not branches:
-            raise ValueError("branches must be nonempty")
-        if seeds is not None and not seeds:
-            raise ValueError("seeds must be nonempty")
-        _require_positive("polish_tol", polish_tol)
-        self.branches = branches
-        self.seeds = seeds
-        self.iters = iters
-        self.polish_tol = polish_tol
+_TURN = 0.7  # the per-edge turn of the polygon points
+_ORBIT_STEPS = 80
+_POLISH_TOL = 1e-10
 
 
 def _complementary(p: Polynomial) -> Polynomial:
@@ -124,57 +101,44 @@ def _iterate(
     return [x] if x == best else [x, best]
 
 
-def _polygon_points(q: Polynomial):
-    """For each edge (i, j, u) of q's Newton polygon, j - i points at
-    radius u, at angles 2 pi (k + 1/2) / (j - i) + 0.7 (i + 1): off the
-    real axis, and turned from one edge to the next."""
-    for i, j, u in newton_polygon(q):
-        for k in range(j - i):
-            angle = 2.0 * math.pi * (k + 0.5) / (j - i) + 0.7 * (i + 1)
-            yield f"polygon edge ({i}, {j}) point {k}", u * cmath.exp(1j * angle)
-
-
-def _orbit_points(q: Polynomial, cfg: GrimConfig):
-    """The limit and best points of the orbits, in (branch, seed) order;
+def _orbit_points(q: Polynomial, branches: list[int]):
+    """The limit and best points of the orbits, in (branch, seed) order,
+    from the seeds 0.01, i, -i and half the largest polygon radius of q;
     nothing is computed before the first point is asked for."""
     fc = _complementary(q)
     rev = tuple(reversed(fc.coeffs))
-    branches = cfg.branches if cfg.branches is not None else list(range(q.degree))
-    if cfg.seeds is not None:
-        seeds = list(cfg.seeds)
-    else:
-        rho = cauchy_bound(q)
-        seeds = [0.01 + 0j, 1j, -1j, rho / 2.0 + 0j]
-    # Log(F^c(0.01)) can sit on F^c's zero; the 0.01 default replaces 0.
-    seeds = [s if s != 0 else 0.01 + 0j for s in seeds]
+    far = max(u for *_, u in newton_polygon(q)) / 2.0
+    # 0.01, not 0: Log(F^c(0)) can sit on F^c's zero
+    seeds = [0.01 + 0j, 1j, -1j, far + 0j]
     # Horner only, never x**n: a large seed gives an infinite residual
     # rather than an OverflowError.
     lead = abs(q.lead)
-    starts = [(complex(s), fc(s), abs(eval_poly(q, s)) / lead) for s in seeds]
+    starts = [(s, fc(s), abs(eval_poly(q, s)) / lead) for s in seeds]
     for d in branches:
         for seed, start in zip(seeds, starts):
-            for point in _iterate(rev, q.degree, d, start, cfg.iters):
+            for point in _iterate(rev, q.degree, d, start, _ORBIT_STEPS):
                 yield f"branch {d} seed {seed}", point
 
 
-def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
+def grim_solve(p: Polynomial, branches: list[int] | None = None) -> RootReport:
     """Find the roots of p from the points of its Newton polygon, and from
-    the dominant-term orbits over all branches and seeds for any root those
-    points miss.
+    the dominant-term orbits over the given branches (all n by default,
+    never none) and the four seeds for any root those points miss.
 
     A factor x^m is split off exactly first: its m roots are reported at 0
     with residual 0, and the search runs on the quotient q. The candidate
     points are the polygon's, then, only while roots are missing, the
     orbits' in (branch, seed) order. A point within poly.is_new_root's
     radius of a root found already is skipped; any other is
-    Newton-polished on q to cfg.polish_tol with the found roots deflated
+    Newton-polished on q to 1e-10 with the found roots deflated
     (poly.newton_polish), so a converged polish is a new root, or another
     copy of a repeated one. Each root carries its scaled residual on p and
     the branch whose map fixes it; polishes that stall go to the warnings.
     The search stops once q's degree is reached, so at most n roots come
     back; when fewer are found, the warnings end with "found k of n roots".
     """
-    cfg = cfg if cfg is not None else GrimConfig()
+    if branches is not None and not branches:
+        raise ValueError("branches must be nonempty")
     n = p.degree
     if n < 1:
         raise ValueError("grim_solve needs degree >= 1")
@@ -187,11 +151,16 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
     found: list[RootEntry] = []
     roots: list[complex] = []  # their values, deflated out of q
     diagnostics: list[str] = []
-    for start, point in chain(_polygon_points(q), _orbit_points(q, cfg)):
+    points = (
+        (f"polygon edge ({i}, {j}) point {k}", x)
+        for i, j, k, x in _polygon_points(q, _TURN)
+    )
+    orbits = _orbit_points(q, list(range(q.degree)) if branches is None else branches)
+    for start, point in chain(points, orbits):
         if not is_new_root(point, roots):
             continue  # the deflated step would start on a pole
         root, res, its, converged = polish(
-            q, point, cfg.polish_tol, 80, deflate=roots, settle=True
+            q, point, _POLISH_TOL, 80, deflate=roots, settle=True
         )
         if not converged:
             diagnostics.append(f"{start}: polish stalled at {res:.3e}")
@@ -218,16 +187,14 @@ def grim_solve(p: Polynomial, cfg: GrimConfig | None = None) -> RootReport:
     return RootReport(entries, method="grim", warnings=warnings).sort()
 
 
-def grim_coverage(
-    p: Polynomial, cfg: GrimConfig | None = None
-) -> tuple[int, int, list[complex]]:
+def grim_coverage(p: Polynomial) -> tuple[int, int, list[complex]]:
     """Compare grim_solve output against the all-roots oracle.
 
     Returns (found, total, unmatched_oracle_roots); a root counts as found
     when some reported root lies within 1e-6 of it, relative.
     """
     try:
-        report = grim_solve(p, cfg)
+        report = grim_solve(p)
         got = report.values()
     except GrimError:
         got = []

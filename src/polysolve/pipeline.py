@@ -13,7 +13,6 @@ import the route modules before it installs.
 from __future__ import annotations
 
 import cmath
-import math
 
 from .poly import (
     ConvergenceError,
@@ -232,9 +231,9 @@ def _radical(shape: Shape, branches, cfg) -> RootReport:
 
 
 def _grim(shape: Shape, branches, cfg) -> RootReport:
-    from .grim import GrimConfig, grim_solve
+    from .grim import grim_solve
 
-    return grim_solve(shape.poly, GrimConfig(branches=branches))
+    return grim_solve(shape.poly, branches)
 
 
 def _adjacent(shape: Shape, branches, cfg) -> RootReport:
@@ -290,9 +289,9 @@ def solve(
 def cross_check(p: Polynomial, report: RootReport, tol: float | None) -> str:
     """"partial" when the report holds fewer roots than it aimed at (all n
     unless report.aimed says otherwise); else "ok", "empty" or "mismatch"
-    against the all-roots oracle of p, where a non-finite root or one
-    farther than max(tol, 1e-7) (relative) from the oracle set is a
-    mismatch. tol=None skips the oracle and reads "ok" unless partial."""
+    against the all-roots oracle of p, where a non-finite root on either
+    side or one farther than max(tol, 1e-7) (relative) from the oracle set
+    is a mismatch. tol=None skips the oracle and reads "ok" unless partial."""
     status = "ok" if tol is None else _oracle_status(p, report, tol)
     aimed = p.degree if report.aimed is None else report.aimed
     return "partial" if len(report.roots) < aimed else status
@@ -303,13 +302,17 @@ def _oracle_status(p: Polynomial, report: RootReport, tol: float) -> str:
     if not got:
         return "empty"
     for g in got:
-        if not (math.isfinite(g.real) and math.isfinite(g.imag)):
+        if not cmath.isfinite(g):
             report.warnings.append(f"root {g} is not finite")
             return "mismatch"
     try:
         oracle = all_roots_oracle(p)
     except ConvergenceError as exc:
         oracle = exc.best
+    for e in oracle.roots:
+        if not cmath.isfinite(e.root):
+            report.warnings.append(f"oracle root {e.root} is not finite")
+            return "mismatch"
     if len(got) == len(oracle.roots):
         worst, _ = match_roots(report, oracle)
         if worst <= max(tol, 1e-7) * (1.0 + max(abs(g) for g in got)):

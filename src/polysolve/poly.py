@@ -1,8 +1,8 @@
 """Polynomial core: representation (with the trinomial and quadrinomial
-shapes the routes recognize), evaluation, principal powers, bounds, Newton
-polishing, the Durand-Kerner all-roots oracle, the errors every route may
-raise, the series configuration and the base of the package's result and
-config types.
+shapes the routes recognize), evaluation, principal powers, the Newton
+polygon, Newton polishing, the Durand-Kerner all-roots oracle, the errors
+every route may raise, the series configuration and the base of the
+package's result and config types.
 
 Coefficients are stored constant-term first: coeffs[i] multiplies x**i.
 """
@@ -317,15 +317,6 @@ def _scale(p: Polynomial, x: complex) -> float:
     return scale
 
 
-def cauchy_bound(p: Polynomial) -> float:
-    """1 + max_{k<n} |c_k|/|c_n|; every root has modulus at most this."""
-    if p.degree < 1:
-        raise DegreeError("cauchy_bound needs degree >= 1")
-    lead = abs(p.lead)
-    top = max(abs(c) for c in p.coeffs[:-1])
-    return 1.0 + top / lead
-
-
 def newton_polygon(p: Polynomial) -> list[tuple[int, int, float]]:
     """Edges (i, j, u) of the upper convex hull of the points (i, log|c_i|)
     over the non-zero coefficients, left to right, with
@@ -352,6 +343,16 @@ def newton_polygon(p: Polynomial) -> list[tuple[int, int, float]]:
         e = (li - lj) / (j - i)
         edges.append((i, j, math.exp(e) if e <= 709.78 else math.inf))
     return edges
+
+
+def _polygon_points(p: Polynomial, turn: float):
+    """For each edge (i, j, u) of p's Newton polygon, j - i points at
+    radius u, at angles 2 pi (k + 1/2) / (j - i) + turn (i + 1): off the
+    real axis, and turned from one edge to the next. Yields (i, j, k, x)."""
+    for i, j, u in newton_polygon(p):
+        for k in range(j - i):
+            angle = 2.0 * math.pi * (k + 0.5) / (j - i) + turn * (i + 1)
+            yield i, j, k, u * cmath.exp(1j * angle)
 
 
 def _newton_pass(terms: list[tuple[complex, float]], x: complex):
@@ -473,18 +474,21 @@ def all_roots_oracle(p: Polynomial) -> RootReport:
     """All roots at once by Durand-Kerner simultaneous iteration.
 
     Deliberately independent of every other solver in the package: it is
-    the cross-check oracle. Initial guesses sit on a circle of radius
-    cauchy_bound/2 at angles 2*pi*(k + 0.25)/n; sweeps stop when the
-    largest coordinate move drops to 1e-12, capped at 500 sweeps.
+    the cross-check oracle. It starts from p's Newton polygon, as Bini 1996
+    starts Aberth's method: _polygon_points turned by 0.4, so that no start
+    is GRIM's, and the m zeros of a factor x^m on a circle of half the
+    smallest edge radius (of 1/2 when p is c x^n). Sweeps stop when the
+    largest coordinate move, never NaN, drops to 1e-12, capped at 500
+    sweeps.
     """
     if p.degree < 1:
         raise DegreeError("all_roots_oracle needs degree >= 1")
     q = p.monic()
     n = q.degree
-    r = cauchy_bound(p) / 2.0
-    xs = [r * cmath.exp(2j * math.pi * (k + 0.25) / n) for k in range(n)]
-    warnings: list[str] = []
-    converged = False
+    xs = [x for *_, x in _polygon_points(p, 0.4)]
+    m = n - len(xs)
+    r = min(map(abs, xs), default=1.0) / 2.0
+    xs[:0] = [r * cmath.exp(2j * math.pi * (k + 0.25) / m) for k in range(m)]
     for _ in range(500):
         move = 0.0
         for k in range(n):
@@ -499,22 +503,17 @@ def all_roots_oracle(p: Polynomial) -> RootReport:
                 continue
             delta = num / den
             xs[k] -= delta
-            move = max(move, abs(delta))
+            if not abs(delta) <= move:  # a NaN delta too
+                move = abs(delta)
         if move <= 1e-12:
-            converged = True
             break
-    entries = [
-        RootEntry(x, scaled_residual(p, x), branch=k, iterations=0)
-        for k, x in enumerate(xs)
-    ]
-    report = RootReport(entries, method="durand-kerner", warnings=warnings).sort()
-    if not converged:
+    entries = [RootEntry(x, scaled_residual(p, x), branch=k) for k, x in enumerate(xs)]
+    report = RootReport(entries, method="durand-kerner").sort()
+    if not move <= 1e-12:
         worst = max(e.residual for e in report.roots)
         if worst > 1e-8:
-            raise ConvergenceError(
-                f"oracle stalled with residual {worst:.3e}", report
-            )
-        warnings.append("oracle hit the sweep cap; residuals still acceptable")
+            raise ConvergenceError(f"oracle stalled with residual {worst:.3e}", report)
+        report.warnings.append("oracle hit the sweep cap; residuals still acceptable")
     return report
 
 
@@ -565,7 +564,7 @@ def match_roots(
     """Greedy minimal matching between two equally sized root sets.
 
     Pairs the globally closest roots first and returns the largest matched
-    distance together with the index pairing.
+    distance, not finite when a root is not, with the index pairing.
     """
     xs = a.values() if isinstance(a, RootReport) else list(a)
     ys = b.values() if isinstance(b, RootReport) else list(b)
@@ -573,7 +572,7 @@ def match_roots(
         raise ValueError(f"root counts differ: {len(xs)} vs {len(ys)}")
     pairs = sorted(
         ((abs(x - y), i, j) for i, x in enumerate(xs) for j, y in enumerate(ys)),
-        key=lambda t: t[0],
+        key=lambda t: (math.isnan(t[0]), t[0]),  # NaN distances last
     )
     used_i: set[int] = set()
     used_j: set[int] = set()
@@ -585,7 +584,8 @@ def match_roots(
         used_i.add(i)
         used_j.add(j)
         matching.append((i, j))
-        worst = max(worst, dist)
+        if not dist <= worst:  # a NaN distance too
+            worst = dist
         if len(matching) == len(xs):
             break
     return worst, matching

@@ -242,20 +242,18 @@ class TestSquareDifferenceSplit:
         assert a.w_plus == b.w_plus
         assert a.w_minus == b.w_minus
 
-    def test_unreachable_target_raises_with_best(self):
+    def test_unreachable_target_raises_with_best(self, monkeypatch):
+        monkeypatch.setattr(closedform, "_SPLIT_TARGET", 0.0)
+        monkeypatch.setattr(closedform, "_SPLIT_STARTS", 2)
         F = unit_disk_poly(random.Random(611), 8)
         with pytest.raises(ConvergenceError) as info:
-            square_difference_split(F, residual_target=0.0, max_starts=2)
+            square_difference_split(F)
         assert isinstance(info.value.best, SquareDifferenceSplit)
         assert info.value.best.residual > 0.0
 
     def test_rejects_odd_degree(self):
         with pytest.raises(DegreeError):
             square_difference_split(Polynomial([1, 0, 0, 0, 0, 1]))
-
-    def test_rejects_zero_starts(self):
-        with pytest.raises(ValueError):
-            square_difference_split(Polynomial([1, 0, 0, 2, -1, 0, 1]), max_starts=0)
 
     def test_rejects_non_monic(self):
         with pytest.raises(ValueError):

@@ -30,12 +30,12 @@ ROUTES = ("algebra", "closedform", "grim", "radicals", "series")
 # every name the package has exported since before it became lazy
 PUBLIC = (
     "ConvergenceError", "DegenerateError", "DegreeError", "DivergenceError",
-    "GrimConfig", "GrimError", "PFQParams", "PFQResult", "PFQRootForm",
+    "GrimError", "PFQParams", "PFQResult", "PFQRootForm",
     "PFQRootGroup", "PoleError", "Polynomial", "Quadrinomial", "RDBoundRow",
     "RadicalIterConfig", "RootEntry", "RootReport", "SeriesConfig",
     "SeriesDiagnostics", "SquareDifferenceSplit", "Trinomial",
     "adjacent_septic_root", "all_roots_oracle", "argument_modulus_constant",
-    "brauer_rd", "bring_jerrard_quintic", "cauchy_bound", "cross_check",
+    "brauer_rd", "bring_jerrard_quintic", "cross_check",
     "distinct_roots", "eval_poly", "eval_poly_and_deriv", "gamma_real",
     "general_poly_series_root", "grim_coverage", "grim_solve", "match_roots",
     "newton_polish", "newton_polygon", "parse_poly", "pfq_eval", "pochhammer",

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from polysolve import Polynomial, Quadrinomial, Trinomial, cross_check, solve
 from polysolve.cli import main
 from polysolve.pipeline import METHODS, shape_of
-from polysolve.poly import RootEntry, RootReport, parse_poly
+from polysolve.poly import RootEntry, RootReport, parse_poly, poly_from_roots
 
 # one input per method, as the CLI arguments and as the library equation
 CASES = {
@@ -101,6 +101,25 @@ def test_cross_check_rejects_non_finite_roots():
     report = RootReport([RootEntry(1.0 + 0j, 0.0), RootEntry(complex("nan"), 0.0)], "test")
     assert cross_check(p, report, 1e-8) == "mismatch"
     assert report.warnings == ["root (nan+0j) is not finite"]
+
+
+def test_cross_check_rejects_a_wrong_report_on_wilkinson_twenty():
+    # the oracle's polygon start keeps x^20 finite; from a start circle of
+    # radius 7e18 every Durand-Kerner step was NaN and any 20 finite roots
+    # read ok
+    p = poly_from_roots(range(1, 21))
+    fake = RootReport([RootEntry(complex(k), 0.0) for k in range(6, 26)], "test")
+    assert cross_check(p, fake, 1e-8) == "mismatch"
+    assert fake.warnings[-1].startswith("oracle cross-check distance")
+
+
+def test_cross_check_rejects_an_oracle_with_non_finite_roots():
+    # the roots are +-1e200 i, but the monic form's 1e400 overflows, so the
+    # oracle ends on NaN roots; they must not match the wrong roots 1 and 2
+    p = Polynomial([1e200, 0, 1e-200])
+    fake = RootReport([RootEntry(1 + 0j, 0.0), RootEntry(2 + 0j, 0.0)], "test")
+    assert cross_check(p, fake, 1e-8) == "mismatch"
+    assert fake.warnings[-1].startswith("oracle root") and "not finite" in fake.warnings[-1]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("-inf"))])

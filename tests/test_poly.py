@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import math
 import random
 
@@ -11,7 +12,6 @@ from polysolve import (
     RootEntry,
     all_roots_oracle,
     brauer_rd,
-    cauchy_bound,
     distinct_roots,
     eval_poly,
     eval_poly_and_deriv,
@@ -25,7 +25,9 @@ from polysolve import (
     sylvester_resultant,
     tschirnhaus_quadratic,
 )
-from polysolve.poly import format_poly, lu_solve
+import polysolve.grim
+import polysolve.poly
+from polysolve.poly import _polygon_points, format_poly, lu_solve
 
 from conftest import bisect_root, unit_disk_poly
 
@@ -55,26 +57,13 @@ class TestEval:
 
 
 class TestCauchyBound:
-    def test_x2_minus_1(self):
-        assert cauchy_bound(Polynomial([-1, 0, 1])) == 2.0
-
-    def test_pure_power(self):
-        assert cauchy_bound(Polynomial([0, 0, 0, 1])) == 1.0
-
-    def test_bound_encloses_factored_roots(self):
-        # x^2 - 5x + 6 = (x-2)(x-3); formula value is 1 + 6 = 7
-        p = Polynomial([6, -5, 1])
-        bound = cauchy_bound(p)
-        assert bound == 7.0
-        for root in (2.0, 3.0):
-            assert abs(root) <= bound
-
     def test_all_oracle_roots_inside_bound(self):
+        # every root has modulus at most Cauchy's 1 + max_{k<n} |c_k / c_n|
         rng = random.Random(500)
         for _ in range(500):
             deg = rng.randint(1, 12)
             p = unit_disk_poly(rng, deg, monic=False)
-            bound = cauchy_bound(p)
+            bound = 1.0 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.lead)
             try:
                 report = all_roots_oracle(p)
             except ConvergenceError as exc:
@@ -402,6 +391,47 @@ class TestOracle:
         keys = [(e.root.real, e.root.imag) for e in report.roots]
         assert keys == sorted(keys)
 
+    def test_zero_roots_start_below_the_polygon(self):
+        # x^3 (x^2 + 1): the three zeros start on a circle of radius 1/2
+        report = all_roots_oracle(Polynomial([0, 0, 0, 1, 0, 1]))
+        assert report.warnings == []
+        roots = sorted(report.values(), key=abs)
+        assert len(roots) == 5
+        assert all(abs(x) <= 1e-9 for x in roots[:3])
+        worst, _ = match_roots(roots[3:], [1j, -1j])
+        assert worst <= 1e-10
+
+    def test_nan_coefficient_never_converges(self):
+        # every move is NaN, and a NaN move must not read as converged
+        with pytest.raises(ConvergenceError):
+            all_roots_oracle(Polynomial([1, math.nan, 1]))
+
+    def test_starts_are_not_grims_polygon_points(self, monkeypatch):
+        # the first sweep evaluates each start before it moves it, so the
+        # first n evaluation points are the starts
+        rng = random.Random(20)
+        cases = [poly_from_roots(range(1, 21)), Polynomial([-1, -1e6, 0, 0, 0, 1])]
+        cases += [unit_disk_poly(rng, rng.randint(2, 24)) for _ in range(40)]
+        cases += [Polynomial([0, 0] + list(p.coeffs)) for p in cases[-5:]]
+        seen: list[complex] = []
+
+        def spy(p, x):
+            seen.append(x)
+            return eval_poly(p, x)
+
+        monkeypatch.setattr(polysolve.poly, "eval_poly", spy)
+        for p in cases:
+            seen.clear()
+            with contextlib.suppress(ConvergenceError):
+                all_roots_oracle(p)
+            starts = seen[: p.degree]
+            m = next(i for i, c in enumerate(p.coeffs) if c != 0)
+            q = Polynomial(p.coeffs[m:])
+            grims = [x for *_, x in _polygon_points(q, polysolve.grim._TURN)]
+            assert len(set(starts)) == p.degree
+            # relative: the root of x^5 - 1e6 x - 1 near 1e-6 starts there
+            assert all(abs(x - g) > 1e-3 * abs(x) for x in starts for g in grims)
+
 
 class TestResultant:
     def test_common_root_is_zero(self):
@@ -542,6 +572,13 @@ class TestMatchRoots:
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
             match_roots([1.0], [1.0, 2.0])
+
+    def test_nan_distance_is_not_finite(self):
+        worst, pairs = match_roots([1, 2], [math.nan, math.nan])
+        assert not math.isfinite(worst)
+        assert len(pairs) == 2
+        worst, _ = match_roots([1, math.nan], [1, 5])
+        assert not math.isfinite(worst)
 
 
 class TestDistinctRoots:

@@ -17,7 +17,6 @@ from fractions import Fraction
 import pytest
 
 from polysolve import (
-    GrimConfig,
     PFQParams,
     PFQResult,
     PFQRootForm,
@@ -87,12 +86,6 @@ MUTABLE = [
         ([1j], [2j], [3j], [4j], 1e-12),
         1e-11,
         "(omega, l_vars, w_plus, w_minus, residual)",
-    ),
-    (
-        GrimConfig,
-        ([0, 1], [0.5j], 10, 1e-9),
-        1e-8,
-        "(branches=None, seeds=None, iters=80, polish_tol=1e-10)",
     ),
 ]
 ALL = FROZEN + MUTABLE
@@ -199,10 +192,6 @@ def test_given_warnings_list_is_kept():
         (SeriesConfig, {"max_terms": 2.5}),
         (SeriesConfig, {"max_terms": 400.0}),
         (SeriesConfig, {"max_terms": 0}),
-        (GrimConfig, {"polish_tol": math.nan}),
-        (GrimConfig, {"polish_tol": -1.0}),
-        (GrimConfig, {"polish_tol": math.inf}),
-        (GrimConfig, {"iters": 2.5}),
         (RadicalIterConfig, {"tol": math.nan}),
         (RadicalIterConfig, {"tol": 0.0}),
         (RadicalIterConfig, {"max_modulus": math.nan}),
