@@ -9,7 +9,9 @@ The pFq evaluator feeds it the term recurrence
     t_{n+1} = t_n * prod(a_i + n) / ((n + 1) prod(b_j + n)) * z,
 
 whose step factors depend on the parameters alone: they are tabled once per
-parameter set (_step_table), and every sum with those parameters reads them.
+parameter set (_step_table), beside the term indices at which an upper
+parameter terminates the series and a lower one is a pole, and every sum
+with those parameters reads them.
 """
 
 from __future__ import annotations
@@ -123,37 +125,62 @@ def sum_series(
     only along each.
     """
     total = term0
-    last = [0.0] * stride  # latest nonzero magnitude per class, 0.0 before one
-    runs = [0] * stride
-    ring = [0.0] * stride  # the last stride nonzero magnitudes
-    slot = 0
     n = 0
     status = "converged"  # by the test at the bottom, or when terms runs out
-    for term in islice(terms, budget):
-        n += 1
-        total += term
-        mag = abs(term)
-        if not mag:
-            continue
-        cls = n % stride
-        if n >= _GROWTH_FROM and mag > last[cls] > 0.0:
-            runs[cls] += 1
-            if runs[cls] == _GROWTH_RUN:
-                status = "diverged"
+    if stride == 1:  # the loop below with one class: its lists as scalars
+        last = 0.0
+        run = 0
+        for n, term in enumerate(islice(terms, budget), 1):
+            total += term
+            mag = abs(term)
+            if not mag:
+                continue
+            if mag > last > 0.0 and n >= _GROWTH_FROM:
+                run += 1
+                if run == _GROWTH_RUN:
+                    status = "diverged"
+                    break
+            else:
+                run = 0
+            last = mag
+            if mag <= rel_tol * abs(total):
                 break
         else:
-            runs[cls] = 0
-        last[cls] = mag
-        ring[slot] = mag
-        slot += 1
-        if slot == stride:
-            slot = 0
-        bound = rel_tol * abs(total)
-        if mag <= bound and n >= stride and max(ring) <= bound:
-            break
+            if n == budget:
+                status = "diverged" if last > abs(total) else "truncated"
     else:
-        if n == budget:
-            status = "diverged" if max(last) > abs(total) else "truncated"
+        last = [0.0] * stride  # latest nonzero magnitude per class, 0.0 before one
+        runs = [0] * stride
+        ring = [0.0] * stride  # the last stride nonzero magnitudes
+        slot = 0
+        cls = 0  # n mod stride
+        for n, term in enumerate(islice(terms, budget), 1):
+            cls += 1
+            if cls == stride:
+                cls = 0
+            total += term
+            mag = abs(term)
+            if not mag:
+                continue
+            if mag > last[cls] > 0.0 and n >= _GROWTH_FROM:
+                runs[cls] += 1
+                if runs[cls] == _GROWTH_RUN:
+                    status = "diverged"
+                    break
+            else:
+                runs[cls] = 0
+            last[cls] = mag
+            ring[slot] = mag
+            slot += 1
+            if slot == stride:
+                slot = 0
+            if n >= stride:
+                bound = rel_tol * abs(total)
+                if mag <= bound and max(ring) <= bound:
+                    break
+        else:
+            if n == budget:
+                status = "diverged" if max(last) > abs(total) else "truncated"
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         status = "diverged"
     return total, n, status
@@ -185,18 +212,8 @@ def pfq_eval(
     summed, the constant term included.
     """
     z = complex(z)
-    terminate_at: int | None = None
-    for a in params.upper:
-        m = _real_nonpositive_int(a)
-        if m is not None:
-            mu = -m
-            terminate_at = mu if terminate_at is None else min(terminate_at, mu)
-    pole_at: int | None = None
-    for b in params.lower:
-        m = _real_nonpositive_int(b)
-        if m is not None:
-            mb = -m
-            pole_at = mb if pole_at is None else min(pole_at, mb)
+    table = _step_table(params)
+    terminate_at, pole_at = table[2], table[3]
     if pole_at is not None and not regularized:
         if terminate_at is None or terminate_at > pole_at:
             raise PoleError(
@@ -205,12 +222,10 @@ def pfq_eval(
 
     if z == 0:  # only the constant term is nonzero
         terminate_at = 0
-    # the term indices n of a terminating series are 0..terminate_at
-    indices = count() if terminate_at is None else range(terminate_at + 1)
     if regularized:
-        terms = _regularized_terms(params, z, indices)
+        terms = _regularized_terms(params, z, terminate_at)
     else:
-        terms = _pfq_terms(params, z, indices)
+        terms = _pfq_terms(params, table, z, terminate_at)
     # a series that terminates within max_terms runs out before its budget
     budget = cfg.max_terms - 1
     if terminate_at is not None and terminate_at < cfg.max_terms:
@@ -220,35 +235,45 @@ def pfq_eval(
     return PFQResult(total, n + 1, status)
 
 
-def _pfq_terms(params: PFQParams, z: complex, indices: Iterable[int]) -> Iterator[complex]:
-    """Terms n of pFq(a; b; z) for n in indices (0, 1, ...), by the term
-    recurrence; they stop after a zero term, as every later one is zero.
-    The step factors prod(a_i + m) and (m + 1) prod(b_j + m) come from the
-    step table of params as far as it reaches, and the steps computed past
-    it go into the table when the generator closes."""
-    nums, dens = _step_table(params)
-    known = len(dens)
+def _pfq_terms(
+    params: PFQParams, table: tuple, z: complex, last: int | None
+) -> Iterator[complex]:
+    """Terms n = 0, 1, ... of pFq(a; b; z), up to n = last when it is given,
+    by the term recurrence; they stop after a zero term, as every later one
+    is zero. The step factors prod(a_i + m) and (m + 1) prod(b_j + m) come
+    from params' step table (table, from _step_table) as far as it reaches
+    when the sum gets there, and the steps computed past it go into the
+    table when the generator closes."""
+    nums, dens = table[0], table[1]
+    term: complex = 1.0
+    yield term
+    steps = zip(nums, dens)
+    if last is not None:
+        steps = islice(steps, last)
+    m = 0  # the steps taken
+    for m, (num, den) in enumerate(steps, 1):
+        term = term * num / den * z
+        yield term
+        if not term:
+            return
+    # past the table as it stands now: another sum may have grown it since
+    # this one started
+    known = m
     new_nums: list[complex] = []
     new_dens: list[complex] = []
     upper, lower = params.upper, params.lower
-    term: complex = 1.0
     try:
-        for n in indices:
-            if n:
-                m = n - 1
-                if m < known:
-                    num, den = nums[m], dens[m]
-                else:
-                    num = 1.0
-                    for a in upper:
-                        num *= a + m
-                    den = n + 0.0
-                    for b in lower:
-                        den *= b + m
-                    if m < _STEPS_MAX:
-                        new_nums.append(num)
-                        new_dens.append(den)
-                term = term * num / den * z
+        for m in count(known) if last is None else range(known, last):
+            num = 1.0
+            for a in upper:
+                num *= a + m
+            den = m + 1.0
+            for b in lower:
+                den *= b + m
+            if m < _STEPS_MAX:
+                new_nums.append(num)
+                new_dens.append(den)
+            term = term * num / den * z
             yield term
             if not term:
                 return
@@ -268,22 +293,38 @@ _STEPS_MAX = 2048
 _GROW = threading.Lock()
 
 
+def _least_nonpositive_int(values: Iterable[complex]) -> int | None:
+    """The least m >= 0 such that -m is (numerically) one of values."""
+    found = [-m for m in map(_real_nonpositive_int, values) if m is not None]
+    return min(found, default=None)
+
+
 @lru_cache(maxsize=16)
-def _step_table(params: PFQParams) -> tuple[list[complex], list[complex]]:
-    """The step table (nums, dens) of params: the factors of the steps from
-    term m to term m + 1 for m = 0 .. len - 1, as far as sums have read.
+def _step_table(
+    params: PFQParams,
+) -> tuple[list[complex], list[complex], int | None, int | None]:
+    """The memo entry of params: its step table (nums, dens), the factors of
+    the steps from term m to term m + 1 for m = 0 .. len - 1, as far as
+    sums have read; and the term index at which an upper parameter -m
+    terminates the series and the one at which a lower parameter -m is a
+    pole (None when there is none), worked out once per parameter set.
     The branches of a trinomial share their class parameter sets (s of
     them, so up to s = 16 they all stay in the memo), and its classes'
     tables are built once for all its branches; the values summed are
     never cached."""
-    return [], []
+    return (
+        [],
+        [],
+        _least_nonpositive_int(params.upper),
+        _least_nonpositive_int(params.lower),
+    )
 
 
 def _regularized_terms(
-    params: PFQParams, z: complex, indices: Iterable[int]
+    params: PFQParams, z: complex, last: int | None
 ) -> Iterator[complex]:
-    """Terms n of the regularized sum for n in indices (0, 1, ...); lower
-    parameters may sit on poles (those terms vanish)."""
+    """Terms n = 0, 1, ... of the regularized sum, up to n = last when it is
+    given; lower parameters may sit on poles (those terms vanish)."""
     for b in params.lower:
         if abs(b.imag) > 0.0:
             raise ValueError("regularized evaluation expects real lower parameters")
@@ -293,7 +334,7 @@ def _regularized_terms(
     # overflow while the terms themselves stay finite
     ratio: complex = 1.0
     folded = False
-    for n in indices:
+    for n in count() if last is None else range(last + 1):
         if not folded and all(b + n > 0 for b in lower):
             for b in lower:
                 ratio *= recip_gamma_real(b + n)

@@ -478,8 +478,8 @@ def all_roots_oracle(p: Polynomial) -> RootReport:
     starts Aberth's method: _polygon_points turned by 0.4, so that no start
     is GRIM's, and the m zeros of a factor x^m on a circle of half the
     smallest edge radius (of 1/2 when p is c x^n). Sweeps stop when the
-    largest coordinate move, never NaN, drops to 1e-12, capped at 500
-    sweeps.
+    largest coordinate move drops to 1e-12, capped at 500 sweeps, or at
+    the first sweep whose move is NaN, which then raises ConvergenceError.
     """
     if p.degree < 1:
         raise DegreeError("all_roots_oracle needs degree >= 1")
@@ -505,7 +505,8 @@ def all_roots_oracle(p: Polynomial) -> RootReport:
             xs[k] -= delta
             if not abs(delta) <= move:  # a NaN delta too
                 move = abs(delta)
-        if move <= 1e-12:
+        # a NaN iterate makes every later move NaN: nothing more to gain
+        if move <= 1e-12 or math.isnan(move):
             break
     entries = [RootEntry(x, scaled_residual(p, x), branch=k) for k, x in enumerate(xs)]
     report = RootReport(entries, method="durand-kerner").sort()

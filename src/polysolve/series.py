@@ -17,7 +17,7 @@ import math
 from array import array
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import count
+from itertools import count, islice
 from typing import TYPE_CHECKING
 
 from .numerics import PFQParams, gamma_sign, pfq_eval, sum_series
@@ -106,15 +106,18 @@ def reciprocal_series_root(
 
 
 @lru_cache(maxsize=128)
-def _term_table(s: int, b: int, length: int) -> tuple[array, array]:
-    """Gamma-ratio parts of terms 0..length of the trinomial inverse-power
-    series: gamma_sign(x2) (0.0 at a reciprocal-Gamma pole, where the term
-    is exactly 0) and the log magnitude lgamma((1+bn)/s) - lgamma(x2)
-    - lgamma(n+1) - log(s), with x2 = (1 + bn + s - ns)/s. They depend on
-    the integers alone, so one table serves every branch and coefficient.
-    Callers get theirs from _covering_table."""
+def _term_table(s: int, b: int, length: int) -> tuple[array, array, array, array]:
+    """Parts of terms 0..length of the trinomial inverse-power series that
+    depend on the integers alone, so that one table serves every branch and
+    coefficient: gamma_sign(x2) (0.0 at a reciprocal-Gamma pole, where the
+    term is exactly 0), the log magnitude lgamma((1+bn)/s) - lgamma(x2)
+    - lgamma(n+1) - log(s), with x2 = (1 + bn + s - ns)/s, the power of q
+    (1 + bn - ns)/s and the turn count 1 + bn of the phase. Callers get
+    theirs from _covering_table."""
     sign = array("d", [0.0]) * (length + 1)
     log_mag = array("d", [0.0]) * (length + 1)
+    q_power = array("d", [(1 + b * n - n * s) / s for n in range(length + 1)])
+    turns = array("d", [1 + b * n for n in range(length + 1)])
     for n in range(length + 1):
         num2 = 1 + b * n + s - n * s  # s * (denominator Gamma argument)
         if num2 % s == 0 and num2 <= 0:
@@ -127,10 +130,10 @@ def _term_table(s: int, b: int, length: int) -> tuple[array, array]:
             - math.lgamma(n + 1)
             - math.log(s)
         )
-    return sign, log_mag
+    return sign, log_mag, q_power, turns
 
 
-def _covering_table(s: int, b: int, n: int) -> tuple[array, array]:
+def _covering_table(s: int, b: int, n: int) -> tuple[array, array, array, array]:
     """The term table that holds term n: the default series length (or s,
     for the pFq prefactors), doubled until it reaches n. The series and the
     pFq form share it, and a large max_terms builds no more than about
@@ -146,7 +149,7 @@ def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
     reciprocal-Gamma poles. _trinomial_terms yields an inlined copy; this
     is the reference the tests compare it with."""
     s, b = t.s, t.b
-    sign, log_mag = _covering_table(s, b, n)
+    sign, log_mag, _, _ = _covering_table(s, b, n)
     if sign[n] == 0.0 or t.alpha == 0:
         return 0j
     z = (
@@ -188,30 +191,31 @@ def trinomial_series_root(
 
 def _trinomial_terms(t: Trinomial, k: int, stop: int) -> Iterator[complex]:
     """Terms n = 1..stop of the branch-k series (trinomial_log_term, inlined
-    with the logs taken once). With alpha = 0 there are no terms."""
+    with the logs taken once and the integer parts read from the term
+    table). With alpha = 0 there are no terms."""
     if t.alpha == 0:
         return
     s, b = t.s, t.b
     log_q = cmath.log(t.q)
     log_alpha = cmath.log(t.alpha)
     two_pi_k = _TWO_PI * k
-    sign, log_mag = _covering_table(s, b, 1)
-    for n in range(1, stop + 1):
-        if n == len(sign):
-            sign, log_mag = _covering_table(s, b, n)
-        sg = sign[n]
-        if sg == 0.0:
-            yield 0j
-            continue
-        try:
-            term = sg * cmath.exp(
-                n * log_alpha
-                + ((1 + b * n - n * s) / s) * log_q
-                + complex(log_mag[n], two_pi_k * (1 + b * n) / s)
-            )
-        except OverflowError:  # past the float range: the sum reads diverged
-            term = _INF
-        yield term
+    lo = 1
+    while lo <= stop:
+        table = _covering_table(s, b, lo)
+        hi = min(len(table[0]), stop + 1)
+        rows = zip(range(lo, hi), *(islice(col, lo, hi) for col in table))
+        for n, sg, lm, qp, turn in rows:
+            if sg == 0.0:
+                yield 0j
+                continue
+            try:
+                term = sg * cmath.exp(
+                    n * log_alpha + qp * log_q + complex(lm, two_pi_k * turn / s)
+                )
+            except OverflowError:  # past the float range: the sum reads diverged
+                term = _INF
+            yield term
+        lo = hi
 
 
 @lru_cache(maxsize=256)
@@ -267,7 +271,9 @@ class PFQRootForm(_Record):
             res = pfq_eval(g.params, g.argument, cfg)
             if res.status != "converged":
                 status = res.status
-            q_power = _inf_on_overflow(cmath.exp, float(g.power_of_q) * log_q)
+            # the float of the Fraction, as Fraction.__float__ takes it
+            power = g.power_of_q.numerator / g.power_of_q.denominator
+            q_power = _inf_on_overflow(cmath.exp, power * log_q)
             total += g.prefactor * q_power * res.value
         if not cmath.isfinite(total):
             status = "diverged"
@@ -297,7 +303,7 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
         * _inf_on_overflow(pow, t.alpha, s)
         * _inf_on_overflow(cmath.exp, (b - s) * cmath.log(t.q))
     )
-    sign, log_mag = _covering_table(s, b, s - 1)
+    sign, log_mag, _, _ = _covering_table(s, b, s - 1)
     log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
     groups: list[PFQRootGroup] = []
     for n0 in range(s):

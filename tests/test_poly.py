@@ -406,6 +406,25 @@ class TestOracle:
         with pytest.raises(ConvergenceError):
             all_roots_oracle(Polynomial([1, math.nan, 1]))
 
+    def test_nan_sweep_ends_the_iteration(self, monkeypatch):
+        # a NaN iterate spreads to every other one and never leaves, so the
+        # oracle gives up after the first NaN sweep: n evaluations in it,
+        # none in the residual pass over the NaN roots
+        calls = 0
+
+        def counted(p, x):
+            nonlocal calls
+            calls += 1
+            return eval_poly(p, x)
+
+        monkeypatch.setattr(polysolve.poly, "eval_poly", counted)
+        # a NaN coefficient, and a monic form that overflows (1e400)
+        for p in (Polynomial([1, math.nan, 1]), Polynomial([1e200] + [0] * 9 + [1e-200])):
+            calls = 0
+            with pytest.raises(ConvergenceError, match="oracle stalled with residual inf"):
+                all_roots_oracle(p)
+            assert 0 < calls <= 2 * p.degree, (p, calls)
+
     def test_starts_are_not_grims_polygon_points(self, monkeypatch):
         # the first sweep evaluates each start before it moves it, so the
         # first n evaluation points are the starts

@@ -256,9 +256,11 @@ class TestTermMemo:
     def test_term_table_matches_direct_lgamma(self):
         for s in range(2, 13):
             for b in range(1, s):
-                sign, log_mag = _term_table(s, b, 400)
-                assert len(sign) == len(log_mag) == 401
+                sign, log_mag, q_power, turns = _term_table(s, b, 400)
+                assert len(sign) == len(log_mag) == len(q_power) == len(turns) == 401
                 for n in range(401):
+                    assert q_power[n] == (1 + b * n - n * s) / s, (s, b, n)
+                    assert turns[n] == 1 + b * n, (s, b, n)
                     num2 = 1 + b * n + s - n * s
                     if num2 % s == 0 and num2 <= 0:
                         assert sign[n] == 0.0 and log_mag[n] == 0.0, (s, b, n)
@@ -271,6 +273,23 @@ class TestTermMemo:
                         - math.lgamma(n + 1)
                         - math.log(s)
                     ), (s, b, n)
+
+    def test_inlined_terms_match_the_reference_term(self):
+        # (7, 1) and (12, 5) have reciprocal-Gamma poles (n = 6 and 7 mod
+        # s); 1000 terms cross the table doublings at 400/401 and 800/801
+        for s, b in [(2, 1), (5, 2), (7, 1), (12, 5)]:
+            q = cmath.rect(1.1, 0.7)
+            modulus = (0.95 * abs(q) ** (s - b) / float(argument_modulus_constant(s, b))) ** (1 / s)
+            t = Trinomial(s, b, cmath.rect(modulus, -2.1), q)
+            for k in {0, 1, s - 1}:
+                got = list(series._trinomial_terms(t, k, 1000))
+                want = [trinomial_log_term(t, k, n) for n in range(1, 1001)]
+                assert list(map(_bits, got)) == list(map(_bits, want)), (s, b, k)
+                assert any(got[-12:])  # not underflowed to 0
+        # alpha = 0: no terms, where every reference term is 0
+        t = Trinomial(7, 1, 0, 1 + 1j)
+        assert list(series._trinomial_terms(t, 3, 1000)) == []
+        assert all(trinomial_log_term(t, 3, n) == 0 for n in range(1, 1001))
 
     def test_cold_and_warm_results_equal(self, rng):
         trinomials = [seeded_trinomial(rng, s_max=9) for _ in range(12)]

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polysolve import DivergenceError, PFQParams, SeriesConfig, Trinomial
 from polysolve import pfq_eval, trinomial_pfq_root, trinomial_series_root
-from polysolve.numerics import _STEPS_MAX, _step_table, sum_series
+from polysolve.numerics import _STEPS_MAX, _pfq_terms, _step_table, sum_series
 from polysolve.series import argument_modulus_constant, trinomial_log_term
 
 
@@ -128,6 +128,92 @@ class TestSyntheticSequences:
         total, n, status = sum_series(1.0, ((-3.0) ** k for k in itertools.count(1)), 5, 1e-12)
         assert (status, n, total) == ("diverged", 5, -182.0)
         assert sum_series(1.0, itertools.repeat(1.0), 0, 1e-12) == (1.0, 0, "truncated")
+
+
+def _reference_sum_series(term0, terms, budget, rel_tol, stride=1):
+    """sum_series as one loop for every stride, with the class index taken
+    as n % stride: the reference both of its loops must match."""
+    total = term0
+    last = [0.0] * stride
+    runs = [0] * stride
+    ring = [0.0] * stride
+    slot = 0
+    n = 0
+    status = "converged"
+    for term in itertools.islice(terms, budget):
+        n += 1
+        total += term
+        mag = abs(term)
+        if not mag:
+            continue
+        cls = n % stride
+        if n >= 16 and mag > last[cls] > 0.0:
+            runs[cls] += 1
+            if runs[cls] == 8:
+                status = "diverged"
+                break
+        else:
+            runs[cls] = 0
+        last[cls] = mag
+        ring[slot] = mag
+        slot += 1
+        if slot == stride:
+            slot = 0
+        bound = rel_tol * abs(total)
+        if mag <= bound and n >= stride and max(ring) <= bound:
+            break
+    else:
+        if n == budget:
+            status = "diverged" if max(last) > abs(total) else "truncated"
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        status = "diverged"
+    return total, n, status
+
+
+_odd_term = st.sampled_from(
+    [0j, 0.0, complex("nan"), complex("inf"), complex(0.0, -math.inf), complex(1e308, 1e308)]
+)
+_plain_term = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _periodic_run(draw):
+    """Terms whose classes mod a period each grow or decay geometrically,
+    the trinomial series' zigzag: runs of 8 growths, or convergence."""
+    period = draw(st.integers(1, 13))
+    bases = draw(st.lists(_plain_term, min_size=period, max_size=period))
+    ratio = draw(st.sampled_from([0.3, 0.9, 0.999, 1.0, 1.001, 1.5, 3.0]))
+    length = draw(st.integers(1, 16 + 10 * period))
+    return [bases[n % period] * ratio ** (n // period) for n in range(length)]
+
+
+_pieces = st.one_of(
+    _odd_term.map(lambda t: [t]),
+    st.lists(_plain_term, max_size=4),
+    st.lists(st.just(0j), min_size=1, max_size=20),  # a reciprocal-Gamma gap
+    _periodic_run(),
+)
+
+
+@given(
+    st.lists(_pieces, max_size=6).map(lambda ps: [t for p in ps for t in p]),
+    st.sampled_from([1.0, 1 + 0j, 0j, 2.5 - 1j, 1e-300j]),
+    st.integers(0, 400),  # a budget past the terms: the iterator runs out early
+    st.sampled_from([1e-15, 1e-12, 1e-6, 0.5]),
+    st.integers(1, 13),
+)
+@example([0j] * 40, 1.0, 40, 1e-12, 1)  # zero terms, budget spent
+@example([0.5, 0j, complex("nan"), 0.25], 1.0, 10, 1e-12, 2)  # NaN, runs out early
+@example([1.0, complex("inf"), 1.0], 1.0, 2, 1e-12, 1)  # inf, budget spent
+@example([2.0**k for k in range(1, 60)], 1.0, 60, 1e-12, 1)  # 8 growths
+@example([3.0 ** (k // 5) * (k % 5 + 1) for k in range(1, 80)], 1.0, 80, 1e-12, 5)
+@example([0.5**k for k in range(1, 30)], 1.0, 29, 1e-300, 3)  # spent while decaying
+@settings(max_examples=600, deadline=None)
+def test_sum_series_matches_the_reference_loop(terms, term0, budget, rel_tol, stride):
+    got = sum_series(term0, iter(terms), budget, rel_tol, stride)
+    want = _reference_sum_series(term0, iter(terms), budget, rel_tol, stride)
+    assert type(got[0]) is type(want[0])
+    assert (_bits(got[0]), *got[1:]) == (_bits(want[0]), *want[1:])
 
 
 def _parent_trinomial_loop(t, k, cfg):
@@ -320,6 +406,34 @@ class TestStepTables:
             assert res.terms_used == terminate_at + 1
             assert len(_step_table(params)[1]) == terminate_at
 
+    def test_a_suspended_sum_reads_what_another_added(self):
+        # the first sum stops inside the table, a second one grows the
+        # table meanwhile, and the first then runs past its new end
+        params = PFQParams((0.5, 1.25), (1.75,))
+        z = 0.995
+        long_cfg, short_cfg = SeriesConfig(max_terms=1500), SeriesConfig(max_terms=300)
+        want_long, _ = _parent_pfq_loop(params, z, long_cfg)
+        want_short, _ = _parent_pfq_loop(params, z, short_cfg)
+        _step_table.cache_clear()
+        pfq_eval(params, z, long_cfg)
+        single = tuple(map(list, _step_table(params)[:2]))
+        assert len(single[1]) == want_long[1] - 1 > 300
+        _step_table.cache_clear()
+        pfq_eval(params, z, SeriesConfig(max_terms=100))
+        table = _step_table(params)
+        assert len(table[1]) == 99
+        first = _pfq_terms(params, table, z, None)
+        head = list(itertools.islice(first, 50))
+        second = pfq_eval(params, z, short_cfg)
+        assert len(table[1]) == 299
+        total, n, status = sum_series(
+            head[0], itertools.chain(head[1:], first), long_cfg.max_terms - 1, long_cfg.rel_tol
+        )
+        first.close()
+        assert (_bits(total), n + 1, status) == want_long
+        assert (_bits(second.value), second.terms_used, second.status) == want_short
+        assert tuple(map(list, _step_table(params)[:2])) == single
+
     def test_memo_stays_bounded_over_every_trinomial_shape(self):
         _step_table.cache_clear()
         for s in range(2, 13):
@@ -338,7 +452,7 @@ class TestStepTables:
         want, _ = _parent_pfq_loop(params, 0.995, cfg)
         _step_table.cache_clear()
         pfq_eval(params, 0.995, cfg)  # one thread alone
-        table = tuple(map(list, _step_table(params)))
+        table = tuple(map(list, _step_table(params)[:2]))
         assert len(table[1]) == want[1] - 1
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -360,6 +474,6 @@ class TestStepTables:
                     w.join(timeout=60)
                 assert not any(w.is_alive() for w in workers)
                 assert got == [want] * len(workers)
-                assert _step_table(params) == table
+                assert _step_table(params)[:2] == table
         finally:
             sys.setswitchinterval(interval)
