@@ -66,11 +66,8 @@ _HOMES = {
         "scaled_residual",
     ),
     "radicals": (
-        "RadicalIterConfig",
         "quadrinomial_radical_root",
         "septic_radical_root",
-        "sextic_radical_residual",
-        "sextic_radical_root",
         "trinomial_radical_root",
     ),
     "series": (
@@ -80,9 +77,7 @@ _HOMES = {
         "adjacent_septic_root",
         "argument_modulus_constant",
         "bring_jerrard_quintic",
-        "general_poly_series_root",
         "quadrinomial_series_root",
-        "reciprocal_series_root",
         "trinomial_pfq_root",
         "trinomial_series_root",
     ),

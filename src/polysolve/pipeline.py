@@ -185,7 +185,6 @@ def _pfq(shape: Shape, branches, cfg) -> RootReport:
 
 def _radical(shape: Shape, branches, cfg) -> RootReport:
     from .radicals import (
-        RadicalIterConfig,
         quadrinomial_radical_root,
         septic_radical_root,
         trinomial_radical_root,
@@ -196,24 +195,20 @@ def _radical(shape: Shape, branches, cfg) -> RootReport:
         method, n, target = "radical-trinomial", t.s, t.polynomial()
 
         def iterate(k):
-            x, _, status = trinomial_radical_root(
-                t.s, t.b, -t.alpha, t.q, RadicalIterConfig(k=k)
-            )
+            x, _, status = trinomial_radical_root(t.s, t.b, -t.alpha, t.q, k)
             return x, status
     elif w is not None and w.c != 0:
         # without its x^r term the polynomial goes on to the septic form
         method, n, target = "radical-quadrinomial", w.s, w.polynomial()
 
         def iterate(k):
-            return quadrinomial_radical_root(
-                w.s, w.r, 1, w.c, w.alpha, w.b, RadicalIterConfig(k=k)
-            )
+            return quadrinomial_radical_root(w.s, w.r, 1, w.c, w.alpha, w.b, k)
     elif shape.septic is not None:
         # septic_radical_root polishes against the septic itself
         method, n, target = "radical-septic", 7, None
 
         def iterate(k):
-            return septic_radical_root(*shape.septic, RadicalIterConfig(k=k))
+            return septic_radical_root(*shape.septic, k)
     else:
         raise ValueError(
             "radical method needs a trinomial, quadrinomial or plain septic shape"

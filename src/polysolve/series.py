@@ -1,9 +1,8 @@
 """Series root engines: inverse-power trinomial and quadrinomial expansions,
 their regrouping into generalized hypergeometric form, the Bring-Jerrard
-quintic, the general-polynomial multinomial series and the cubic-seeded
-correction series for the four-term septic. Every series sum stops by
-numerics.sum_series. The Trinomial and Quadrinomial shapes are poly's,
-re-exported here.
+quintic and the cubic-seeded correction series for the four-term septic.
+Every series sum stops by numerics.sum_series. The Trinomial and
+Quadrinomial shapes are poly's, re-exported here.
 
 The Gamma-ratio terms are built in log space (lgamma plus complex logs) so
 that terms far past the pole line neither overflow nor lose the
@@ -75,34 +74,6 @@ class SeriesDiagnostics(_Record):
         self.iterations = iterations
         self.warnings = [] if warnings is None else warnings
         self.notes = {} if notes is None else notes
-
-
-def reciprocal_series_root(
-    alpha: complex, s: complex, cfg: SeriesConfig = SeriesConfig()
-) -> complex:
-    """Root of z = alpha + s/z (the larger root of z^2 - alpha z - s).
-
-    Sums alpha + sum_m (-1)^(m-1) C_{m-1} s^m / alpha^(2m-1) with C the
-    Catalan numbers; term decay is the convergence authority.
-    """
-    alpha = complex(alpha)
-    s = complex(s)
-    if s == 0:
-        return alpha
-    if alpha == 0:
-        raise DivergenceError("expansion point alpha = 0", None)
-    ratio_base = s / (alpha * alpha)
-
-    def terms():
-        term = s / alpha
-        for m in count(1):
-            yield term
-            term = term * (-ratio_base) * (2.0 * (2 * m - 1) / (m + 1))
-
-    total, _, status = sum_series(alpha, terms(), cfg.max_terms, cfg.rel_tol)
-    if status == "diverged":
-        raise DivergenceError("series terms grow", total)
-    return total
 
 
 @lru_cache(maxsize=128)
@@ -532,126 +503,3 @@ def adjacent_septic_root(
     )
     return root, diag
 
-
-def _taylor_shift(p: Polynomial, c: complex) -> list[complex]:
-    """Coefficients of p around c: p(z) = sum alpha_j (z - c)^j.
-
-    Repeated synthetic division by (x - c); each remainder is the next
-    Taylor coefficient.
-    """
-    work = list(p.coeffs)
-    out: list[complex] = []
-    while work:
-        quotient = [0j] * (len(work) - 1)
-        acc = 0j
-        for i in range(len(work) - 1, 0, -1):
-            acc = acc * c + work[i]
-            quotient[i - 1] = acc
-        out.append(acc * c + work[0])
-        work = quotient
-    return out
-
-
-def general_poly_series_root(
-    p: Polynomial, c: complex, order: int = 24, cfg: SeriesConfig = SeriesConfig()
-) -> tuple[complex, SeriesDiagnostics]:
-    """Multinomial Lagrange series for one root of p near the center c.
-
-    With alpha_j the Taylor coefficients of p at c, sums over multi-indices
-    (n_2..n_k) of weight W = sum j n_j <= order:
-
-        z = c - (alpha_0/alpha_1) * sum (n-1)!/(n_1! n_2! ... n_k!)
-            * prod_j (alpha_0^(j-1) alpha_j / (-alpha_1)^j)^(n_j)
-
-    where n = W + 1 and n_1 = sum (j-1) n_j + 1. The weight groups are the
-    terms of sum_series, with order as the budget and stride k; when it
-    reads diverged, the sum is cut at the smallest group, and that cut must
-    polish to a root. The value is Newton-polished.
-    """
-    alphas = _taylor_shift(p, c)
-    if len(alphas) < 2 or alphas[1] == 0:
-        raise ValueError("series center needs p'(c) != 0")
-    a0, a1 = alphas[0], alphas[1]
-    if a0 == 0:
-        diag = SeriesDiagnostics("converged", 0, c, scaled_residual(p, c), scaled_residual(p, c))
-        return c, diag
-    k = len(alphas) - 1
-    ratios = [0j, 0j] + [
-        a0 ** (j - 1) * alphas[j] / (-a1) ** j for j in range(2, k + 1)
-    ]
-    dominance = abs(a0 / a1)
-    advisory_ok = all(abs(rt) * dominance < 1.0 for rt in ratios[2:]) if k >= 2 else True
-
-    index: list[int] = [0] * (k + 1)
-
-    def group(w: int) -> complex:
-        """Sum of the terms of weight w, in increasing multi-index order."""
-        acc = 0j
-
-        def walk(j: int, weight: int):
-            nonlocal acc
-            if j == k:  # the last count is what the weight leaves
-                rest = w - weight
-                if rest % k:
-                    return
-                index[k] = rest // k
-                n1 = sum((jj - 1) * index[jj] for jj in range(2, k + 1)) + 1
-                denom = math.factorial(n1)
-                for jj in range(2, k + 1):
-                    denom *= math.factorial(index[jj])
-                val = complex(math.factorial(w) / denom)  # (n - 1)! with n = w + 1
-                for jj in range(2, k + 1):
-                    if index[jj]:
-                        val *= ratios[jj] ** index[jj]
-                acc += val
-                index[k] = 0
-                return
-            for count_j in range((w - weight) // j + 1):
-                index[j] = count_j
-                walk(j + 1, weight + j * count_j)
-            index[j] = 0
-
-        walk(2, 0)
-        return acc
-
-    groups = [1 + 0j]  # weight 0: the empty multi-index
-
-    def weights():
-        """Groups of weight 1, 2, ..., built as the sum asks for them; a
-        linear p is its own series, with nothing past weight 0."""
-        if k == 1:
-            return
-        for w in count(1):
-            try:
-                groups.append(group(w))
-            except OverflowError:  # past the float range: the sum reads diverged
-                groups.append(_INF)
-            yield groups[w]
-
-    # the groups zigzag across the weight classes, each ratio j setting a
-    # period j <= k, so k groups in a row must be small
-    total, n, status = sum_series(groups[0], weights(), order, cfg.rel_tol, stride=k)
-    terms_used = n + 1
-    warnings: list[str] = []
-    if status == "diverged":
-        # asymptotic rescue: truncate at the smallest group and let the
-        # polish decide whether that prefix was close enough
-        best = min((w for w in range(terms_used) if groups[w]), key=lambda w: abs(groups[w]))
-        total = groups[0]
-        for g in groups[1 : best + 1]:
-            total += g
-        terms_used = best + 1
-        warnings.append("series groups grow; truncated at the smallest group")
-        status = "truncated"
-
-    value = c - (a0 / a1) * total
-    pre = scaled_residual(p, value)
-    root, res, its, _ = polish(p, value, tol=1e-12, max_iter=80)
-    if warnings and not res <= 1e-8:  # a NaN residual fails too
-        raise DivergenceError("multinomial series diverged", value)
-    diag = SeriesDiagnostics(
-        status, terms_used, value, pre, res, its,
-        warnings=warnings,
-        notes={"advisory_dominance_ok": advisory_ok},
-    )
-    return root, diag

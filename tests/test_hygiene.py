@@ -1,7 +1,8 @@
 """Static hygiene of the package, read with the stdlib ast module: no
-module in src/polysolve keeps an unused top-level import, or a private
-top-level function or class that nothing in the package references, or
-imports dataclasses; every name in the package's lazy name table is
+module in src/polysolve keeps an unused import (at the top level, under
+`if TYPE_CHECKING:` or inside a function), or a private top-level
+function or class that nothing in the package references, or imports
+dataclasses; every name in the package's lazy name table is
 defined at the top level of the module the table names for it; and only
 the cross-check and the coverage report reach the all-roots oracle."""
 
@@ -34,19 +35,48 @@ def _references(tree: ast.AST) -> set[str]:
     return names
 
 
+def _names_read(tree: ast.AST) -> set[str]:
+    """Bare names read in tree, annotations included: under
+    `from __future__ import annotations` they still parse to names."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _own_imports(scope: ast.AST) -> list[str]:
+    """Names bound by the imports of scope itself, nested blocks such as
+    `if TYPE_CHECKING:` included, and not by those of the functions it
+    defines; `from __future__ import ...` binds nothing."""
+    bound: list[str] = []
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+    return bound
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     tree = _parse(path)
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    unused = []
-    for stmt in tree.body:
-        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
-            continue
-        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-            for alias in stmt.names:
-                bound = alias.asname or alias.name.split(".")[0]
-                if bound not in read:
-                    unused.append(bound)
+    read = _names_read(tree)
+    unused = [name for name in _own_imports(tree) if name not in read]
+    assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_function_level_import(path):
+    # a function's own imports must be read inside that function
+    unused = [
+        f"{node.name}:{name}"
+        for node in ast.walk(_parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name in _own_imports(node)
+        if name not in _names_read(node)
+    ]
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
@@ -138,11 +168,9 @@ def test_every_series_engine_sums_by_sum_series():
         and {"SeriesDiagnostics", "DivergenceError"} & _references(stmt)
     }
     assert {
-        "reciprocal_series_root",
         "trinomial_series_root",
         "quadrinomial_series_root",
         "adjacent_septic_root",
-        "general_poly_series_root",
     } <= set(engines)
     own_loop = sorted(name for name, refs in engines.items() if "sum_series" not in refs)
     assert not own_loop, f"series engines that do not sum by sum_series: {own_loop}"

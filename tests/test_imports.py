@@ -27,25 +27,23 @@ import polysolve
 SRC = Path(__file__).resolve().parents[1] / "src"
 ROUTES = ("algebra", "closedform", "grim", "radicals", "series")
 
-# every name the package has exported since before it became lazy
+# every public name of the package
 PUBLIC = (
     "ConvergenceError", "DegenerateError", "DegreeError", "DivergenceError",
-    "GrimError", "PFQParams", "PFQResult", "PFQRootForm",
-    "PFQRootGroup", "PoleError", "Polynomial", "Quadrinomial", "RDBoundRow",
-    "RadicalIterConfig", "RootEntry", "RootReport", "SeriesConfig",
-    "SeriesDiagnostics", "SquareDifferenceSplit", "Trinomial",
-    "adjacent_septic_root", "all_roots_oracle", "argument_modulus_constant",
-    "brauer_rd", "bring_jerrard_quintic", "cross_check",
-    "distinct_roots", "eval_poly", "eval_poly_and_deriv", "gamma_real",
-    "general_poly_series_root", "grim_coverage", "grim_solve", "match_roots",
+    "GrimError", "PFQParams", "PFQResult", "PFQRootForm", "PFQRootGroup",
+    "PoleError", "Polynomial", "Quadrinomial", "RDBoundRow", "RootEntry",
+    "RootReport", "SeriesConfig", "SeriesDiagnostics", "SquareDifferenceSplit",
+    "Trinomial", "adjacent_septic_root", "all_roots_oracle",
+    "argument_modulus_constant", "brauer_rd", "bring_jerrard_quintic",
+    "cross_check", "distinct_roots", "eval_poly", "eval_poly_and_deriv",
+    "gamma_real", "grim_coverage", "grim_solve", "match_roots",
     "newton_polish", "newton_polygon", "parse_poly", "pfq_eval", "pochhammer",
     "polish", "poly_from_roots", "principal_pow", "quadrinomial_radical_root",
-    "quadrinomial_series_root", "recip_gamma_real", "reciprocal_series_root",
-    "scaled_residual", "septic_radical_root", "sextic_radical_residual",
-    "sextic_radical_root", "solve", "solve_by_split", "solve_closed",
-    "solve_cubic", "solve_quadratic", "solve_quartic", "square_difference_split",
-    "sylvester_resultant", "trinomial_pfq_root", "trinomial_radical_root",
-    "trinomial_series_root", "tschirnhaus_quadratic",
+    "quadrinomial_series_root", "recip_gamma_real", "scaled_residual",
+    "septic_radical_root", "solve", "solve_by_split", "solve_closed",
+    "solve_cubic", "solve_quadratic", "solve_quartic",
+    "square_difference_split", "sylvester_resultant", "trinomial_pfq_root",
+    "trinomial_radical_root", "trinomial_series_root", "tschirnhaus_quadratic",
 )
 
 STDLIB = {"dataclasses", "inspect", "json", "fractions", "decimal"}

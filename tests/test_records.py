@@ -23,7 +23,6 @@ from polysolve import (
     PFQRootGroup,
     Polynomial,
     Quadrinomial,
-    RadicalIterConfig,
     RDBoundRow,
     RootEntry,
     RootReport,
@@ -50,12 +49,6 @@ FROZEN = [
         (Polynomial([1, 0, 1]), None, None, None),
         (1, 2, 3, 4),
         "(poly, tri=None, quad=None, septic=None)",
-    ),
-    (
-        RadicalIterConfig,
-        (1, 10, 20, 1e-10, 1e6),
-        1e7,
-        "(k=0, inner_iters=40, outer_iters=60, tol=1e-12, max_modulus=100000000.0)",
     ),
     (RDBoundRow, (5, 1, 4), 3, "(n, r, rd_max)"),
 ]
@@ -192,12 +185,6 @@ def test_given_warnings_list_is_kept():
         (SeriesConfig, {"max_terms": 2.5}),
         (SeriesConfig, {"max_terms": 400.0}),
         (SeriesConfig, {"max_terms": 0}),
-        (RadicalIterConfig, {"tol": math.nan}),
-        (RadicalIterConfig, {"tol": 0.0}),
-        (RadicalIterConfig, {"max_modulus": math.nan}),
-        (RadicalIterConfig, {"max_modulus": math.inf}),
-        (RadicalIterConfig, {"inner_iters": 2.5}),
-        (RadicalIterConfig, {"outer_iters": 60.0}),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x}" for k, x in v.items()),
 )

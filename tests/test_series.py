@@ -19,10 +19,8 @@ from polysolve import (
     argument_modulus_constant,
     bring_jerrard_quintic,
     cross_check,
-    general_poly_series_root,
     match_roots,
     quadrinomial_series_root,
-    reciprocal_series_root,
     scaled_residual,
     solve,
     solve_cubic,
@@ -43,24 +41,6 @@ from conftest import bisect_root, seeded_trinomial
 
 PHI = 1.618033988749895  # bisection oracle for x^2 - x - 1 on [1, 2]
 X5P_ROOT = 0.7548776662466927  # x^5 + x - 1 on [0, 1]
-
-
-class TestReciprocalSeries:
-    def test_s_zero(self):
-        assert reciprocal_series_root(3, 0) == 3
-
-    def test_quadratic_oracle_one(self):
-        # larger root of z^2 - 3z - 1 by the quadratic formula
-        expected = (3 + math.sqrt(13)) / 2
-        assert abs(reciprocal_series_root(3, 1) - expected) <= 1e-10
-
-    def test_quadratic_oracle_small_s(self):
-        expected = (2 + math.sqrt(4.4)) / 2
-        assert abs(reciprocal_series_root(2, 0.1) - expected) <= 1e-10
-
-    def test_divergence(self):
-        with pytest.raises(DivergenceError):
-            reciprocal_series_root(1, 5)  # far outside |s| < |alpha|^2/4
 
 
 class TestTrinomialSeries:
@@ -558,44 +538,3 @@ class TestAdjacentSeptic:
         with pytest.raises(ConvergenceError):
             adjacent_septic_root(1, 0, 0, 1e150)
 
-
-class TestGeneralPolySeries:
-    def test_linear_exact(self):
-        root, diag = general_poly_series_root(Polynomial([4, 2]), 0)
-        assert root == -2
-        assert diag.status == "converged"
-
-    def test_quadratic_branch(self):
-        root, diag = general_poly_series_root(Polynomial([-1, -1, 1]), 0)
-        assert abs(root - (-0.6180339887498949)) <= 1e-9
-
-    def test_dominant_cubic(self):
-        p = Polynomial([0.3, -5, 0.2, 1])
-        root, diag = general_poly_series_root(p, 0)
-        assert diag.status == "converged"
-        oracle = all_roots_oracle(p)
-        assert min(abs(root - e.root) for e in oracle.roots) <= 1e-8
-
-    def test_center_shift(self):
-        p = Polynomial([-6, 11, -6, 1])  # roots 1, 2, 3
-        root, diag = general_poly_series_root(p, 0.9)
-        assert abs(root - 1.0) <= 1e-8
-
-    def test_requires_nonzero_derivative(self):
-        with pytest.raises(ValueError):
-            general_poly_series_root(Polynomial([1, 0, 1]), 0)
-
-    def test_a_tiny_group_between_larger_ones_does_not_stop_the_sum(self):
-        # ratios 0.1 and -1e-14: group 2 is 0.1, group 3 is -1e-14 and
-        # group 4 is 0.02, so one small group is not convergence
-        p = Polynomial([1, 1, 0.1, 1e-14])
-        root, diag = general_poly_series_root(p, 0)
-        assert diag.terms_used > 4
-        assert abs(diag.series_value - root) <= 1e-6
-        assert abs(root - (-1.1270166537925831)) <= 1e-12
-
-    def test_overflowing_groups_raise(self):
-        # group 4 holds (1e203)^2: past the float range, the sum reads
-        # diverged and the smallest-group cut does not polish to a root
-        with pytest.raises(DivergenceError):
-            general_poly_series_root(Polynomial([1e3, 1, 1e200, 1]), 0)
