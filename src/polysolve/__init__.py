@@ -50,7 +50,6 @@ _HOMES = {
         "Quadrinomial",
         "RootEntry",
         "RootReport",
-        "SeriesConfig",
         "Trinomial",
         "all_roots_oracle",
         "distinct_roots",

@@ -2,10 +2,10 @@
 
 Subcommands: solve, rd-table, pfq, resultant, tschirnhaus. Each handler
 imports the route, algebra or numerics module it runs, so importing this
-module loads only pipeline and poly of the package. The result and config
-types are plain slotted classes, so neither importing this module nor a
-solve loads the standard library's dataclasses (or the inspect module it
-pulls in); canonical_json escapes strings itself, so neither loads json.
+module loads only pipeline and poly of the package. The result types are
+plain slotted classes, so neither importing this module nor a solve loads
+the standard library's dataclasses (or the inspect module it pulls in);
+canonical_json escapes strings itself, so neither loads json.
 Output is deterministic; JSON uses a fixed key order and 17-significant-digit
 float formatting so that identical invocations are byte-identical and
 emitted documents round-trip through a parser unchanged.
@@ -24,13 +24,14 @@ import sys
 
 from .pipeline import METHODS, Shape, cross_check, shape_of, solve
 from .poly import (
+    MAX_TERMS,
     ConvergenceError,
     GrimError,
     Polynomial,
     Quadrinomial,
     RootReport,
-    SeriesConfig,
     Trinomial,
+    _require_count,
     parse_coefficient,
     parse_poly,
 )
@@ -124,7 +125,6 @@ def _print_report(report: RootReport, status: str, as_json: bool, out) -> None:
 
 
 def cmd_solve(args, out, err) -> int:
-    cfg = SeriesConfig(max_terms=args.max_terms)
     if not 0 <= args.tolerance < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {args.tolerance}")
     if args.trinomial:
@@ -146,7 +146,7 @@ def cmd_solve(args, out, err) -> int:
     if args.branches:
         branches = [int(tok) for tok in args.branches.split(",") if tok.strip()]
     try:
-        report = solve(eq, args.method, branches, cfg)
+        report = solve(eq, args.method, branches, args.max_terms)
     except (ConvergenceError, GrimError) as exc:
         err.write(f"error: {exc}\n")
         return PARTIAL_RESULTS
@@ -167,8 +167,8 @@ def _plot_basins(args, shape: Shape, out, err) -> int:
     except ValueError as exc:
         err.write(f"error: {exc}\n")
         return USAGE_ERROR
+    _require_count("max_terms", args.max_terms)  # before the header, as solve would
     out.write("param1,param2,method,status,residual\n")
-    cfg = SeriesConfig(max_terms=args.max_terms)
     for i in range(nre):
         re = re0 + (re1 - re0) * i / max(nre - 1, 1)
         for j in range(nim):
@@ -181,7 +181,7 @@ def _plot_basins(args, shape: Shape, out, err) -> int:
                 coeffs[0] = complex(re, im)
                 probe, method, branches = Polynomial(coeffs), "grim", None
             try:
-                report = solve(probe, method, branches, cfg)
+                report = solve(probe, method, branches, args.max_terms)
                 status = cross_check(shape_of(probe).poly, report, None)
                 residual = max((e.residual for e in report.roots), default=math.nan)
             except GrimError:
@@ -234,12 +234,7 @@ def cmd_pfq(args, out, err) -> int:
     lower = tuple(parse_coefficient(t) for t in args.lower.split(",") if t.strip())
     z = parse_coefficient(args.z)
     try:
-        res = pfq_eval(
-            PFQParams(upper, lower),
-            z,
-            SeriesConfig(max_terms=args.max_terms),
-            regularized=args.regularized,
-        )
+        res = pfq_eval(PFQParams(upper, lower), z, args.max_terms, args.regularized)
     except PoleError as exc:
         err.write(f"error: {exc}\n")
         return USAGE_ERROR
@@ -323,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *METHODS],
     )
     ps.add_argument("--tolerance", type=float, default=1e-8)
-    ps.add_argument("--max-terms", type=int, default=400)
+    ps.add_argument("--max-terms", type=int, default=MAX_TERMS)
     ps.add_argument("--branches", help="comma-separated branch indices")
     ps.add_argument("--json", action="store_true")
     ps.add_argument("--no-oracle", action="store_true")
@@ -342,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     pq.add_argument("--upper", default="")
     pq.add_argument("--lower", default="")
     pq.add_argument("--z", required=True)
-    pq.add_argument("--max-terms", type=int, default=400)
+    pq.add_argument("--max-terms", type=int, default=MAX_TERMS)
     pq.add_argument("--regularized", action="store_true")
     pq.add_argument("--json", action="store_true")
     pq.set_defaults(func=cmd_pfq)

@@ -33,12 +33,17 @@ from .poly import (
 )
 
 
-def _roots_report(p: Polynomial, roots: list[tuple[complex, int]], method: str,
-                  warnings: list[str] | None = None) -> RootReport:
-    entries = [
-        RootEntry(r, scaled_residual(p, r), branch=b) for r, b in roots
-    ]
-    return RootReport(entries, method=method, warnings=warnings or []).sort()
+def _roots_report(p: Polynomial, roots: list[tuple[complex, int]], method: str) -> RootReport:
+    """The report of a closed form's (root, branch) pairs, each root after
+    a short Newton cleanup on p, which also gives its residual. The cleanup
+    restores the digits a formula loses to cancellation (a near-degenerate
+    quartic resolvent, or a shifted cubic whose roots spread over many
+    scales) and returns at once a root that is already clean."""
+    entries = []
+    for r, b in roots:
+        root, res, _, _ = polish(p, r, tol=1e-13, max_iter=8)
+        entries.append(RootEntry(root, res, branch=b))
+    return RootReport(entries, method=method).sort()
 
 
 def solve_quadratic(p: Polynomial) -> RootReport:
@@ -178,11 +183,7 @@ def solve_quartic(p: Polynomial) -> RootReport:
         rr = cmath.sqrt(w1 * w1 / 4.0 - w0)
         roots.append((-w1 / 2.0 + rr, 2 * idx))
         roots.append((-w1 / 2.0 - rr, 2 * idx + 1))
-    # near-degenerate resolvents lose half the digits to radicand
-    # cancellation; a short Newton cleanup restores them
-    cleaned = [(polish(p, root, tol=1e-13, max_iter=8)[0], branch)
-               for root, branch in roots]
-    return _roots_report(p, cleaned, "closed-quartic")
+    return _roots_report(p, roots, "closed-quartic")
 
 
 class SquareDifferenceSplit(_Record):
@@ -270,8 +271,12 @@ def _bezout_step(
     return du, _divide(rest, u)[0]
 
 
+# the most Newton steps of one _factor_newton run
+_FACTOR_STEPS = 80
+
+
 def _factor_newton(
-    c: tuple[complex, ...], wp0: list[complex], wm0: list[complex], max_iter: int = 80
+    c: tuple[complex, ...], wp0: list[complex], wm0: list[complex]
 ) -> tuple[list[complex], list[complex], float]:
     """Damped Newton on the coefficients of the two monic halves.
 
@@ -293,7 +298,7 @@ def _factor_newton(
     z = wp0[:h] + wm0[:h]
     fz = f(z)
     fnorm = max(abs(x) for x in fz)
-    for _ in range(max_iter):
+    for _ in range(_FACTOR_STEPS):
         if fnorm < 1e-13:
             break
         step = _bezout_step(z[:h] + [1.0 + 0j], z[h:] + [1.0 + 0j], [-x for x in fz])

@@ -58,15 +58,11 @@ def _complementary(p: Polynomial) -> Polynomial:
 
 
 def _iterate(
-    rev: tuple[complex, ...],
-    n: int,
-    d: int,
-    start: tuple[complex, complex, float],
-    iters: int,
+    rev: tuple[complex, ...], n: int, d: int, start: tuple[complex, complex, float]
 ) -> list[complex]:
-    """Run one (branch, seed) orbit; candidates are the limit point and the
-    lowest-residual iterate visited on the way, given once when they are
-    the same point.
+    """Run one (branch, seed) orbit of at most _ORBIT_STEPS steps;
+    candidates are the limit point and the lowest-residual iterate visited
+    on the way, given once when they are the same point.
 
     Roots whose branch map is locally repelling are never limits, but the
     orbit frequently passes close to them; keeping the best visited point
@@ -80,7 +76,7 @@ def _iterate(
     """
     x, v, best_res = start
     best = x
-    for _ in range(iters):
+    for _ in range(_ORBIT_STEPS):
         if v == 0:
             # x^n must vanish too; candidate only if x itself is tiny
             if abs(x) < 1.0:
@@ -101,10 +97,11 @@ def _iterate(
     return [x] if x == best else [x, best]
 
 
-def _orbit_points(q: Polynomial, branches: list[int]):
-    """The limit and best points of the orbits, in (branch, seed) order,
-    from the seeds 0.01, i, -i and half the largest polygon radius of q;
-    nothing is computed before the first point is asked for."""
+def _orbit_points(q: Polynomial):
+    """The limit and best points of the orbits of every branch of q, in
+    (branch, seed) order, from the seeds 0.01, i, -i and half the largest
+    polygon radius of q; nothing is computed before the first point is
+    asked for."""
     fc = _complementary(q)
     rev = tuple(reversed(fc.coeffs))
     far = max(u for *_, u in newton_polygon(q)) / 2.0
@@ -114,16 +111,16 @@ def _orbit_points(q: Polynomial, branches: list[int]):
     # rather than an OverflowError.
     lead = abs(q.lead)
     starts = [(s, fc(s), abs(eval_poly(q, s)) / lead) for s in seeds]
-    for d in branches:
+    for d in range(q.degree):
         for seed, start in zip(seeds, starts):
-            for point in _iterate(rev, q.degree, d, start, _ORBIT_STEPS):
+            for point in _iterate(rev, q.degree, d, start):
                 yield f"branch {d} seed {seed}", point
 
 
-def grim_solve(p: Polynomial, branches: list[int] | None = None) -> RootReport:
+def grim_solve(p: Polynomial) -> RootReport:
     """Find the roots of p from the points of its Newton polygon, and from
-    the dominant-term orbits over the given branches (all n by default,
-    never none) and the four seeds for any root those points miss.
+    the dominant-term orbits of every branch and the four seeds for any
+    root those points miss.
 
     A factor x^m is split off exactly first: its m roots are reported at 0
     with residual 0, and the search runs on the quotient q. The candidate
@@ -137,8 +134,6 @@ def grim_solve(p: Polynomial, branches: list[int] | None = None) -> RootReport:
     The search stops once q's degree is reached, so at most n roots come
     back; when fewer are found, the warnings end with "found k of n roots".
     """
-    if branches is not None and not branches:
-        raise ValueError("branches must be nonempty")
     n = p.degree
     if n < 1:
         raise ValueError("grim_solve needs degree >= 1")
@@ -155,7 +150,7 @@ def grim_solve(p: Polynomial, branches: list[int] | None = None) -> RootReport:
         (f"polygon edge ({i}, {j}) point {k}", x)
         for i, j, k, x in _polygon_points(q, _TURN)
     )
-    orbits = _orbit_points(q, list(range(q.degree)) if branches is None else branches)
+    orbits = _orbit_points(q)
     for start, point in chain(points, orbits):
         if not is_new_root(point, roots):
             continue  # the deflated step would start on a pole

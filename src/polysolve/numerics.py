@@ -3,7 +3,8 @@ series stopping rule and pFq series.
 
 Everything here is plain 64-bit floating point (``float`` / ``complex``);
 no arbitrary precision. sum_series holds the one stopping rule of every
-series sum, and reads each as converged, diverged or truncated.
+series sum, with the one relative tolerance _REL_TOL, and reads each as
+converged, diverged or truncated.
 The pFq evaluator feeds it the term recurrence
 
     t_{n+1} = t_n * prod(a_i + n) / ((n + 1) prod(b_j + n)) * z,
@@ -22,7 +23,7 @@ from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import count, islice
 
-from .poly import SeriesConfig, _Record
+from .poly import MAX_TERMS, _Record, _require_count
 
 
 class PoleError(ValueError):
@@ -100,10 +101,16 @@ class PFQResult(_Record):
 # class that grows this many times in a row has diverged.
 _GROWTH_FROM = 16
 _GROWTH_RUN = 8
+# a sum has converged once its latest terms are this small against it
+_REL_TOL = 1e-12
 
 
 def sum_series(
-    term0: complex, terms: Iterable[complex], budget: int, rel_tol: float, stride: int = 1
+    term0: complex,
+    terms: Iterable[complex],
+    budget: int,
+    rel_tol: float = _REL_TOL,
+    stride: int = 1,
 ) -> tuple[complex, int, str]:
     """Sum term0 and then terms 1, 2, ... as ``terms`` yields them, taking at
     most ``budget`` of them. Returns the sum, how many of ``terms`` it took
@@ -199,7 +206,7 @@ def _real_nonpositive_int(c: complex) -> int | None:
 def pfq_eval(
     params: PFQParams,
     z: complex,
-    cfg: SeriesConfig = SeriesConfig(),
+    max_terms: int = MAX_TERMS,
     regularized: bool = False,
 ) -> PFQResult:
     """Sum the generalized hypergeometric series pFq(a; b; z) by sum_series.
@@ -209,8 +216,10 @@ def pfq_eval(
     pole detection; at z = 0 the series is its constant term. With ``regularized`` each lower Pochhammer is read
     through 1/Gamma, i.e. the sum of prod(a)_n z^n / (n! prod Gamma(b_j+n)).
     Both paths sum at most max_terms terms, and terms_used counts the terms
-    summed, the constant term included.
+    summed, the constant term included. A max_terms that is not an int of
+    at least 1 raises ValueError.
     """
+    _require_count("max_terms", max_terms)
     z = complex(z)
     table = _step_table(params)
     terminate_at, pole_at = table[2], table[3]
@@ -227,10 +236,10 @@ def pfq_eval(
     else:
         terms = _pfq_terms(params, table, z, terminate_at)
     # a series that terminates within max_terms runs out before its budget
-    budget = cfg.max_terms - 1
-    if terminate_at is not None and terminate_at < cfg.max_terms:
+    budget = max_terms - 1
+    if terminate_at is not None and terminate_at < max_terms:
         budget = terminate_at + 1
-    total, n, status = sum_series(next(terms), terms, budget, cfg.rel_tol)
+    total, n, status = sum_series(next(terms), terms, budget)
     terms.close()  # the plain path's new steps go into its step table
     return PFQResult(total, n + 1, status)
 

@@ -15,15 +15,16 @@ from __future__ import annotations
 import cmath
 
 from .poly import (
+    MAX_TERMS,
     ConvergenceError,
     DivergenceError,
     Polynomial,
     Quadrinomial,
     RootEntry,
     RootReport,
-    SeriesConfig,
     Trinomial,
     _Record,
+    _require_count,
     all_roots_oracle,
     distinct_roots,
     format_coefficient,
@@ -125,13 +126,13 @@ def _branch_report(method: str, branches: list[int] | None, n: int, attempt,
     return report
 
 
-def _closed(shape: Shape, branches, cfg) -> RootReport:
+def _closed(shape: Shape, branches, max_terms) -> RootReport:
     from .closedform import solve_closed
 
     return solve_closed(shape.poly)
 
 
-def _split(shape: Shape, branches, cfg) -> RootReport:
+def _split(shape: Shape, branches, max_terms) -> RootReport:
     from .closedform import solve_by_split
 
     p = shape.poly
@@ -140,14 +141,14 @@ def _split(shape: Shape, branches, cfg) -> RootReport:
     return solve_by_split(p.monic())
 
 
-def _series(shape: Shape, branches, cfg) -> RootReport:
+def _series(shape: Shape, branches, max_terms) -> RootReport:
     from .series import quadrinomial_series_root, trinomial_series_root
 
     t, w = shape.tri, shape.quad
     if t is not None:
         def attempt(k):
             try:
-                root, diag = trinomial_series_root(t, k, cfg)
+                root, diag = trinomial_series_root(t, k, max_terms)
             except DivergenceError:
                 return f"branch {k}: series diverged"
             return RootEntry(root, diag.residual, branch=k, iterations=diag.iterations)
@@ -156,7 +157,7 @@ def _series(shape: Shape, branches, cfg) -> RootReport:
     if w is not None:
         def attempt(k):
             try:
-                root, diag = quadrinomial_series_root(w, cfg)
+                root, diag = quadrinomial_series_root(w, max_terms)
             except DivergenceError:
                 return "quadrinomial series diverged"
             return RootEntry(root, diag.residual, branch=0, iterations=diag.iterations)
@@ -166,7 +167,7 @@ def _series(shape: Shape, branches, cfg) -> RootReport:
     raise ValueError("series method needs a trinomial or quadrinomial shape")
 
 
-def _pfq(shape: Shape, branches, cfg) -> RootReport:
+def _pfq(shape: Shape, branches, max_terms) -> RootReport:
     from .series import trinomial_pfq_root
 
     t = shape.tri
@@ -175,7 +176,7 @@ def _pfq(shape: Shape, branches, cfg) -> RootReport:
     target = t.polynomial()
 
     def attempt(k):
-        value, status = trinomial_pfq_root(t, k).evaluate(cfg)
+        value, status = trinomial_pfq_root(t, k).evaluate(max_terms)
         if status != "converged":
             return f"branch {k}: pfq {status}"
         return _polished(target, value, k)
@@ -183,7 +184,7 @@ def _pfq(shape: Shape, branches, cfg) -> RootReport:
     return _branch_report("pfq-trinomial", branches, t.s, attempt)
 
 
-def _radical(shape: Shape, branches, cfg) -> RootReport:
+def _radical(shape: Shape, branches, max_terms) -> RootReport:
     from .radicals import (
         quadrinomial_radical_root,
         septic_radical_root,
@@ -225,13 +226,13 @@ def _radical(shape: Shape, branches, cfg) -> RootReport:
     return _branch_report(method, branches, n, attempt)
 
 
-def _grim(shape: Shape, branches, cfg) -> RootReport:
+def _grim(shape: Shape, branches, max_terms) -> RootReport:
     from .grim import grim_solve
 
-    return grim_solve(shape.poly, branches)
+    return grim_solve(shape.poly)
 
 
-def _adjacent(shape: Shape, branches, cfg) -> RootReport:
+def _adjacent(shape: Shape, branches, max_terms) -> RootReport:
     from .series import adjacent_septic_root
 
     if shape.septic is None or shape.septic[0] == 0:
@@ -239,7 +240,7 @@ def _adjacent(shape: Shape, branches, cfg) -> RootReport:
             "adjacent method needs the x^7 + c x^3 + a x^2 + b x - q shape"
         )
     c, a, b, c0 = shape.septic
-    root, diag = adjacent_septic_root(c, a, b, -c0, cfg)
+    root, diag = adjacent_septic_root(c, a, b, -c0, max_terms)
     entry = RootEntry(root, diag.residual, branch=0, iterations=diag.iterations)
     return RootReport([entry], method="adjacent-septic", warnings=diag.warnings, aimed=1)
 
@@ -252,7 +253,7 @@ METHODS = {
     "radical": _radical,
     "grim": _grim,
     "adjacent": _adjacent,
-    "oracle": lambda shape, branches, cfg: all_roots_oracle(shape.poly),
+    "oracle": lambda shape, branches, max_terms: all_roots_oracle(shape.poly),
 }
 
 
@@ -260,16 +261,19 @@ def solve(
     eq: Polynomial | Trinomial | Quadrinomial,
     method: str = "auto",
     branches: list[int] | None = None,
-    cfg: SeriesConfig = SeriesConfig(),
+    max_terms: int = MAX_TERMS,
 ) -> RootReport:
     """Roots of eq by a method of METHODS. "auto" takes the closed forms up
     to degree 4, the split for even degrees up to 10, the series for
-    trinomial shapes and GRIM otherwise. branches picks
-    the branches of the series, pfq, radical and GRIM routes. A method that
-    is unknown or cannot take eq's shape raises ValueError, and so do an
-    empty branch list and a non-finite coefficient."""
+    trinomial shapes and GRIM otherwise. branches picks the branches of
+    the series, pfq and radical routes; the others find every root.
+    max_terms caps the terms of each series sum. A method that is unknown
+    or cannot take eq's shape raises ValueError, and so do an empty branch
+    list, a max_terms that is not an int of at least 1 and a non-finite
+    coefficient."""
     if branches is not None and not branches:
         raise ValueError("branches must be nonempty")
+    _require_count("max_terms", max_terms)
     shape = shape_of(eq)
     for c in shape.poly.coeffs:
         if not cmath.isfinite(c):
@@ -278,15 +282,17 @@ def solve(
     route = METHODS.get(name)
     if route is None:
         raise ValueError(f"unknown method {method!r}")
-    return route(shape, branches, cfg)
+    return route(shape, branches, max_terms)
 
 
 def cross_check(p: Polynomial, report: RootReport, tol: float | None) -> str:
     """"partial" when the report holds fewer roots than it aimed at (all n
     unless report.aimed says otherwise); else "ok", "empty" or "mismatch"
     against the all-roots oracle of p, where a non-finite root on either
-    side or one farther than max(tol, 1e-7) (relative) from the oracle set
-    is a mismatch. tol=None skips the oracle and reads "ok" unless partial."""
+    side is a mismatch, and so is a root g farther than
+    max(tol, 1e-7) (1 + |g|) from its oracle root (poly.match_roots' pairing
+    when the counts agree, else the nearest). tol=None skips the oracle and
+    reads "ok" unless partial."""
     status = "ok" if tol is None else _oracle_status(p, report, tol)
     aimed = p.degree if report.aimed is None else report.aimed
     return "partial" if len(report.roots) < aimed else status
@@ -308,15 +314,20 @@ def _oracle_status(p: Polynomial, report: RootReport, tol: float) -> str:
         if not cmath.isfinite(e.root):
             report.warnings.append(f"oracle root {e.root} is not finite")
             return "mismatch"
+    bound = max(tol, 1e-7)
     if len(got) == len(oracle.roots):
-        worst, _ = match_roots(report, oracle)
-        if worst <= max(tol, 1e-7) * (1.0 + max(abs(g) for g in got)):
-            return "ok"
-        report.warnings.append(f"oracle cross-check distance {worst:.3e}")
-        return "mismatch"
+        worst = 0.0  # the largest distance of a pair out of bounds
+        for i, j in match_roots(got, oracle)[1]:
+            dist = abs(got[i] - oracle.roots[j].root)
+            if dist > bound * (1.0 + abs(got[i])):
+                worst = max(worst, dist)
+        if worst:
+            report.warnings.append(f"oracle cross-check distance {worst:.3e}")
+            return "mismatch"
+        return "ok"
     for g in got:
         nearest = min(abs(g - e.root) for e in oracle.roots)
-        if nearest > max(tol, 1e-7) * (1.0 + abs(g)):
+        if nearest > bound * (1.0 + abs(g)):
             report.warnings.append(f"root {g} is {nearest:.3e} from the oracle set")
             return "mismatch"
     return "ok"

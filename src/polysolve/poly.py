@@ -1,8 +1,8 @@
 """Polynomial core: representation (with the trinomial and quadrinomial
 shapes the routes recognize), evaluation, principal powers, the Newton
 polygon, Newton polishing, the Durand-Kerner all-roots oracle, the errors
-every route may raise, the series configuration and the base of the
-package's result and config types.
+every route may raise, the default series budget and the base of the
+package's result types.
 
 Coefficients are stored constant-term first: coeffs[i] multiplies x**i.
 """
@@ -16,9 +16,9 @@ from operator import attrgetter
 
 
 class _Record:
-    """Base of the package's result and config types, plain slotted
-    classes. A subclass lists its fields in constructor order in __slots__
-    and sets them in its own __init__. Records compare field by field and
+    """Base of the package's result types, plain slotted classes. A
+    subclass lists its fields in constructor order in __slots__ and sets
+    them in its own __init__. Records compare field by field and
     print as Name(field=value, ...). A subclass declared with frozen=True
     sets its fields through object.__setattr__, hashes by them and raises
     AttributeError on assignment and deletion; any other one is unhashable.
@@ -57,16 +57,14 @@ def _read_only(self: _Record, name: str, *value) -> None:
     raise AttributeError(f"{self.__class__.__qualname__} is frozen: cannot set or delete {name!r}")
 
 
+# the most terms a series sums unless its caller says otherwise
+MAX_TERMS = 400
+
+
 def _require_count(name: str, n) -> None:
-    """A config's iteration or term count: an int of at least 1."""
+    """An iteration or term count from a caller: an int of at least 1."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"{name} must be an int >= 1")
-
-
-def _require_positive(name: str, x) -> None:
-    """A config's tolerance or bound: a finite positive number."""
-    if not 0 < x < math.inf:
-        raise ValueError(f"{name} must be finite and positive")
 
 
 class DegreeError(ValueError):
@@ -100,20 +98,6 @@ class GrimError(ArithmeticError):
     def __init__(self, message: str, diagnostics: list[str]):
         super().__init__(message)
         self.diagnostics = diagnostics
-
-
-class SeriesConfig(_Record, frozen=True):
-    """Truncation and convergence control for series summation."""
-
-    __slots__ = ("max_terms", "rel_tol")
-
-    def __init__(self, max_terms: int = 400, rel_tol: float = 1e-12):
-        _require_count("max_terms", max_terms)
-        _require_positive("rel_tol", rel_tol)
-        if rel_tol < 2.3e-16:
-            raise ValueError("rel_tol below machine epsilon")
-        object.__setattr__(self, "max_terms", max_terms)
-        object.__setattr__(self, "rel_tol", rel_tol)
 
 
 class Polynomial(_Record, frozen=True):

@@ -21,12 +21,12 @@ from typing import TYPE_CHECKING
 
 from .numerics import PFQParams, gamma_sign, pfq_eval, sum_series
 from .poly import (
+    MAX_TERMS,
     ConvergenceError,
     DivergenceError,
     Polynomial,
     Quadrinomial,
     RootReport,
-    SeriesConfig,
     Trinomial,
     _Record,
     polish,
@@ -38,7 +38,6 @@ if TYPE_CHECKING:
 
 _TWO_PI = 2.0 * math.pi
 _INF = complex(math.inf, 0.0)
-_DEFAULT_TERMS = SeriesConfig().max_terms
 
 
 def _inf_on_overflow(f, *args) -> complex:
@@ -109,7 +108,7 @@ def _covering_table(s: int, b: int, n: int) -> tuple[array, array, array, array]
     for the pFq prefactors), doubled until it reaches n. The series and the
     pFq form share it, and a large max_terms builds no more than about
     twice the terms a series reads."""
-    length = max(_DEFAULT_TERMS, s)
+    length = max(MAX_TERMS, s)
     while length < n:
         length *= 2
     return _term_table(s, b, length)
@@ -132,7 +131,7 @@ def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
 
 
 def trinomial_series_root(
-    t: Trinomial, k: int, cfg: SeriesConfig = SeriesConfig()
+    t: Trinomial, k: int, max_terms: int = MAX_TERMS
 ) -> tuple[complex, SeriesDiagnostics]:
     """Branch-k root of z^s - alpha z^b - q = 0 by Lagrange inversion.
 
@@ -147,7 +146,7 @@ def trinomial_series_root(
     # term magnitudes zigzag across residue classes mod s; geometric decay
     # or growth is only visible at stride s
     total, terms_used, status = sum_series(
-        lead, _trinomial_terms(t, k, cfg.max_terms), cfg.max_terms, cfg.rel_tol, stride=s
+        lead, _trinomial_terms(t, k, max_terms), max_terms, stride=s
     )
     p = t.polynomial()
     pre = scaled_residual(p, total)
@@ -230,7 +229,7 @@ class PFQRootForm(_Record):
         self.k = k
         self.groups = groups
 
-    def evaluate(self, cfg: SeriesConfig = SeriesConfig()) -> tuple[complex, str]:
+    def evaluate(self, max_terms: int = MAX_TERMS) -> tuple[complex, str]:
         """The sum and the worst pFq status; a total that is not finite
         (a power of q or a class sum past the float range) reads diverged."""
         total = 0j
@@ -239,7 +238,7 @@ class PFQRootForm(_Record):
         for g in self.groups:
             if g.prefactor == 0:
                 continue
-            res = pfq_eval(g.params, g.argument, cfg)
+            res = pfq_eval(g.params, g.argument, max_terms)
             if res.status != "converged":
                 status = res.status
             # the float of the Fraction, as Fraction.__float__ takes it
@@ -343,7 +342,7 @@ def bring_jerrard_quintic(alpha: complex, q: complex) -> RootReport:
 
 
 def quadrinomial_series_root(
-    w: Quadrinomial, cfg: SeriesConfig = SeriesConfig()
+    w: Quadrinomial, max_terms: int = MAX_TERMS
 ) -> tuple[complex, SeriesDiagnostics]:
     """Series root of x^s + c x^r + alpha x - b = 0 near x = b/alpha.
 
@@ -392,9 +391,7 @@ def quadrinomial_series_root(
                 return _INF
         return acc if n % 2 == 0 else -acc
 
-    total, terms_used, status = sum_series(
-        z, map(term_at, count(1)), cfg.max_terms, cfg.rel_tol
-    )
+    total, terms_used, status = sum_series(z, map(term_at, count(1)), max_terms)
     if status == "diverged":
         raise DivergenceError(
             f"quadrinomial series diverged after {terms_used} terms", total
@@ -443,7 +440,7 @@ def _septic_terms(
 
 
 def adjacent_septic_root(
-    c: complex, a: complex, b: complex, q: complex, cfg: SeriesConfig = SeriesConfig()
+    c: complex, a: complex, b: complex, q: complex, max_terms: int = MAX_TERMS
 ) -> tuple[complex, SeriesDiagnostics]:
     """Root of x^7 + c x^3 + a x^2 + b x - q = 0 from the cubic-seeded series.
 
@@ -477,9 +474,7 @@ def adjacent_septic_root(
         value, terms_used, status = z_in, 0, "diverged"
     else:
         terms = _septic_terms(z_in, g1, 3.0 * c * z_in + a, c)
-        value, terms_used, status = sum_series(
-            z_in, terms, min(cfg.max_terms, 40), cfg.rel_tol
-        )
+        value, terms_used, status = sum_series(z_in, terms, min(max_terms, 40))
 
     pre = scaled_residual(p, value)
     if not pre <= res_seed:

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from polysolve import (
     Polynomial,
-    SeriesConfig,
     Trinomial,
     adjacent_septic_root,
     all_roots_oracle,
@@ -122,13 +121,12 @@ def test_criterion_3_series_soundness():
 
 def test_criterion_4_pfq_regrouping_equivalence():
     with criterion(4, "pFq regrouping equals 400-term direct summation", 30.0):
-        cfg = SeriesConfig(max_terms=600)
         rng = random.Random(0x5EED03)
         corpus = [seeded_capped_trinomial(rng) for _ in range(500)]
         for t in corpus:
             for k in range(t.s):
                 form = trinomial_pfq_root(t, k)
-                value, status = form.evaluate(cfg)
+                value, status = form.evaluate(600)
                 assert status == "converged", (t, k)
                 direct = cmath.exp(cmath.log(t.q) / t.s + 2j * math.pi * k / t.s)
                 for n in range(1, 401):

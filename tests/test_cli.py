@@ -363,6 +363,17 @@ class TestSolve:
         assert any("is not finite" in w for w in doc["warnings"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--trinomial", "5", "1", "1", "1"),
+    ("solve", "--trinomial", "5", "1", "1", "1", "--plot", "basins"),
+    ("pfq", "--upper", "1", "--z", "0.5"),
+], ids=["solve", "basins", "pfq"])
+def test_max_terms_below_one_is_a_usage_error(argv):
+    # one error line and nothing on stdout, not even the basins header
+    code, out, err = run_cli(*argv, "--max-terms", "0", "--json")
+    assert (code, out, err) == (1, "", "error: max_terms must be an int >= 1\n")
+
+
 class TestDeterminism:
     def test_identical_invocations_bit_identical(self):
         _, out1, _ = run_cli("solve", "--coeffs", "1,1,0,0,1", "--json")

@@ -108,6 +108,20 @@ class TestCubic:
         report = solve_cubic(Polynomial([-4, 2, 0, 2]))  # 2(x^3 + x - 2)
         assert min(abs(r - 1) for r in report.values()) <= 1e-12
 
+    def test_roots_eight_decades_apart(self):
+        # (x - 1e-8)(x - 1)(x - 1e8): the shift t = x + a2/3 puts 1e-8 and 1
+        # near -3.3e7, and the cofactor's b1^2/4 - b0 cancels, so the
+        # formula alone gives 0.0944 and 0.9056. The Newton cleanup of
+        # every closed form recovers both.
+        p = Polynomial([-1.0, 100000001.00000001, -100000001.00000001, 1.0])
+        report = solve_cubic(p)
+        worst, pairs = match_roots(report, [1e-8, 1.0, 1e8])
+        for i, j in pairs:
+            want = [1e-8, 1.0, 1e8][j]
+            assert abs(report.values()[i] - want) <= 1e-12 * want
+        assert all(e.residual <= 1e-13 for e in report.roots)
+        assert cross_check(p, report, 1e-8) == "ok"
+
 
 class TestQuartic:
     def test_fourth_roots_of_unity(self):
@@ -151,6 +165,40 @@ class TestSolveClosed:
                 solve_closed(p)
         with pytest.raises(ConvergenceError, match="closed form overflowed"):
             square_difference_split(Polynomial([-1, -1e100, 0, 0, 1]))
+
+
+def _wide_scale_roots(rng: random.Random, degree: int, real: bool) -> list[complex]:
+    """degree roots of modulus 10^U(-4, 4), real with random signs or at
+    uniform angles."""
+    roots = []
+    for _ in range(degree):
+        modulus = 10 ** rng.uniform(-4, 4)
+        if real:
+            roots.append(complex(rng.choice((modulus, -modulus))))
+        else:
+            roots.append(cmath.rect(modulus, rng.uniform(-math.pi, math.pi)))
+    return roots
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_wide_scale_roots_match_mpmath(degree):
+    # each root to 1e-8 of its own modulus against mpmath's roots of the
+    # same float coefficients, and the cross-check agrees
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(0xC0B1C + degree)
+    for i in range(40):
+        p = poly_from_roots(_wide_scale_roots(rng, degree, real=i % 2 == 0))
+        with mpmath.workdps(40):
+            ref = mpmath.polyroots(
+                [mpmath.mpc(c.real, c.imag) for c in reversed(p.coeffs)],
+                maxsteps=200, extraprec=100,
+            )
+        ref = [complex(r) for r in ref]
+        report = solve_closed(p)
+        _, pairs = match_roots(report, ref)
+        for a, b in pairs:
+            assert abs(report.values()[a] - ref[b]) <= 1e-8 * abs(ref[b]), (p, ref)
+        assert cross_check(p, report, 1e-8) == "ok"
 
 
 class TestVieta:
@@ -372,8 +420,8 @@ class TestSolveBySplit:
         real = grim.grim_solve
         calls = []
 
-        def drop_one(p, cfg=None):
-            report = real(p, cfg)
+        def drop_one(p):
+            report = real(p)
             calls.append(p)
             if len(calls) == 1:
                 report.roots.pop()

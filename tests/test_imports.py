@@ -32,9 +32,9 @@ PUBLIC = (
     "ConvergenceError", "DegenerateError", "DegreeError", "DivergenceError",
     "GrimError", "PFQParams", "PFQResult", "PFQRootForm", "PFQRootGroup",
     "PoleError", "Polynomial", "Quadrinomial", "RDBoundRow", "RootEntry",
-    "RootReport", "SeriesConfig", "SeriesDiagnostics", "SquareDifferenceSplit",
-    "Trinomial", "adjacent_septic_root", "all_roots_oracle",
-    "argument_modulus_constant", "brauer_rd", "bring_jerrard_quintic",
+    "RootReport", "SeriesDiagnostics", "SquareDifferenceSplit", "Trinomial",
+    "adjacent_septic_root", "all_roots_oracle", "argument_modulus_constant",
+    "brauer_rd", "bring_jerrard_quintic",
     "cross_check", "distinct_roots", "eval_poly", "eval_poly_and_deriv",
     "gamma_real", "grim_coverage", "grim_solve", "match_roots",
     "newton_polish", "newton_polygon", "parse_poly", "pfq_eval", "pochhammer",
@@ -146,7 +146,7 @@ class TestImportGuard:
 
 # names that moved from numerics to poly, so that a CLI solve outside the
 # series routes never loads numerics
-MOVED = ("DivergenceError", "SeriesConfig", "principal_pow")
+MOVED = ("DivergenceError", "principal_pow")
 CLONES = (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy)
 
 
@@ -158,23 +158,12 @@ class TestMovedNames:
         assert polysolve._HOME[name] == "poly"
         assert getattr(polysolve, name) is getattr(poly, name)
 
-    def test_package_series_config_loads_no_numerics(self):
-        _, after, _ = _fresh_run([], "import polysolve; polysolve.SeriesConfig")
-        assert after == {"poly"}
-
     def test_numerics_keeps_only_the_name_it_reads(self):
         from polysolve import numerics, poly
 
-        assert numerics.SeriesConfig is poly.SeriesConfig  # pfq_eval's default
+        assert numerics.MAX_TERMS is poly.MAX_TERMS  # pfq_eval's default
         assert not hasattr(numerics, "DivergenceError")
         assert not hasattr(numerics, "principal_pow")
-
-    @pytest.mark.parametrize("clone", CLONES, ids=["pickle", "copy", "deepcopy"])
-    def test_series_config_round_trips(self, clone):
-        cfg = polysolve.SeriesConfig(max_terms=37, rel_tol=1e-9)
-        got = clone(cfg)
-        assert got == cfg and hash(got) == hash(cfg)
-        assert type(got) is polysolve.poly.SeriesConfig
 
     @pytest.mark.parametrize("clone", CLONES, ids=["pickle", "copy", "deepcopy"])
     def test_divergence_error_round_trips(self, clone):

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from polysolve import (
     PFQParams,
     PoleError,
-    SeriesConfig,
     gamma_real,
     pfq_eval,
     pochhammer,
@@ -157,8 +156,7 @@ class TestPFQEval:
         assert abs(res.value - math.e) <= 1e-12 * math.e
 
     def test_2f1_log_value(self):
-        cfg = SeriesConfig(max_terms=500, rel_tol=1e-15)
-        res = pfq_eval(PFQParams((1, 1), (2,)), 0.5, cfg)
+        res = pfq_eval(PFQParams((1, 1), (2,)), 0.5, 500)
         oracle = direct_pfq_sum((1, 1), (2,), 0.5)
         assert abs(res.value - oracle) <= 1e-12 * abs(oracle)
         # equals -ln(0.5)/0.5
@@ -223,7 +221,7 @@ class TestPFQEval:
         assert abs(res.value - oracle) <= 1e-12 * abs(oracle)
         # the last nonzero term is the last one max_terms allows
         for regularized in (False, True):
-            res = pfq_eval(PFQParams((-4,), ()), 1.0, SeriesConfig(max_terms=5), regularized)
+            res = pfq_eval(PFQParams((-4,), ()), 1.0, 5, regularized)
             assert (res.status, res.terms_used) == ("converged", 5)
             assert res.value == 1 - 4 + 6 - 4 + 1
 
@@ -242,7 +240,7 @@ class TestPFQEval:
         assert res.status == "diverged"
 
     def test_truncation_status(self):
-        res = pfq_eval(PFQParams((1,), ()), 0.999, SeriesConfig(max_terms=5))
+        res = pfq_eval(PFQParams((1,), ()), 0.999, 5)
         assert res.status == "truncated"
         assert res.terms_used == 5
 
@@ -260,9 +258,8 @@ class TestPFQEval:
             assert not math.isfinite(abs(res.value))
 
     def test_nan_sum_is_diverged_not_truncated(self):
-        cfg = SeriesConfig(max_terms=20)
         for regularized in (False, True):
-            res = pfq_eval(PFQParams((1,), ()), complex("nan"), cfg, regularized)
+            res = pfq_eval(PFQParams((1,), ()), complex("nan"), 20, regularized)
             assert res.status == "diverged"
             assert res.terms_used == 20
 

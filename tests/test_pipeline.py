@@ -4,7 +4,15 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polysolve import Polynomial, Quadrinomial, Trinomial, cross_check, solve
+from polysolve import (
+    PFQParams,
+    Polynomial,
+    Quadrinomial,
+    Trinomial,
+    cross_check,
+    pfq_eval,
+    solve,
+)
 from polysolve.cli import main
 from polysolve.pipeline import METHODS, shape_of
 from polysolve.poly import RootEntry, RootReport, parse_poly, poly_from_roots
@@ -94,6 +102,38 @@ def test_empty_branch_list_is_rejected(method):
     # every method, including those that take no branches
     with pytest.raises(ValueError, match="branches must be nonempty"):
         solve(CASES[method][1], method, branches=[])
+
+
+@pytest.mark.parametrize("max_terms", [0, 2.5, 400.0])
+@pytest.mark.parametrize("call", ["solve", "pfq_eval"])
+def test_max_terms_must_be_an_int_of_at_least_one(call, max_terms):
+    # the two calls that take max_terms from the command line check it
+    with pytest.raises(ValueError, match="max_terms must be an int >= 1"):
+        if call == "solve":
+            solve(Trinomial(5, 1, 1, 1), "series", None, max_terms)
+        else:
+            pfq_eval(PFQParams((1,), ()), 0.5, max_terms)
+
+
+def test_grim_route_finds_every_root_whatever_the_branches():
+    # GRIM runs the orbits of every branch: on Wilkinson's polynomial,
+    # those of branch 0 alone found only 15 of the 20 roots
+    p = poly_from_roots(range(1, 21))
+    report = solve(p, "grim", [0])
+    assert len(report.roots) == 20 and report.warnings == []
+    assert repr(report) == repr(solve(p, "grim"))
+
+
+def test_cross_check_scales_each_root_by_its_own_modulus():
+    # the roots of this cubic are 1e-8, 1 and 1e8; a bound scaled by the
+    # largest root let any root within 10 of the oracle's pass, such as
+    # these two wrong ones beside the right 1e8
+    p = Polynomial([-1.0, 100000001.00000001, -100000001.00000001, 1.0])
+    wrong = [0.094441782683134079, 0.90555823966860771, 1e8]
+    report = RootReport([RootEntry(complex(x), 0.0) for x in wrong], "test")
+    assert cross_check(p, report, 1e-8) == "mismatch"
+    assert report.warnings == ["oracle cross-check distance 9.444e-02"]
+    assert cross_check(p, solve(p), 1e-8) == "ok"
 
 
 def test_cross_check_rejects_non_finite_roots():

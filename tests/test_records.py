@@ -1,16 +1,14 @@
-"""The result and config types are plain slotted classes on one private
-base (poly._Record): their constructors keep the parameters they had as
+"""The result types are plain slotted classes on one private base
+(poly._Record): their constructors keep the parameters they had as
 dataclasses, they compare field by field and print as Name(field=value,
 ...), the frozen ones hash by their fields and refuse assignment and
-deletion, and the mutable ones are unhashable. Config constructors reject
-counts that are not ints and tolerances that are not finite and positive.
+deletion, and the mutable ones are unhashable.
 """
 
 from __future__ import annotations
 
 import copy
 import inspect
-import math
 import pickle
 from fractions import Fraction
 
@@ -26,7 +24,6 @@ from polysolve import (
     RDBoundRow,
     RootEntry,
     RootReport,
-    SeriesConfig,
     SeriesDiagnostics,
     SquareDifferenceSplit,
     Trinomial,
@@ -43,7 +40,6 @@ FROZEN = [
     (Quadrinomial, (5, 2, 1.0, 2.0, 3.0), 4.0, "(s, r, c, alpha, b)"),
     (RootEntry, (1j, 1e-15, 2, 3), 4, "(root, residual, branch=0, iterations=0)"),
     (PFQParams, ((1, 2), (3,)), (4,), "(upper, lower)"),
-    (SeriesConfig, (100, 1e-10), 1e-9, "(max_terms=400, rel_tol=1e-12)"),
     (
         Shape,
         (Polynomial([1, 0, 1]), None, None, None),
@@ -174,20 +170,3 @@ def test_given_warnings_list_is_kept():
     report = RootReport([], "closed", warnings)
     warnings.append("late")
     assert report.warnings == ["late"]
-
-
-@pytest.mark.parametrize(
-    "cls, kwargs",
-    [
-        (SeriesConfig, {"rel_tol": math.inf}),
-        (SeriesConfig, {"rel_tol": math.nan}),
-        (SeriesConfig, {"rel_tol": -1e-3}),
-        (SeriesConfig, {"max_terms": 2.5}),
-        (SeriesConfig, {"max_terms": 400.0}),
-        (SeriesConfig, {"max_terms": 0}),
-    ],
-    ids=lambda v: v.__name__ if isinstance(v, type) else ",".join(f"{k}={x}" for k, x in v.items()),
-)
-def test_config_rejects_bad_tolerance_or_count(cls, kwargs):
-    with pytest.raises(ValueError):
-        cls(**kwargs)

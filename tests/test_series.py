@@ -12,7 +12,6 @@ from polysolve import (
     DivergenceError,
     Polynomial,
     Quadrinomial,
-    SeriesConfig,
     Trinomial,
     adjacent_septic_root,
     all_roots_oracle,
@@ -36,6 +35,7 @@ from polysolve.series import (
     trinomial_log_term,
 )
 from polysolve.numerics import PFQParams, _step_table, gamma_sign
+from polysolve.poly import MAX_TERMS
 
 from conftest import bisect_root, seeded_trinomial
 
@@ -156,12 +156,11 @@ class TestPFQRootForm:
             assert g.power_of_q == Fraction(1 + n0, 6) - n0
 
     def test_regrouped_equals_direct_sum(self, rng):
-        cfg = SeriesConfig(max_terms=600)
         for _ in range(15):
             t = seeded_trinomial(rng)
             for k in range(t.s):
                 form = trinomial_pfq_root(t, k)
-                value, status = form.evaluate(cfg)
+                value, status = form.evaluate(600)
                 assert status == "converged"
                 direct = cmath.exp(cmath.log(t.q) / t.s + 2j * math.pi * k / t.s)
                 for n in range(1, 400):
@@ -281,17 +280,17 @@ class TestTermMemo:
         assert cold == warm
 
     def test_series_value_is_sum_of_reference_terms(self, rng):
-        cases = [(seeded_trinomial(rng, s_max=12, arg_cap=0.95), SeriesConfig())
+        cases = [(seeded_trinomial(rng, s_max=12, arg_cap=0.95), MAX_TERMS)
                  for _ in range(20)]
         # argument modulus 0.93: the sum needs more terms than the default
         # table holds, so both sides read a longer one
         alpha = cmath.rect((0.93 / float(argument_modulus_constant(2, 1))) ** 0.5, 0.3)
-        cases.append((Trinomial(2, 1, alpha, 1.0), SeriesConfig(max_terms=800)))
+        cases.append((Trinomial(2, 1, alpha, 1.0), 800))
         checked = 0
-        for t, cfg in cases:
+        for t, max_terms in cases:
             for k in range(t.s):
                 try:
-                    _, diag = trinomial_series_root(t, k, cfg)
+                    _, diag = trinomial_series_root(t, k, max_terms)
                 except DivergenceError:
                     continue
                 total = cmath.exp(cmath.log(t.q) / t.s + 2j * math.pi * k / t.s)
@@ -337,11 +336,11 @@ class TestTermMemo:
     def test_large_max_terms_builds_only_what_is_read(self):
         _term_table.cache_clear()
         t = Trinomial(5, 1, 0.1, 1.0)
-        _, diag = trinomial_series_root(t, 0, SeriesConfig(max_terms=10**7))
+        _, diag = trinomial_series_root(t, 0, 10**7)
         assert diag.status == "converged"
         trinomial_pfq_root(t, 0)
         assert _term_table.cache_info().currsize == 1
-        assert len(_covering_table(5, 1, 1)[0]) == SeriesConfig().max_terms + 1
+        assert len(_covering_table(5, 1, 1)[0]) == MAX_TERMS + 1
 
 
 class TestBringJerrard:

@@ -11,10 +11,14 @@ import threading
 
 from hypothesis import example, given, settings, strategies as st
 
-from polysolve import DivergenceError, PFQParams, SeriesConfig, Trinomial
+from polysolve import DivergenceError, PFQParams, Trinomial
 from polysolve import pfq_eval, trinomial_pfq_root, trinomial_series_root
 from polysolve.numerics import _STEPS_MAX, _pfq_terms, _step_table, sum_series
 from polysolve.series import argument_modulus_constant, trinomial_log_term
+
+
+# the relative tolerance of every series sum, numerics._REL_TOL
+REL_TOL = 1e-12
 
 
 def _bits(z):
@@ -216,7 +220,7 @@ def test_sum_series_matches_the_reference_loop(terms, term0, budget, rel_tol, st
     assert (_bits(got[0]), *got[1:]) == (_bits(want[0]), *want[1:])
 
 
-def _parent_trinomial_loop(t, k, cfg):
+def _parent_trinomial_loop(t, k, max_terms):
     """The per-class loop trinomial_series_root ran before sum_series, with
     its terms from trinomial_log_term: (sum, terms_used, status)."""
     s = t.s
@@ -226,7 +230,7 @@ def _parent_trinomial_loop(t, k, cfg):
     recent = []
     terms_used = 0
     status = "truncated"
-    for n in range(1, cfg.max_terms + 1):
+    for n in range(1, max_terms + 1):
         term = trinomial_log_term(t, k, n)
         total += term
         terms_used = n
@@ -250,7 +254,7 @@ def _parent_trinomial_loop(t, k, cfg):
         recent.append(mag)
         if len(recent) > s:
             recent.pop(0)
-        if n >= s and max(recent) <= cfg.rel_tol * abs(total):
+        if n >= s and max(recent) <= REL_TOL * abs(total):
             status = "converged"
             break
     if status == "truncated":
@@ -260,9 +264,9 @@ def _parent_trinomial_loop(t, k, cfg):
     return _bits(total), terms_used, status
 
 
-def _series_outcome(t, k, cfg):
+def _series_outcome(t, k, max_terms):
     try:
-        _, diag = trinomial_series_root(t, k, cfg)
+        _, diag = trinomial_series_root(t, k, max_terms)
     except DivergenceError as exc:
         used = int(re.search(r"after (\d+) terms", str(exc)).group(1))
         return _bits(exc.partial), used, "diverged"
@@ -283,12 +287,11 @@ def test_trinomial_matches_the_parent_loop(sb, rho, q_mod, q_arg, alpha_arg, max
     q = cmath.rect(q_mod, q_arg)
     alpha_mod = (rho * q_mod ** (s - b) / float(argument_modulus_constant(s, b))) ** (1.0 / s)
     t = Trinomial(s, b, cmath.rect(alpha_mod, alpha_arg), q)
-    cfg = SeriesConfig(max_terms=max_terms)
     for k in range(s):
-        assert _series_outcome(t, k, cfg) == _parent_trinomial_loop(t, k, cfg), (t, k)
+        assert _series_outcome(t, k, max_terms) == _parent_trinomial_loop(t, k, max_terms), (t, k)
 
 
-def _parent_pfq_loop(params, z, cfg):
+def _parent_pfq_loop(params, z, max_terms=400):
     """The plain-path loop of pfq_eval before sum_series:
     (sum, terms_used, status), plus the last term summed."""
     z = complex(z)
@@ -306,7 +309,7 @@ def _parent_pfq_loop(params, z, cfg):
     term = 1.0
     prev_mag = 1.0
     growth = 0
-    for n in range(cfg.max_terms - 1):
+    for n in range(max_terms - 1):
         if terminate_at is not None and n >= terminate_at:
             return finished(total, n + 1, "converged"), term
         num = 1.0
@@ -318,7 +321,7 @@ def _parent_pfq_loop(params, z, cfg):
         term = term * num / den * z
         total += term
         mag = abs(term)
-        if mag <= cfg.rel_tol * max(abs(total), 1e-300):
+        if mag <= REL_TOL * max(abs(total), 1e-300):
             return finished(total, n + 2, "converged"), term
         if n + 1 >= 16 and mag > prev_mag:
             growth += 1
@@ -327,8 +330,8 @@ def _parent_pfq_loop(params, z, cfg):
         else:
             growth = 0
         prev_mag = mag
-    ends = terminate_at is not None and terminate_at < cfg.max_terms
-    return finished(total, cfg.max_terms, "converged" if ends else "truncated"), term
+    ends = terminate_at is not None and terminate_at < max_terms
+    return finished(total, max_terms, "converged" if ends else "truncated"), term
 
 
 _param = st.one_of(
@@ -350,9 +353,8 @@ _param = st.one_of(
 @settings(max_examples=400, deadline=None)
 def test_plain_pfq_matches_the_parent_loop(upper, lower, z, max_terms):
     params = PFQParams(tuple(upper), tuple(lower))
-    cfg = SeriesConfig(max_terms=max_terms)
-    res = pfq_eval(params, z, cfg)
-    want, last = _parent_pfq_loop(params, z, cfg)
+    res = pfq_eval(params, z, max_terms)
+    want, last = _parent_pfq_loop(params, z, max_terms)
     value, used, status = want
     # the differences on purpose: a spent budget whose last term still
     # exceeds the sum now reads diverged, as the trinomial series did; and
@@ -375,19 +377,18 @@ class TestStepTables:
         params = PFQParams((1.0,), ())
         _step_table.cache_clear()
         for max_terms in (30, 400):  # the second sum reads past the first's steps
-            cfg = SeriesConfig(max_terms=max_terms)
-            res = pfq_eval(params, 0.99, cfg)
-            want, _ = _parent_pfq_loop(params, 0.99, cfg)
+            res = pfq_eval(params, 0.99, max_terms)
+            want, _ = _parent_pfq_loop(params, 0.99, max_terms)
             assert (_bits(res.value), res.terms_used, res.status) == want
             assert want[1:] == (max_terms, "truncated")
             assert len(_step_table(params)[1]) == max_terms - 1
 
     def test_sum_past_the_table_cap_matches_the_parent_loop(self):
         params = PFQParams((1.0,), ())
-        cfg = SeriesConfig(max_terms=_STEPS_MAX + 500)
+        max_terms = _STEPS_MAX + 500
         _step_table.cache_clear()
-        res = pfq_eval(params, 0.999, cfg)
-        want, _ = _parent_pfq_loop(params, 0.999, cfg)
+        res = pfq_eval(params, 0.999, max_terms)
+        want, _ = _parent_pfq_loop(params, 0.999, max_terms)
         assert (_bits(res.value), res.terms_used, res.status) == want
         assert len(_step_table(params)[1]) == _STEPS_MAX
 
@@ -400,7 +401,7 @@ class TestStepTables:
             _step_table.cache_clear()
             for _ in range(2):  # building the table, then reading it
                 res = pfq_eval(params, z)
-                want, _ = _parent_pfq_loop(params, z, SeriesConfig())
+                want, _ = _parent_pfq_loop(params, z)
                 assert (_bits(res.value), res.terms_used, res.status) == want
             terminate_at = -int(params.upper[0].real)
             assert res.terms_used == terminate_at + 1
@@ -411,24 +412,21 @@ class TestStepTables:
         # table meanwhile, and the first then runs past its new end
         params = PFQParams((0.5, 1.25), (1.75,))
         z = 0.995
-        long_cfg, short_cfg = SeriesConfig(max_terms=1500), SeriesConfig(max_terms=300)
-        want_long, _ = _parent_pfq_loop(params, z, long_cfg)
-        want_short, _ = _parent_pfq_loop(params, z, short_cfg)
+        want_long, _ = _parent_pfq_loop(params, z, 1500)
+        want_short, _ = _parent_pfq_loop(params, z, 300)
         _step_table.cache_clear()
-        pfq_eval(params, z, long_cfg)
+        pfq_eval(params, z, 1500)
         single = tuple(map(list, _step_table(params)[:2]))
         assert len(single[1]) == want_long[1] - 1 > 300
         _step_table.cache_clear()
-        pfq_eval(params, z, SeriesConfig(max_terms=100))
+        pfq_eval(params, z, 100)
         table = _step_table(params)
         assert len(table[1]) == 99
         first = _pfq_terms(params, table, z, None)
         head = list(itertools.islice(first, 50))
-        second = pfq_eval(params, z, short_cfg)
+        second = pfq_eval(params, z, 300)
         assert len(table[1]) == 299
-        total, n, status = sum_series(
-            head[0], itertools.chain(head[1:], first), long_cfg.max_terms - 1, long_cfg.rel_tol
-        )
+        total, n, status = sum_series(head[0], itertools.chain(head[1:], first), 1500 - 1)
         first.close()
         assert (_bits(total), n + 1, status) == want_long
         assert (_bits(second.value), second.terms_used, second.status) == want_short
@@ -448,10 +446,9 @@ class TestStepTables:
 
     def test_concurrent_sums_build_one_whole_table(self):
         params = PFQParams((0.5, 1.25), (1.75,))
-        cfg = SeriesConfig(max_terms=1500)
-        want, _ = _parent_pfq_loop(params, 0.995, cfg)
+        want, _ = _parent_pfq_loop(params, 0.995, 1500)
         _step_table.cache_clear()
-        pfq_eval(params, 0.995, cfg)  # one thread alone
+        pfq_eval(params, 0.995, 1500)  # one thread alone
         table = tuple(map(list, _step_table(params)[:2]))
         assert len(table[1]) == want[1] - 1
         interval = sys.getswitchinterval()
@@ -464,7 +461,7 @@ class TestStepTables:
 
                 def run():
                     start.wait(timeout=60)
-                    res = pfq_eval(params, 0.995, cfg)
+                    res = pfq_eval(params, 0.995, 1500)
                     got.append((_bits(res.value), res.terms_used, res.status))
 
                 workers = [threading.Thread(target=run, daemon=True) for _ in range(8)]
