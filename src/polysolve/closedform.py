@@ -37,8 +37,8 @@ def _roots_report(p: Polynomial, roots: list[tuple[complex, int]], method: str) 
     """The report of a closed form's (root, branch) pairs, each root after
     a short Newton cleanup on p, which also gives its residual. The cleanup
     restores the digits a formula loses to cancellation (a near-degenerate
-    quartic resolvent, or a shifted cubic whose roots spread over many
-    scales) and returns at once a root that is already clean."""
+    quartic resolvent, say) and returns at once a root that is already
+    clean."""
     entries = []
     for r, b in roots:
         root, res, _, _ = polish(p, r, tol=1e-13, max_iter=8)
@@ -55,7 +55,12 @@ def solve_quadratic(p: Polynomial) -> RootReport:
     if p.degree != 2:
         raise DegreeError("solve_quadratic expects degree 2")
     q = p.monic()
-    c0, c1 = q.coeffs[0], q.coeffs[1]
+    x_plus, x_minus = _quadratic_roots(q.coeffs[0], q.coeffs[1])
+    return _roots_report(p, [(x_plus, 0), (x_minus, 1)], "closed-quadratic")
+
+
+def _quadratic_roots(c0: complex, c1: complex) -> tuple[complex, complex]:
+    """The roots -w+, -w- of x^2 + c1 x + c0, w± = c1/2 ± sqrt(c1^2/4 - c0)."""
     r = cmath.sqrt(c1 * c1 / 4.0 - c0)
     w_plus = c1 / 2.0 + r
     w_minus = c1 / 2.0 - r
@@ -66,7 +71,7 @@ def solve_quadratic(p: Polynomial) -> RootReport:
             w_minus = c0 / w_plus
     elif w_minus != 0:
         w_plus = c0 / w_minus
-    return _roots_report(p, [(-w_plus, 0), (-w_minus, 1)], "closed-quadratic")
+    return -w_plus, -w_minus
 
 
 def _depress_cubic(p: Polynomial) -> tuple[complex, complex, complex, complex]:
@@ -88,7 +93,8 @@ def solve_cubic(p: Polynomial) -> RootReport:
     takes k1 = cbrt(z) with k2 chosen so k1 k2 = -alpha/3, and deflates for
     the remaining quadratic cofactor. Real coefficients with
     (beta/2)^2 + (alpha/3)^3 < 0 go through the trigonometric branch, which
-    yields the three real roots directly.
+    yields the three real roots directly. Either way, the two roots other
+    than the largest are then taken again from its cofactor in x.
     """
     if p.degree != 3:
         raise DegreeError("solve_cubic expects degree 3")
@@ -117,8 +123,24 @@ def solve_cubic(p: Polynomial) -> RootReport:
         rr = cmath.sqrt(b1 * b1 / 4.0 - b0)
         ts = [t0, -b1 / 2.0 + rr, -b1 / 2.0 - rr]
 
-    roots = [((t - a2 / 3.0) / a3, k) for k, t in enumerate(ts)]
-    return _roots_report(p, roots, "closed-cubic")
+    xs = [(t - a2 / 3.0) / a3 for t in ts]
+    # The shift by a2/3 costs the smaller roots their digits when the roots
+    # spread over many scales, while the largest root r keeps them. So the
+    # two others come from the cofactor x^2 + e1 x + e0 of x - r, by the
+    # Vieta relations a0 = -a3 r e0 and a1 = a3 (e0 - r e1), which divide
+    # by r rather than subtract near it.
+    big = max(range(3), key=lambda i: abs(xs[i]))
+    r = xs[big]
+    if r != 0:
+        a0, a1 = p.coeffs[0], p.coeffs[1]
+        e0 = -a0 / (a3 * r)
+        s, u = _quadratic_roots(e0, (e0 - a1 / a3) / r)
+        i, j = (m for m in range(3) if m != big)
+        # each cofactor root takes the branch of the formula root nearest it
+        if abs(s - xs[i]) + abs(u - xs[j]) > abs(s - xs[j]) + abs(u - xs[i]):
+            s, u = u, s
+        xs[i], xs[j] = s, u
+    return _roots_report(p, [(x, k) for k, x in enumerate(xs)], "closed-cubic")
 
 
 def _quartic_w_pairs(

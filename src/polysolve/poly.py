@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
@@ -257,11 +258,8 @@ def eval_poly(p: Polynomial, x: complex) -> complex:
 
 
 def eval_poly_and_deriv(p: Polynomial, x: complex) -> tuple[complex, complex]:
-    """Extended Horner: returns (p(x), p'(x)).
-
-    newton_polish takes its start from it, and the tests take it as the
-    reference for newton_polish's one-pass kernel, _newton_pass.
-    """
+    """Extended Horner: returns (p(x), p'(x)). The tests take it as the
+    reference for newton_polish's one-pass kernel, _newton_pass."""
     b: complex = 0.0
     d: complex = 0.0
     for c in reversed(p.coeffs):
@@ -375,6 +373,8 @@ def _maehly(x: complex, fx: complex, dfx: complex, deflate: Sequence[complex]):
 
 # steps a settling newton_polish takes after it settles, keeping the best
 _FINISH_STEPS = 3
+# a finishing step of at most this times |x| can move x only by rounding
+_ROUNDING_STEP = 4.0 * sys.float_info.epsilon
 
 
 def newton_polish(
@@ -395,20 +395,22 @@ def newton_polish(
     With settle the call stops only where Newton has settled on a root.
     Where p is tiny over a wide region (Wilkinson's polynomial), the
     residual meets tol while Newton still moves far, so the step that meets
-    it must also be within sqrt(tol) (1 + |x|). Then 3 more steps run, and
-    the best iterate is returned.
+    it must also be within sqrt(tol) (1 + |x|). Then up to 3 finishing
+    steps run, and the best iterate is returned. A finishing step of at
+    most 4 eps |x| (eps the machine epsilon) can move x only by rounding,
+    so the call returns instead of taking it.
 
     A vanishing derivative is sidestepped by a relative 1e-8 perturbation.
     Raises ConvergenceError (with the best iterate attached) when the budget
     runs out; the caller decides whether a stale iterate is usable.
     """
     x = complex(x0)
-    fx, dfx = eval_poly_and_deriv(p, x)
-    best = (x, _residual(fx, _scale(p, x)), 0)
+    terms = list(zip(reversed(p.coeffs), map(abs, p.coeffs)))
+    fx, dfx, scale = _newton_pass(terms, x)
+    best = (x, _residual(fx, scale), 0)
     if best[1] <= tol and not settle:
         return best
     step_tol = math.sqrt(tol)
-    terms = list(zip(reversed(p.coeffs), map(abs, p.coeffs)))
     left = None  # once settled, the finishing steps still to take
     it = 0
     while it < max_iter or left:
@@ -420,6 +422,8 @@ def newton_polish(
             fx, dfx, _ = _newton_pass(terms, x)
         else:
             step = fx / dfx
+            if left is not None and abs(step) <= _ROUNDING_STEP * abs(x):
+                return best
             x = x - step
             fx, dfx, scale = _newton_pass(terms, x)
             res = _residual(fx, scale)

@@ -48,6 +48,22 @@ class TestSolve:
         )
         assert values == [(-0.5, -0.866025), (-0.5, 0.866025), (1.0, 0.0)]
 
+    def test_cubic_roots_twelve_decades_apart(self):
+        # (x - 1e-12)(x - 1)(x - 1e12) with --no-oracle: nothing but the
+        # closed form itself stands between the input and an "ok"
+        code, out, err = run_cli(
+            "solve", "--coeffs",
+            "-1.0,1000000000001.000000000001,-1000000000001.000000000001,1.0",
+            "--no-oracle", "--json",
+        )
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["status"] == "ok"
+        got = sorted((complex(r["re"], r["im"]) for r in doc["roots"]), key=abs)
+        for z, want in zip(got, (1e-12, 1.0, 1e12)):
+            assert abs(z - want) <= 1e-15 * want
+        assert all(r["residual"] <= 1e-12 for r in doc["roots"])
+
     def test_grim_matches_oracle(self):
         code, out, err = run_cli(
             "solve", "--coeffs", "1,1,0,0,1", "--method", "grim", "--json"

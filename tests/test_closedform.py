@@ -110,9 +110,9 @@ class TestCubic:
 
     def test_roots_eight_decades_apart(self):
         # (x - 1e-8)(x - 1)(x - 1e8): the shift t = x + a2/3 puts 1e-8 and 1
-        # near -3.3e7, and the cofactor's b1^2/4 - b0 cancels, so the
-        # formula alone gives 0.0944 and 0.9056. The Newton cleanup of
-        # every closed form recovers both.
+        # near -3.3e7, and the t-cofactor's b1^2/4 - b0 cancels, so the
+        # shifted formula alone gives 0.0944 and 0.9056. The cofactor of
+        # the largest root in x gives both to rounding level.
         p = Polynomial([-1.0, 100000001.00000001, -100000001.00000001, 1.0])
         report = solve_cubic(p)
         worst, pairs = match_roots(report, [1e-8, 1.0, 1e8])
@@ -121,6 +121,72 @@ class TestCubic:
             assert abs(report.values()[i] - want) <= 1e-12 * want
         assert all(e.residual <= 1e-13 for e in report.roots)
         assert cross_check(p, report, 1e-8) == "ok"
+
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [1e-12, 1.0, 1e12],
+            [1e-15, 1e-3, 1e15],
+            [-1e-12, 2e-12, 1e12],
+            [1e-8, 1.0, 1e8],
+            [1.0, 2.0, 3.0],
+        ],
+    )
+    def test_roots_many_decades_apart(self, roots):
+        # the shift by a2/3 leaves the smaller roots nothing but rounding
+        # once the roots spread over 12 decades, and 8 cleanup steps cannot
+        # reach them from there (0.5 +- 22.6i for the first). Deflating by
+        # the largest root gives each root to rounding level of mpmath's
+        # roots of the same float coefficients.
+        mpmath = pytest.importorskip("mpmath")
+        p = poly_from_roots(roots)
+        report = solve_cubic(p)
+        ref = _mpmath_roots(p, mpmath)
+        _, pairs = match_roots(report, ref)
+        for i, j in pairs:
+            assert abs(report.values()[i] - ref[j]) <= 1e-15 * abs(ref[j]), (roots, report)
+        assert all(e.residual <= 1e-15 for e in report.roots)
+
+    def test_seeded_roots_over_24_decades(self):
+        # root moduli 10^U(-12, 12), real with random signs or at uniform
+        # angles: every root to 1e-14 of its own modulus
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(0xC0B1C)
+        for i in range(60):
+            roots = []
+            for _ in range(3):
+                modulus = 10 ** rng.uniform(-12, 12)
+                if i % 2 == 0:
+                    roots.append(complex(rng.choice((modulus, -modulus))))
+                else:
+                    roots.append(cmath.rect(modulus, rng.uniform(-math.pi, math.pi)))
+            p = poly_from_roots(roots)
+            report = solve_cubic(p)
+            ref = _mpmath_roots(p, mpmath)
+            _, pairs = match_roots(report, ref)
+            for a, b in pairs:
+                assert abs(report.values()[a] - ref[b]) <= 1e-14 * abs(ref[b]), (p, ref)
+
+    def test_branches_stay_with_the_formula_roots(self):
+        # (x + 2)(x + 1)(x - 1): the trigonometric formula labels -2, -1
+        # and 1 as branches 1, 2 and 0. The deflation keeps -2 and replaces
+        # the other two, and each replacement keeps the branch of the
+        # formula root nearest it.
+        report = solve_cubic(Polynomial([-2, -1, 2, 1]))
+        branches = {e.branch: e.root for e in report.roots}
+        for branch, root in ((1, -2), (2, -1), (0, 1)):
+            assert abs(branches[branch] - root) <= 1e-15
+
+
+def _mpmath_roots(p: Polynomial, mpmath) -> list[complex]:
+    """mpmath's roots of p's float coefficients, to 40 digits."""
+    with mpmath.workdps(40):
+        ref = mpmath.polyroots(
+            [mpmath.mpc(c.real, c.imag) for c in reversed(p.coeffs)],
+            maxsteps=200, extraprec=200,
+        )
+    return [complex(r) for r in ref]
 
 
 class TestQuartic:

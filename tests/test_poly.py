@@ -351,6 +351,32 @@ class TestNewtonPolish:
         assert abs(root - 9) <= 1e-3
         assert res <= 1e-17
 
+    def test_settle_takes_at_most_one_finishing_pass(self, monkeypatch):
+        # x^2 - 2 from 1.4 meets 1e-10 on a step that also settles it. A
+        # finishing step of at most 4 eps |x| can move x only by rounding,
+        # so it is not taken: the settling call passes over p at most once
+        # more than the plain one, which stops where the residual meets tol
+        passes = []
+        kernel = polysolve.poly._newton_pass
+
+        def counted(terms, x):
+            passes.append(x)
+            return kernel(terms, x)
+
+        monkeypatch.setattr(polysolve.poly, "_newton_pass", counted)
+        p = Polynomial([-2, 0, 1])
+        plain = newton_polish(p, 1.4, 1e-10)
+        plain_passes = len(passes)
+        passes.clear()
+        settled = newton_polish(p, 1.4, 1e-10, settle=True)
+        assert len(passes) <= plain_passes + 1
+        assert settled[1] <= plain[1]
+        # the start takes one pass, and at an exact root the one Newton
+        # step that settles is the only other
+        passes.clear()
+        assert newton_polish(Polynomial([-1, 0, 1]), 1.0, settle=True) == (1.0, 0.0, 0)
+        assert len(passes) == 2
+
     def test_polish_returns_flag_instead_of_raising(self):
         p = Polynomial([-2, 0, 1])
         assert polish(p, 1.4) == (*newton_polish(p, 1.4), True)
