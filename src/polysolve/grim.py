@@ -10,17 +10,19 @@ A factor x^m of F is split off exactly first, and its m zero roots are
 reported as they are. The search starts from the Newton polygon of the
 quotient (poly.newton_polygon), as MPSolve does: for each edge (i, j, u),
 j - i points at radius u, at angles kept off the real axis, since a real
-start keeps Newton real on a real polynomial. Each start is
-Newton-polished with the roots found so far divided out implicitly
-(Maehly's deflation), so each polish finds a new root; the search stops
-at n roots. Only when the polygon's points leave roots unfound do the
-(branch, seed) orbits of the map run, from the seeds 0.01, i, -i and half
-the largest polygon radius, and their limit and best points are polished
-in turn the same way. Since F(x) = c_n (x^n - F^c(x)) and each
-step makes x^n equal the previous F^c value up to rounding, one Horner
-pass of F^c per step both advances an orbit and ranks its points by
-residual. Every root carries the branch whose map fixes it, however it
-was found.
+start keeps Newton real on a real polynomial. Each start is polished by
+Laguerre steps on F / prod (x - r) over the roots r found so far, divided
+out implicitly (G and H lose sum 1/(x - r) and sum 1/(x - r)^2; Maehly's
+step where those overflow), so each polish finds a new root; a settled
+polish stops once |F(x)| is within Horner's rounding bound,
+2 n eps sum |c_i| |x|^i. The search stops at n roots. Only when the
+polygon's points leave roots unfound do the (branch, seed) orbits of the
+map run, from the seeds 0.01, i, -i and half the largest polygon radius,
+and their limit and best points are polished in turn the same way. Since
+F(x) = c_n (x^n - F^c(x)) and each step makes x^n equal the previous F^c
+value up to rounding, one Horner pass of F^c per step both advances an
+orbit and ranks its points by residual. Every root carries the branch
+whose map fixes it, however it was found.
 """
 
 from __future__ import annotations
@@ -126,9 +128,10 @@ def grim_solve(p: Polynomial) -> RootReport:
     with residual 0, and the search runs on the quotient q. The candidate
     points are the polygon's, then, only while roots are missing, the
     orbits' in (branch, seed) order. A point within poly.is_new_root's
-    radius of a root found already is skipped; any other is
-    Newton-polished on q to 1e-10 with the found roots deflated
-    (poly.newton_polish), so a converged polish is a new root, or another
+    radius of a root found already is skipped; any other is polished on q
+    to 1e-10 by Laguerre steps with the found roots divided out implicitly
+    (poly.newton_polish with settle, which also stops at Horner's rounding
+    bound once settled), so a converged polish is a new root, or another
     copy of a repeated one. Each root carries its scaled residual on p and
     the branch whose map fixes it; polishes that stall go to the warnings.
     The search stops once q's degree is reached, so at most n roots come

@@ -340,7 +340,8 @@ def _polygon_points(p: Polynomial, turn: float):
 def _newton_pass(terms: list[tuple[complex, float]], x: complex):
     """One pass over terms = (c_{n-i}, |c_i|) for i = 0..n: p(x) and p'(x)
     by the recurrences of eval_poly_and_deriv, and sum |c_i| |x|^i in the
-    order scaled_residual sums it, so all three are bit for bit theirs."""
+    order scaled_residual sums it, so all three are bit for bit theirs.
+    The third value, None, stands where _laguerre_pass gives p''(x) / 2."""
     ax = abs(x)
     fx: complex = 0.0
     dfx: complex = 0.0
@@ -351,7 +352,25 @@ def _newton_pass(terms: list[tuple[complex, float]], x: complex):
         fx = fx * x + c
         scale += mag * pw
         pw *= ax
-    return fx, dfx, scale
+    return fx, dfx, None, scale
+
+
+def _laguerre_pass(terms: list[tuple[complex, float]], x: complex):
+    """_newton_pass that also gives p''(x) / 2 as its third value; the
+    other three are bit for bit _newton_pass's."""
+    ax = abs(x)
+    fx: complex = 0.0
+    dfx: complex = 0.0
+    d2fx: complex = 0.0
+    scale = 0.0
+    pw = 1.0
+    for c, mag in terms:
+        d2fx = d2fx * x + dfx
+        dfx = dfx * x + fx
+        fx = fx * x + c
+        scale += mag * pw
+        pw *= ax
+    return fx, dfx, d2fx, scale
 
 
 def _residual(fx: complex, scale: float) -> float:
@@ -369,6 +388,36 @@ def _maehly(x: complex, fx: complex, dfx: complex, deflate: Sequence[complex]):
             return 0j
         s += 1.0 / (x - r)
     return dfx - fx * s
+
+
+def _laguerre(
+    x: complex, fx: complex, dfx: complex, d2fx: complex, deflate: Sequence[complex], m: int
+):
+    """Laguerre's step on q = p / prod (x - r) over r in deflate, q of
+    degree m: m / (G +- sqrt((m - 1)(m H - G^2))), the sign giving the
+    larger denominator, with G = q'/q = p'/p - sum 1/(x - r) and
+    H = -G' = (p'/p)^2 - p''/p - sum 1/(x - r)^2 (d2fx is p''/2). Maehly's
+    step where that is not finite; 0 where p(x) = 0, None where _maehly
+    gives 0."""
+    s1 = s2 = 0j
+    for r in deflate:
+        if x == r:
+            return None
+        t = 1.0 / (x - r)
+        s1 += t
+        s2 += t * t
+    if fx == 0:
+        return 0j
+    a = dfx / fx
+    g = a - s1
+    rad = (m - 1) * (m * (a * a - 2.0 * d2fx / fx - s2) - g * g)
+    if abs(rad) < math.inf:
+        root = cmath.sqrt(rad)
+        den = g + root if abs(g + root) >= abs(g - root) else g - root
+        if den:
+            return m / den
+    d = dfx - fx * s1
+    return fx / d if d else None
 
 
 # steps a settling newton_polish takes after it settles, keeping the best
@@ -392,13 +441,19 @@ def newton_polish(
     cannot converge to a simple root among them, so each call finds another
     root of p without forming a quotient.
 
-    With settle the call stops only where Newton has settled on a root.
-    Where p is tiny over a wide region (Wilkinson's polynomial), the
-    residual meets tol while Newton still moves far, so the step that meets
-    it must also be within sqrt(tol) (1 + |x|). Then up to 3 finishing
-    steps run, and the best iterate is returned. A finishing step of at
-    most 4 eps |x| (eps the machine epsilon) can move x only by rounding,
-    so the call returns instead of taking it.
+    With settle (GRIM's polish) each step is Laguerre's on the same
+    p / prod (x - r), of degree n - len(deflate), from one pass that also
+    gives p''; it converges cubically from far starts. Where its terms are
+    not finite (|p'| near 1e200, say) the step is Maehly's. The name stays
+    newton_polish: the non-settling path is Newton's, bit for bit, and the
+    settling one is the same loop. The call stops only where the iteration
+    has settled on a root. Where p is tiny over a wide region (Wilkinson's
+    polynomial), the residual meets tol while the steps still move far, so
+    the step that meets it must also be within sqrt(tol) (1 + |x|). Then
+    up to 3 finishing steps run, and the best iterate is returned. The call
+    returns sooner where rounding alone can move x: when |p(x)| is at most
+    2 n eps sum |c_i| |x|^i (eps the machine epsilon), Horner's rounding
+    bound, or a finishing step is at most 4 eps |x|.
 
     A vanishing derivative is sidestepped by a relative 1e-8 perturbation.
     Raises ConvergenceError (with the best iterate attached) when the budget
@@ -406,26 +461,34 @@ def newton_polish(
     """
     x = complex(x0)
     terms = list(zip(reversed(p.coeffs), map(abs, p.coeffs)))
-    fx, dfx, scale = _newton_pass(terms, x)
+    kernel = _laguerre_pass if settle else _newton_pass
+    fx, dfx, d2fx, scale = kernel(terms, x)
     best = (x, _residual(fx, scale), 0)
     if best[1] <= tol and not settle:
         return best
     step_tol = math.sqrt(tol)
+    # Horner's rounding bound on p(x) is about 2 n eps times the scale
+    floor = 2.0 * p.degree * sys.float_info.epsilon
     left = None  # once settled, the finishing steps still to take
     it = 0
     while it < max_iter or left:
         it += 1
-        if deflate:
-            dfx = _maehly(x, fx, dfx, deflate)
-        if dfx == 0:
-            x += 1e-8 * (1.0 + abs(x))
-            fx, dfx, _ = _newton_pass(terms, x)
+        if settle:
+            if left is not None and abs(fx) <= floor * scale:
+                return best
+            step = _laguerre(x, fx, dfx, d2fx, deflate, p.degree - len(deflate))
         else:
-            step = fx / dfx
+            if deflate:
+                dfx = _maehly(x, fx, dfx, deflate)
+            step = fx / dfx if dfx else None
+        if step is None:
+            x += 1e-8 * (1.0 + abs(x))
+            fx, dfx, d2fx, scale = kernel(terms, x)
+        else:
             if left is not None and abs(step) <= _ROUNDING_STEP * abs(x):
                 return best
             x = x - step
-            fx, dfx, scale = _newton_pass(terms, x)
+            fx, dfx, d2fx, scale = kernel(terms, x)
             res = _residual(fx, scale)
             if res < best[1]:
                 best = (x, res, it)

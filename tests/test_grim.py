@@ -166,10 +166,10 @@ class TestGrimSolve:
 
     def test_shortfall_warning(self):
         # Wilkinson's degree-24 polynomial: neither its polygon points nor
-        # the orbits settle on every root in double precision. 12 do: a
-        # settled polish may stop early only where its step moves x by
-        # rounding alone, and stopping at the residual's rounding floor
-        # instead leaves 9.
+        # the orbits settle on every root in double precision. 12 do. A
+        # settled polish returns once |p(x)| is within Horner's rounding
+        # bound; with Laguerre's step that exit keeps all 12, while with
+        # deflated Newton steps the same exit left 9.
         report = grim_solve(poly_from_roots(range(1, 25)))
         k = len(report.roots)
         assert 12 <= k < 24
@@ -229,6 +229,49 @@ class TestGrimSolve:
             calls.clear()
             assert len(grim_solve(p).roots) == degree
             assert len(calls) == degree
+
+    def test_settling_passes_per_root(self, monkeypatch):
+        # Laguerre's step with the found roots divided out, and the exit at
+        # Horner's rounding bound, take 2669 settling passes for these 556
+        # roots (4.80 a root); deflated Newton with only the rounding-step
+        # exit took 5321 (9.57 a root). The budget is 35% under the latter.
+        passes = []
+        kernel = polysolve.poly._laguerre_pass
+
+        def counted(terms, x):
+            passes.append(x)
+            return kernel(terms, x)
+
+        monkeypatch.setattr(polysolve.poly, "_laguerre_pass", counted)
+        rng = random.Random(25)
+        roots = 0
+        for _ in range(40):
+            p, _ = separated_roots_poly(rng, rng.randint(5, 20))
+            report = grim_solve(p)
+            assert len(report.roots) == p.degree
+            roots += p.degree
+        assert len(passes) / roots <= 0.65 * 5321 / 556
+
+    def test_roots_two_hundred_decades_apart(self, monkeypatch):
+        # x^3 - 1e200 x - 1: |p'| near the root -1e-200 is 1e200, so
+        # Laguerre's G^2 overflows there and the step falls back to
+        # Maehly's, which finds the root to rounding from its polygon
+        # point; without the fallback that polish ends in NaN
+        def no_orbit(*args):
+            raise AssertionError("an orbit ran")
+
+        monkeypatch.setattr(polysolve.grim, "_iterate", no_orbit)
+        report = grim_solve(Polynomial([-1, -1e200, 0, 1]))
+        assert len(report.roots) == 3
+        assert report.warnings == []
+        assert min(abs(e.root + 1e-200) for e in report.roots) <= 1e-215
+        worst, _ = match_roots(report, [-1e100, -1e-200, 1e100])
+        assert worst <= 1e-15 * 1e100
+        # x^4 - 1e100 x - 1: the root -1e-100 and three of modulus 1e100^(1/3)
+        report = grim_solve(Polynomial([-1, -1e100, 0, 0, 1]))
+        assert len(report.roots) == 4
+        assert report.warnings == []
+        assert min(abs(e.root + 1e-100) for e in report.roots) <= 1e-115
 
     def test_separated_roots_match_mpmath(self):
         mpmath = pytest.importorskip("mpmath")

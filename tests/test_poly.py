@@ -353,17 +353,20 @@ class TestNewtonPolish:
 
     def test_settle_takes_at_most_one_finishing_pass(self, monkeypatch):
         # x^2 - 2 from 1.4 meets 1e-10 on a step that also settles it. A
-        # finishing step of at most 4 eps |x| can move x only by rounding,
-        # so it is not taken: the settling call passes over p at most once
-        # more than the plain one, which stops where the residual meets tol
+        # settled polish stops where p(x) is within Horner's rounding bound
+        # or its step could move x only by rounding: the settling call
+        # passes over p at most once more than the plain one, which stops
+        # where the residual meets tol. The plain call's kernel is
+        # _newton_pass, the settling call's _laguerre_pass; both are counted
         passes = []
-        kernel = polysolve.poly._newton_pass
+        for name in ("_newton_pass", "_laguerre_pass"):
+            kernel = getattr(polysolve.poly, name)
 
-        def counted(terms, x):
-            passes.append(x)
-            return kernel(terms, x)
+            def counted(terms, x, kernel=kernel):
+                passes.append(x)
+                return kernel(terms, x)
 
-        monkeypatch.setattr(polysolve.poly, "_newton_pass", counted)
+            monkeypatch.setattr(polysolve.poly, name, counted)
         p = Polynomial([-2, 0, 1])
         plain = newton_polish(p, 1.4, 1e-10)
         plain_passes = len(passes)
@@ -371,8 +374,8 @@ class TestNewtonPolish:
         settled = newton_polish(p, 1.4, 1e-10, settle=True)
         assert len(passes) <= plain_passes + 1
         assert settled[1] <= plain[1]
-        # the start takes one pass, and at an exact root the one Newton
-        # step that settles is the only other
+        # the start takes one pass, and at an exact root the one step that
+        # settles is the only other
         passes.clear()
         assert newton_polish(Polynomial([-1, 0, 1]), 1.0, settle=True) == (1.0, 0.0, 0)
         assert len(passes) == 2
