@@ -289,10 +289,10 @@ def cross_check(p: Polynomial, report: RootReport, tol: float | None) -> str:
     """"partial" when the report holds fewer roots than it aimed at (all n
     unless report.aimed says otherwise); else "ok", "empty" or "mismatch"
     against the all-roots oracle of p, where a non-finite root on either
-    side is a mismatch, and so is a root g farther than
-    max(tol, 1e-7) (1 + |g|) from its oracle root (poly.match_roots' pairing
-    when the counts agree, else the nearest). tol=None skips the oracle and
-    reads "ok" unless partial."""
+    side is a mismatch, and so is a root g farther than max(tol, 1e-7)
+    (1 + |g|) from its oracle root (poly.match_roots' pairing when the counts
+    agree, else the nearest). The oracle's own warnings go onto the report's.
+    tol=None skips the oracle and reads "ok" unless partial."""
     status = "ok" if tol is None else _oracle_status(p, report, tol)
     aimed = p.degree if report.aimed is None else report.aimed
     return "partial" if len(report.roots) < aimed else status
@@ -310,6 +310,7 @@ def _oracle_status(p: Polynomial, report: RootReport, tol: float) -> str:
         oracle = all_roots_oracle(p)
     except ConvergenceError as exc:
         oracle = exc.best
+    report.warnings += oracle.warnings
     for e in oracle.roots:
         if not cmath.isfinite(e.root):
             report.warnings.append(f"oracle root {e.root} is not finite")

@@ -4,9 +4,9 @@ quintic and the cubic-seeded correction series for the four-term septic.
 Every series sum stops by numerics.sum_series. The Trinomial and
 Quadrinomial shapes are poly's, re-exported here.
 
-The Gamma-ratio terms are built in log space (lgamma plus complex logs) so
-that terms far past the pole line neither overflow nor lose the
-exact zeros contributed by reciprocal-Gamma factors.
+The trinomial series takes its first s terms in log space (lgamma plus
+complex logs) and each later term from the one s before it, times an exact
+rational ratio and alpha^s q^(b-s).
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import math
 from array import array
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import count, islice
+from itertools import accumulate, chain, count, islice, repeat
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .numerics import PFQParams, gamma_sign, pfq_eval, sum_series
@@ -76,20 +77,20 @@ class SeriesDiagnostics(_Record):
 
 
 @lru_cache(maxsize=128)
-def _term_table(s: int, b: int, length: int) -> tuple[array, array, array, array]:
+def _term_table(s: int, b: int, length: int) -> tuple[array, array, array]:
     """Parts of terms 0..length of the trinomial inverse-power series that
     depend on the integers alone, so that one table serves every branch and
     coefficient: gamma_sign(x2) (0.0 at a reciprocal-Gamma pole, where the
     term is exactly 0), the log magnitude lgamma((1+bn)/s) - lgamma(x2)
-    - lgamma(n+1) - log(s), with x2 = (1 + bn + s - ns)/s, the power of q
-    (1 + bn - ns)/s and the turn count 1 + bn of the phase. Callers get
-    theirs from _covering_table."""
-    sign = array("d", [0.0]) * (length + 1)
-    log_mag = array("d", [0.0]) * (length + 1)
-    q_power = array("d", [(1 + b * n - n * s) / s for n in range(length + 1)])
-    turns = array("d", [1 + b * n for n in range(length + 1)])
+    - lgamma(n+1) - log(s), with x2 = (1 + bn + s - ns)/s, and the class step
+    t_(n+s) / (t_n alpha^s q^(b-s)) = prod_(i<b) ((1+bn)/s + i) prod_(j=1..s-b)
+    (x2 - j) / prod_(i=1..s) (n+i), rounded once (0 where a class ends)."""
+    sign, log_mag, ratio = (array("d", [0.0]) * (length + 1) for _ in range(3))
     for n in range(length + 1):
         num2 = 1 + b * n + s - n * s  # s * (denominator Gamma argument)
+        ratio[n] = math.prod(range(1 + b * n, 1 + b * n + b * s, s)) * math.prod(
+            range(num2 - s, num2 - (s - b + 1) * s, -s)
+        ) / (s**s * math.prod(range(n + 1, n + s + 1)))
         if num2 % s == 0 and num2 <= 0:
             continue
         x2 = num2 / s
@@ -100,10 +101,10 @@ def _term_table(s: int, b: int, length: int) -> tuple[array, array, array, array
             - math.lgamma(n + 1)
             - math.log(s)
         )
-    return sign, log_mag, q_power, turns
+    return sign, log_mag, ratio
 
 
-def _covering_table(s: int, b: int, n: int) -> tuple[array, array, array, array]:
+def _covering_table(s: int, b: int, n: int) -> tuple[array, array, array]:
     """The term table that holds term n: the default series length (or s,
     for the pFq prefactors), doubled until it reaches n. The series and the
     pFq form share it, and a large max_terms builds no more than about
@@ -115,11 +116,10 @@ def _covering_table(s: int, b: int, n: int) -> tuple[array, array, array, array]
 
 
 def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
-    """Term n >= 1 of the inverse-power series for branch k; exact 0 at the
-    reciprocal-Gamma poles. _trinomial_terms yields an inlined copy; this
-    is the reference the tests compare it with."""
+    """Term n >= 1 of the branch-k series in log space (lgamma, complex logs);
+    exact 0 at the reciprocal-Gamma poles; _trinomial_terms takes terms 1..s from it."""
     s, b = t.s, t.b
-    sign, log_mag, _, _ = _covering_table(s, b, n)
+    sign, log_mag, _ = _covering_table(s, b, n)
     if sign[n] == 0.0 or t.alpha == 0:
         return 0j
     z = (
@@ -137,55 +137,54 @@ def trinomial_series_root(
 
     The series sits on top of the principal s-th root of q rotated by
     e^(2*pi*i*k/s); every term carries the phase e^(2*pi*i*k*(1+b*n)/s).
-    sum_series decides when to stop, at stride s. Converged and truncated
-    values are Newton-polished against the trinomial; a diverged sum raises
-    DivergenceError carrying the partial sum.
+    The term sizes zigzag across the classes n mod s, so sum_series stops at
+    stride s; max_terms counts the terms of all s classes (the pFq form's is
+    per class), so at large s and an argument modulus near 1 a branch reads
+    truncated. Converged and truncated values are Newton-polished against
+    the trinomial; a diverged sum raises DivergenceError with the partial sum.
     """
     s = t.s
     lead = cmath.exp(cmath.log(t.q) / s + 2j * math.pi * k / s)
-    # term magnitudes zigzag across residue classes mod s; geometric decay
-    # or growth is only visible at stride s
     total, terms_used, status = sum_series(
         lead, _trinomial_terms(t, k, max_terms), max_terms, stride=s
     )
-    p = t.polynomial()
-    pre = scaled_residual(p, total)
     if status == "diverged":
         raise DivergenceError(
             f"series branch k={k} diverged after {terms_used} terms", total
         )
+    p = t.polynomial()
+    pre = scaled_residual(p, total)
     root, res, its, _ = polish(p, total, tol=1e-12, max_iter=80)
-    diag = SeriesDiagnostics(status, terms_used, total, pre, res, its)
-    return root, diag
+    return root, SeriesDiagnostics(status, terms_used, total, pre, res, its)
 
 
 def _trinomial_terms(t: Trinomial, k: int, stop: int) -> Iterator[complex]:
-    """Terms n = 1..stop of the branch-k series (trinomial_log_term, inlined
-    with the logs taken once and the integer parts read from the term
-    table). With alpha = 0 there are no terms."""
+    """Terms n = 1..stop of the branch-k series: 1..s by trinomial_log_term,
+    then each class n mod s stepped by ratio[n] alpha^s q^(b-s) (its phase
+    turn kb is whole), in C-level iterators. No terms when alpha = 0."""
     if t.alpha == 0:
-        return
+        return iter(())
     s, b = t.s, t.b
-    log_q = cmath.log(t.q)
-    log_alpha = cmath.log(t.alpha)
-    two_pi_k = _TWO_PI * k
-    lo = 1
-    while lo <= stop:
-        table = _covering_table(s, b, lo)
-        hi = min(len(table[0]), stop + 1)
-        rows = zip(range(lo, hi), *(islice(col, lo, hi) for col in table))
-        for n, sg, lm, qp, turn in rows:
-            if sg == 0.0:
-                yield 0j
-                continue
-            try:
-                term = sg * cmath.exp(
-                    n * log_alpha + qp * log_q + complex(lm, two_pi_k * turn / s)
-                )
-            except OverflowError:  # past the float range: the sum reads diverged
-                term = _INF
-            yield term
-        lo = hi
+    # past the float range the step is infinite, and the sum reads diverged
+    step = _inf_on_overflow(pow, t.alpha, s)
+    step *= _inf_on_overflow(cmath.exp, (b - s) * cmath.log(t.q))
+    # zip pulls the classes in turn, one term each, so they share one stream
+    # of steps; a list, as zip(*generator) resizes its tuple into free lists
+    steps = map(mul, chain.from_iterable(_ratio_runs(s, b)), repeat(step))
+    classes = [
+        accumulate(steps, mul, initial=_inf_on_overflow(trinomial_log_term, t, k, n))
+        for n in range(1, s + 1)
+    ]
+    return islice(chain.from_iterable(zip(*classes)), stop)
+
+
+def _ratio_runs(s: int, b: int) -> Iterator[Iterator[float]]:
+    """ratio[1], ratio[2], ...: one run per term table, each built when read."""
+    n = 1
+    while True:
+        ratio = _covering_table(s, b, n)[2]
+        yield islice(ratio, n, None)
+        n = len(ratio)
 
 
 @lru_cache(maxsize=256)
@@ -273,7 +272,7 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
         * _inf_on_overflow(pow, t.alpha, s)
         * _inf_on_overflow(cmath.exp, (b - s) * cmath.log(t.q))
     )
-    sign, log_mag, _, _ = _covering_table(s, b, s - 1)
+    sign, log_mag, _ = _covering_table(s, b, s - 1)
     log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
     groups: list[PFQRootGroup] = []
     for n0 in range(s):

@@ -1,3 +1,4 @@
+import cmath
 import io
 import json
 
@@ -132,7 +133,11 @@ def test_cross_check_scales_each_root_by_its_own_modulus():
     wrong = [0.094441782683134079, 0.90555823966860771, 1e8]
     report = RootReport([RootEntry(complex(x), 0.0) for x in wrong], "test")
     assert cross_check(p, report, 1e-8) == "mismatch"
-    assert report.warnings == ["oracle cross-check distance 9.444e-02"]
+    # the oracle's absolute stop is out of reach at the root 1e8
+    assert report.warnings == [
+        "oracle hit the sweep cap; residuals still acceptable",
+        "oracle cross-check distance 9.444e-02",
+    ]
     assert cross_check(p, solve(p), 1e-8) == "ok"
 
 
@@ -160,6 +165,22 @@ def test_cross_check_rejects_an_oracle_with_non_finite_roots():
     fake = RootReport([RootEntry(1 + 0j, 0.0), RootEntry(2 + 0j, 0.0)], "test")
     assert cross_check(p, fake, 1e-8) == "mismatch"
     assert fake.warnings[-1].startswith("oracle root") and "not finite" in fake.warnings[-1]
+
+
+def test_cross_check_forwards_the_oracle_warnings():
+    # with roots of modulus 1e5 the oracle's absolute stop on a move of
+    # 1e-12 is out of reach, so it ends at its sweep cap and says so; the
+    # report carries that, and the status and exit code stay as they were
+    p = poly_from_roots([1e5 * cmath.exp(1j * (k + 0.3)) for k in range(5)])
+    report = solve(p)
+    assert cross_check(p, report, 1e-8) == "ok"
+    assert report.warnings == ["oracle hit the sweep cap; residuals still acceptable"]
+    out = io.StringIO()
+    coeffs = ",".join(repr(c).strip("()") for c in p.coeffs)
+    assert main(["solve", f"--coeffs={coeffs}", "--json"], out=out, err=io.StringIO()) == 0
+    printed = json.loads(out.getvalue())
+    assert printed["status"] == "ok"
+    assert printed["warnings"] == report.warnings
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1, float("-inf"))])

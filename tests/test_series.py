@@ -73,6 +73,23 @@ class TestTrinomialSeries:
         t = Trinomial(7, 1, -1, 2)
         assert trinomial_log_term(t, 0, 6) == 0  # (8-6n)/7 integer at n=6
 
+    def test_budget_counts_terms_across_classes(self, rng):
+        # max_terms counts terms n = 1, 2, ... over all s classes, so at
+        # s = 12 each class gets about 33 terms, too few at argument modulus
+        # 0.79; the pFq form spends its budget per class and converges
+        s, b = 12, 10
+        q = cmath.rect(rng.uniform(0.5, 1.5), rng.uniform(-math.pi, math.pi))
+        modulus = (0.79 * abs(q) ** (s - b) / float(argument_modulus_constant(s, b))) ** (1 / s)
+        t = Trinomial(s, b, cmath.rect(modulus, rng.uniform(-math.pi, math.pi)), q)
+        k = rng.randrange(s)
+        root, diag = trinomial_series_root(t, k)
+        assert (diag.status, diag.terms_used) == ("truncated", MAX_TERMS)
+        assert diag.pre_polish_residual > 1e-12 >= diag.residual
+        assert scaled_residual(t.polynomial(), root) <= 1e-12
+        value, status = trinomial_pfq_root(t, k).evaluate()
+        assert status == "converged"
+        assert abs(value - root) <= 1e-10 * abs(root)
+
     def test_divergence_raises_with_partial(self):
         t = Trinomial(7, 1, -1, 0.5)  # argument modulus ~3.6
         with pytest.raises(DivergenceError) as exc:
@@ -219,6 +236,27 @@ def _branch_outputs(t):
     return out
 
 
+def _mpmath_gamma_part(mpmath, s, b, n):
+    """Gamma((1+bn)/s) / (Gamma(x2) n! s) in mpmath: the part of term n
+    that no branch or coefficient changes (0 at a pole of Gamma(x2))."""
+    return (
+        mpmath.gamma(mpmath.mpf(1 + b * n) / s)
+        * mpmath.rgamma(mpmath.mpf(1 + b * n + s - n * s) / s)
+        / (mpmath.factorial(n) * s)
+    )
+
+
+def _mpmath_power_part(mpmath, t, k, n):
+    """alpha^n q^((1+bn-ns)/s) e^(2 pi i k (1+bn)/s) in mpmath, with the
+    principal branch of log q."""
+    s, b = t.s, t.b
+    return (
+        mpmath.power(mpmath.mpc(t.alpha), n)
+        * mpmath.exp(mpmath.mpf(1 + b * n - n * s) / s * mpmath.log(mpmath.mpc(t.q)))
+        * mpmath.expjpi(mpmath.mpf(2 * k * (1 + b * n)) / s)
+    )
+
+
 class TestTermMemo:
     """The memoized integer-only parts change no result."""
 
@@ -235,16 +273,20 @@ class TestTermMemo:
     def test_term_table_matches_direct_lgamma(self):
         for s in range(2, 13):
             for b in range(1, s):
-                sign, log_mag, q_power, turns = _term_table(s, b, 400)
-                assert len(sign) == len(log_mag) == len(q_power) == len(turns) == 401
+                sign, log_mag, ratio = _term_table(s, b, 400)
+                assert len(sign) == len(log_mag) == len(ratio) == 401
                 for n in range(401):
-                    assert q_power[n] == (1 + b * n - n * s) / s, (s, b, n)
-                    assert turns[n] == 1 + b * n, (s, b, n)
+                    # the class step, as exact rationals rounded once
+                    x1 = Fraction(1 + b * n, s)
+                    x2 = Fraction(1 + b * n + s - n * s, s)
+                    step = math.prod(x1 + i for i in range(b))
+                    step *= math.prod(x2 - j for j in range(1, s - b + 1))
+                    step /= math.prod(range(n + 1, n + s + 1))
+                    assert ratio[n] == float(step), (s, b, n)
                     num2 = 1 + b * n + s - n * s
                     if num2 % s == 0 and num2 <= 0:
                         assert sign[n] == 0.0 and log_mag[n] == 0.0, (s, b, n)
                         continue
-                    x2 = num2 / s
                     assert sign[n] == gamma_sign(x2), (s, b, n)
                     assert log_mag[n] == (
                         math.lgamma((1 + b * n) / s)
@@ -253,18 +295,33 @@ class TestTermMemo:
                         - math.log(s)
                     ), (s, b, n)
 
-    def test_inlined_terms_match_the_reference_term(self):
+    def test_terms_match_mpmath_terms(self):
         # (7, 1) and (12, 5) have reciprocal-Gamma poles (n = 6 and 7 mod
-        # s); 1000 terms cross the table doublings at 400/401 and 800/801
-        for s, b in [(2, 1), (5, 2), (7, 1), (12, 5)]:
-            q = cmath.rect(1.1, 0.7)
+        # s); past term 400 + s the class steps read the doubled table, and
+        # for s = 2 past 800 + s the one doubled again
+        mpmath = pytest.importorskip("mpmath")
+        bound = 1e-12  # the log form reaches 6.9e-12 on these terms
+        worst = {"recurrence": 0.0, "log form": 0.0}
+        q = cmath.rect(1.1, 0.7)
+        for s, b, stop in [(2, 1, 1000), (3, 2, 420), (5, 2, 420), (7, 1, 420),
+                           (12, 5, 420), (12, 10, 420)]:
             modulus = (0.95 * abs(q) ** (s - b) / float(argument_modulus_constant(s, b))) ** (1 / s)
             t = Trinomial(s, b, cmath.rect(modulus, -2.1), q)
-            for k in {0, 1, s - 1}:
-                got = list(series._trinomial_terms(t, k, 1000))
-                want = [trinomial_log_term(t, k, n) for n in range(1, 1001)]
-                assert list(map(_bits, got)) == list(map(_bits, want)), (s, b, k)
-                assert any(got[-12:])  # not underflowed to 0
+            branches = {k: list(series._trinomial_terms(t, k, stop)) for k in (0, 1, s - 1)}
+            with mpmath.workdps(40):
+                for n in range(1, stop + 1):
+                    gamma_part = _mpmath_gamma_part(mpmath, s, b, n)
+                    for k, got in branches.items():
+                        want = gamma_part * _mpmath_power_part(mpmath, t, k, n)
+                        if want == 0:  # a reciprocal-Gamma pole, or a class that ended
+                            assert got[n - 1] == 0, (s, b, k, n)
+                            continue
+                        for name, term in (("recurrence", got[n - 1]),
+                                           ("log form", trinomial_log_term(t, k, n))):
+                            err = abs(term - want) / abs(want)
+                            worst[name] = max(worst[name], float(err))
+        assert worst["recurrence"] <= bound
+        assert worst["log form"] > bound  # the bound tells the two forms apart
         # alpha = 0: no terms, where every reference term is 0
         t = Trinomial(7, 1, 0, 1 + 1j)
         assert list(series._trinomial_terms(t, 3, 1000)) == []
@@ -279,27 +336,36 @@ class TestTermMemo:
         warm = [_branch_outputs(t) for t in trinomials]
         assert cold == warm
 
-    def test_series_value_is_sum_of_reference_terms(self, rng):
+    def test_series_value_matches_the_mpmath_sum(self, rng):
+        mpmath = pytest.importorskip("mpmath")
         cases = [(seeded_trinomial(rng, s_max=12, arg_cap=0.95), MAX_TERMS)
-                 for _ in range(20)]
+                 for _ in range(8)]
         # argument modulus 0.93: the sum needs more terms than the default
-        # table holds, so both sides read a longer one
+        # table holds
         alpha = cmath.rect((0.93 / float(argument_modulus_constant(2, 1))) ** 0.5, 0.3)
         cases.append((Trinomial(2, 1, alpha, 1.0), 800))
         checked = 0
         for t, max_terms in cases:
+            gamma_parts = []
             for k in range(t.s):
                 try:
                     _, diag = trinomial_series_root(t, k, max_terms)
                 except DivergenceError:
                     continue
-                total = cmath.exp(cmath.log(t.q) / t.s + 2j * math.pi * k / t.s)
-                for n in range(1, diag.terms_used + 1):
-                    total += trinomial_log_term(t, k, n)
-                assert _bits(diag.series_value) == _bits(total), (t, k)
+                with mpmath.workdps(40):
+                    for n in range(len(gamma_parts) + 1, diag.terms_used + 1):
+                        gamma_parts.append(_mpmath_gamma_part(mpmath, t.s, t.b, n))
+                    total = mpmath.root(mpmath.mpc(t.q), t.s) * mpmath.expjpi(mpmath.mpf(2 * k) / t.s)
+                    size = abs(total)
+                    for n in range(1, diag.terms_used + 1):
+                        term = gamma_parts[n - 1] * _mpmath_power_part(mpmath, t, k, n)
+                        total += term
+                        size += abs(term)
+                    err = abs(diag.series_value - total)
+                assert err <= 1e-14 * size, (t, k)
                 checked += 1
         assert diag.status == "converged" and diag.terms_used > 400
-        assert checked >= 60
+        assert checked >= 30
 
     def test_concurrent_callers_see_whole_tables(self, rng):
         trinomials = [seeded_trinomial(rng, s_max=9) for _ in range(4)]
@@ -332,6 +398,24 @@ class TestTermMemo:
         assert not clearer.is_alive()
         assert not any(w.is_alive() for w in workers)
         assert got == [want] * len(workers)
+
+    def test_branches_leave_no_allocations_behind(self):
+        # a branch's term chains must free what they allocate: with the
+        # classes handed to zip(*...) as a generator, each branch left one
+        # resized tuple in the tuple free lists, and the process grew
+        trinomials = [Trinomial(s, 1 + s // 3, cmath.rect(0.3, 1.0 + s), cmath.rect(1.1, 0.4))
+                      for s in range(2, 13)]
+
+        def every_branch():
+            for t in trinomials:
+                for k in range(t.s):
+                    trinomial_series_root(t, k)
+
+        every_branch()  # fills the term tables
+        before = sys.getallocatedblocks()
+        for _ in range(5):
+            every_branch()  # 385 branches
+        assert sys.getallocatedblocks() - before <= 40
 
     def test_large_max_terms_builds_only_what_is_read(self):
         _term_table.cache_clear()
