@@ -12,7 +12,9 @@ The pFq evaluator feeds it the term recurrence
 whose step factors depend on the parameters alone: they are tabled once per
 parameter set (_step_table), beside the term indices at which an upper
 parameter terminates the series and a lower one is a pole, and every sum
-with those parameters reads them.
+with those parameters reads them. pfq_eval keeps no values; the trinomial
+pFq form in series sums each of its classes once for all the branches of a
+trinomial and keeps those sums while the trinomial's branches run.
 """
 
 from __future__ import annotations
@@ -317,10 +319,10 @@ def _step_table(
     sums have read; and the term index at which an upper parameter -m
     terminates the series and the one at which a lower parameter -m is a
     pole (None when there is none), worked out once per parameter set.
-    The branches of a trinomial share their class parameter sets (s of
-    them, so up to s = 16 they all stay in the memo), and its classes'
-    tables are built once for all its branches; the values summed are
-    never cached."""
+    A trinomial's pFq form sums each of its s classes once for all its
+    branches (series._branch_free), so a table serves later sums with the
+    same parameters: trinomials of the same (s, b) while their s class
+    sets stay among the 16 entries."""
     return (
         [],
         [],

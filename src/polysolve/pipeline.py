@@ -291,7 +291,8 @@ def cross_check(p: Polynomial, report: RootReport, tol: float | None) -> str:
     against the all-roots oracle of p, where a non-finite root on either
     side is a mismatch, and so is a root g farther than max(tol, 1e-7)
     (1 + |g|) from its oracle root (poly.match_roots' pairing when the counts
-    agree, else the nearest). The oracle's own warnings go onto the report's.
+    agree, else the nearest). The oracle's own warnings go onto the report's,
+    and so does the message of a stalled oracle, whose best roots it reads.
     tol=None skips the oracle and reads "ok" unless partial."""
     status = "ok" if tol is None else _oracle_status(p, report, tol)
     aimed = p.degree if report.aimed is None else report.aimed
@@ -310,6 +311,7 @@ def _oracle_status(p: Polynomial, report: RootReport, tol: float) -> str:
         oracle = all_roots_oracle(p)
     except ConvergenceError as exc:
         oracle = exc.best
+        report.warnings.append(str(exc))
     report.warnings += oracle.warnings
     for e in oracle.roots:
         if not cmath.isfinite(e.root):

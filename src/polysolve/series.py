@@ -6,7 +6,10 @@ Quadrinomial shapes are poly's, re-exported here.
 
 The trinomial series takes its first s terms in log space (lgamma plus
 complex logs) and each later term from the one s before it, times an exact
-rational ratio and alpha^s q^(b-s).
+rational ratio and alpha^s q^(b-s). The s branches of a trinomial differ
+only in a phase, so what does not depend on the branch k (the log bases
+of the first s terms, the class step, the pFq argument and class sums) is
+worked out once and kept in a one-entry memo (_branch_free).
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ def _covering_table(s: int, b: int, n: int) -> tuple[array, array, array]:
 
 def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
     """Term n >= 1 of the branch-k series in log space (lgamma, complex logs);
-    exact 0 at the reciprocal-Gamma poles; _trinomial_terms takes terms 1..s from it."""
+    exact 0 at the reciprocal-Gamma poles. _trinomial_terms takes terms 1..s
+    bit for bit as this gives them, from bases shared by the branches."""
     s, b = t.s, t.b
     sign, log_mag, _ = _covering_table(s, b, n)
     if sign[n] == 0.0 or t.alpha == 0:
@@ -128,6 +132,88 @@ def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
         + complex(log_mag[n], _TWO_PI * k * (1 + b * n) / s)
     )
     return sign[n] * cmath.exp(z)
+
+
+class _BranchFree:
+    """The parts of a trinomial's branches that do not depend on k.
+
+    heads holds (sign[n], base) of terms n = 1..s, where term n of branch k
+    is sign[n] exp(base + i 2 pi k (1+bn)/s), bit for bit trinomial_log_term
+    (empty when alpha = 0, as the series then has no terms); step is the
+    class step alpha^s q^(b-s), the product of powers (alpha^s, q^(b-s)).
+    sums keeps, per group index of a PFQRootForm, the class sum's value,
+    status and power of q under the key (params, argument, power_of_q,
+    max_terms) that they depend on, so the s branches sum each class once."""
+
+    __slots__ = (
+        "polynomial", "log_q", "log_alpha", "heads", "powers", "step", "argument", "sums",
+    )
+
+    def __init__(self, t: Trinomial):
+        s, b = t.s, t.b
+        self.polynomial = t.polynomial()
+        self.log_q = cmath.log(t.q)
+        self.log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
+        self.sums: dict[int, tuple] = {}
+        # past the float range a power is infinite: the series then reads
+        # diverged, and so do the class sums
+        self.powers = (
+            _inf_on_overflow(pow, t.alpha, s),
+            _inf_on_overflow(cmath.exp, (b - s) * self.log_q),
+        )
+        self.step = self.powers[0] * self.powers[1]
+        self.argument: complex | None = None  # by the first pFq form
+        self.heads: list[tuple[float, complex]] = []
+        if t.alpha != 0:
+            signs, log_mag, _ = _covering_table(s, b, s)
+            self.heads = [
+                (
+                    signs[n],
+                    n * self.log_alpha
+                    + ((1 + b * n - n * s) / s) * self.log_q
+                    + complex(log_mag[n], 0.0),
+                )
+                for n in range(1, s + 1)
+            ]
+
+    def pfq_argument(self, s: int, b: int) -> complex:
+        """The argument (-1)^(s-b) b^b (s-b)^(s-b) / s^s alpha^s / q^(s-b)
+        of every class sum; worked out on the first call, so that a series
+        solve does not import fractions."""
+        if self.argument is None:
+            # e^(2*pi*i*k*b) is an integer turn: exactly one
+            sign = -1.0 if (s - b) % 2 else 1.0
+            power_a, power_q = self.powers
+            self.argument = sign * float(argument_modulus_constant(s, b)) * power_a * power_q
+        return self.argument
+
+    def class_sum(self, i: int, g: PFQRootGroup, max_terms: int) -> tuple[complex, str, complex]:
+        """pFq value, status and power of q of group g, the i-th of a form of
+        this trinomial; summed when the key of group i changed."""
+        key = (g.params, g.argument, g.power_of_q, max_terms)
+        got = self.sums.get(i)
+        if got is None or got[0] != key:
+            res = pfq_eval(g.params, g.argument, max_terms)
+            # the float of the Fraction, as Fraction.__float__ takes it
+            power = g.power_of_q.numerator / g.power_of_q.denominator
+            q_power = _inf_on_overflow(cmath.exp, power * self.log_q)
+            got = self.sums[i] = (key, res.value, res.status, q_power)
+        return got[1:]
+
+
+def _branch_free(t: Trinomial) -> _BranchFree:
+    """The branch-free parts of t, built on the first branch that asks."""
+    return _branch_free_memo(id(t), t)
+
+
+@lru_cache(maxsize=1)
+def _branch_free_memo(key: int, t: Trinomial) -> _BranchFree:
+    """One entry, keyed by the trinomial object (its id, alive while the
+    entry holds it) and not by its value: equal trinomials can differ in the
+    sign of a zero, which the principal logs read (q = -1 + 0j against
+    q = -1 - 0j). The branches of one trinomial run in a row, so one entry
+    serves them, and it never carries values from one trinomial to another."""
+    return _BranchFree(t)
 
 
 def trinomial_series_root(
@@ -144,7 +230,8 @@ def trinomial_series_root(
     the trinomial; a diverged sum raises DivergenceError with the partial sum.
     """
     s = t.s
-    lead = cmath.exp(cmath.log(t.q) / s + 2j * math.pi * k / s)
+    shared = _branch_free(t)
+    lead = cmath.exp(shared.log_q / s + 2j * math.pi * k / s)
     total, terms_used, status = sum_series(
         lead, _trinomial_terms(t, k, max_terms), max_terms, stride=s
     )
@@ -152,28 +239,37 @@ def trinomial_series_root(
         raise DivergenceError(
             f"series branch k={k} diverged after {terms_used} terms", total
         )
-    p = t.polynomial()
+    p = shared.polynomial
     pre = scaled_residual(p, total)
     root, res, its, _ = polish(p, total, tol=1e-12, max_iter=80)
     return root, SeriesDiagnostics(status, terms_used, total, pre, res, its)
 
 
+def _head(sign: float, base: complex, turn: float) -> complex:
+    """sign exp(base + i turn), or _INF past the float range; 0 at a pole."""
+    if not sign:
+        return 0j
+    try:
+        return sign * cmath.exp(base + complex(0.0, turn))
+    except OverflowError:
+        return _INF
+
+
 def _trinomial_terms(t: Trinomial, k: int, stop: int) -> Iterator[complex]:
-    """Terms n = 1..stop of the branch-k series: 1..s by trinomial_log_term,
-    then each class n mod s stepped by ratio[n] alpha^s q^(b-s) (its phase
-    turn kb is whole), in C-level iterators. No terms when alpha = 0."""
-    if t.alpha == 0:
+    """Terms n = 1..stop of the branch-k series: 1..s from the shared bases
+    with their phases, then each class n mod s stepped by ratio[n]
+    alpha^s q^(b-s) (its phase turn kb is whole), in C-level iterators. No
+    terms when alpha = 0."""
+    shared = _branch_free(t)
+    if not shared.heads:
         return iter(())
     s, b = t.s, t.b
-    # past the float range the step is infinite, and the sum reads diverged
-    step = _inf_on_overflow(pow, t.alpha, s)
-    step *= _inf_on_overflow(cmath.exp, (b - s) * cmath.log(t.q))
     # zip pulls the classes in turn, one term each, so they share one stream
     # of steps; a list, as zip(*generator) resizes its tuple into free lists
-    steps = map(mul, chain.from_iterable(_ratio_runs(s, b)), repeat(step))
+    steps = map(mul, chain.from_iterable(_ratio_runs(s, b)), repeat(shared.step))
     classes = [
-        accumulate(steps, mul, initial=_inf_on_overflow(trinomial_log_term, t, k, n))
-        for n in range(1, s + 1)
+        accumulate(steps, mul, initial=_head(sign, base, _TWO_PI * k * (1 + b * n) / s))
+        for n, (sign, base) in enumerate(shared.heads, 1)
     ]
     return islice(chain.from_iterable(zip(*classes)), stop)
 
@@ -230,20 +326,21 @@ class PFQRootForm(_Record):
 
     def evaluate(self, max_terms: int = MAX_TERMS) -> tuple[complex, str]:
         """The sum and the worst pFq status; a total that is not finite
-        (a power of q or a class sum past the float range) reads diverged."""
+        (a power of q or a class sum past the float range) reads diverged.
+        The class sums and powers of q do not depend on k: the branches of
+        one trinomial object share them (_branch_free), so a loop over its
+        s branches sums each class once. A form of another trinomial object
+        sums its classes afresh."""
         total = 0j
         status = "converged"
-        log_q = cmath.log(self.trinomial.q)
-        for g in self.groups:
+        shared = _branch_free(self.trinomial)
+        for i, g in enumerate(self.groups):
             if g.prefactor == 0:
                 continue
-            res = pfq_eval(g.params, g.argument, max_terms)
-            if res.status != "converged":
-                status = res.status
-            # the float of the Fraction, as Fraction.__float__ takes it
-            power = g.power_of_q.numerator / g.power_of_q.denominator
-            q_power = _inf_on_overflow(cmath.exp, power * log_q)
-            total += g.prefactor * q_power * res.value
+            value, class_status, q_power = shared.class_sum(i, g, max_terms)
+            if class_status != "converged":
+                status = class_status
+            total += g.prefactor * q_power * value
         if not cmath.isfinite(total):
             status = "diverged"
         return total, status
@@ -259,21 +356,13 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
     e^(2*pi*i*k*b) folded in). Parameters follow from the Gamma shift
     algebra in exact rational arithmetic, with upper/lower cancellation;
     they and each class's power of q depend on (s, b, class) alone and are
-    built once (_class_params).
+    built once (_class_params). The argument is worked out once for all
+    branches of t (_branch_free).
     """
     s, b = t.s, t.b
-    const = argument_modulus_constant(s, b)
-    sign = -1.0 if (s - b) % 2 else 1.0
-    # e^(2*pi*i*k*b) is an integer turn: exactly one; a power past the
-    # float range is infinite, and the class sums then read diverged
-    argument = (
-        sign
-        * float(const)
-        * _inf_on_overflow(pow, t.alpha, s)
-        * _inf_on_overflow(cmath.exp, (b - s) * cmath.log(t.q))
-    )
+    shared = _branch_free(t)
+    argument, log_alpha = shared.pfq_argument(s, b), shared.log_alpha
     sign, log_mag, _ = _covering_table(s, b, s - 1)
-    log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
     groups: list[PFQRootGroup] = []
     for n0 in range(s):
         power, params = _class_params(s, b, n0)

@@ -3,8 +3,9 @@ module in src/polysolve keeps an unused import (at the top level, under
 `if TYPE_CHECKING:` or inside a function), or a private top-level
 function or class that nothing in the package references, or imports
 dataclasses; every name in the package's lazy name table is
-defined at the top level of the module the table names for it; and only
-the cross-check and the coverage report reach the all-roots oracle."""
+defined at the top level of the module the table names for it; only
+the cross-check and the coverage report reach the all-roots oracle; and
+every functools memo has a finite bound."""
 
 from __future__ import annotations
 
@@ -174,3 +175,27 @@ def test_every_series_engine_sums_by_sum_series():
     } <= set(engines)
     own_loop = sorted(name for name, refs in engines.items() if "sum_series" not in refs)
     assert not own_loop, f"series engines that do not sum by sum_series: {own_loop}"
+
+
+def test_every_lru_cache_is_bounded():
+    # a memo without a bound grows with the traffic; functools.cache is
+    # lru_cache(maxsize=None), and a bare @lru_cache hides its bound
+    memos = {}
+    for path in MODULES:
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                target = call.func if call else dec
+                name = getattr(target, "attr", getattr(target, "id", None))
+                if name not in ("lru_cache", "cache"):
+                    continue
+                size = None
+                if call is not None and name == "lru_cache":
+                    given = call.args[:1] + [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+                    size = ast.literal_eval(given[0]) if given else None
+                memos[f"{path.name}:{node.name}"] = size
+    assert memos, "no lru_cache found: the scan has lost them"
+    unbounded = [name for name, size in memos.items() if not (isinstance(size, int) and size > 0)]
+    assert not unbounded, f"memos without a finite maxsize: {unbounded}"

@@ -167,6 +167,28 @@ def test_cross_check_rejects_an_oracle_with_non_finite_roots():
     assert fake.warnings[-1].startswith("oracle root") and "not finite" in fake.warnings[-1]
 
 
+def test_cross_check_forwards_a_stalled_oracle_message(monkeypatch):
+    # the oracle's NaN iterates end in ConvergenceError; its message joins the
+    # report's warnings, and the status and exit code stay as they were
+    p = Polynomial([1e200, 0, 1e-200])
+
+    def fake(*args):
+        return RootReport([RootEntry(1 + 0j, 0.0), RootEntry(2 + 0j, 0.0)], "test")
+
+    report = fake()
+    assert cross_check(p, report, 1e-8) == "mismatch"
+    assert report.warnings == [
+        "oracle stalled with residual inf",
+        "oracle root (nan+nanj) is not finite",
+    ]
+    monkeypatch.setattr("polysolve.cli.solve", fake)
+    out = io.StringIO()
+    assert main(["solve", "--coeffs=1e200,0,1e-200", "--json"], out=out, err=io.StringIO()) == 0
+    printed = json.loads(out.getvalue())
+    assert printed["status"] == "mismatch"
+    assert printed["warnings"] == report.warnings
+
+
 def test_cross_check_forwards_the_oracle_warnings():
     # with roots of modulus 1e5 the oracle's absolute stop on a move of
     # 1e-12 is out of reach, so it ends at its sweep cap and says so; the

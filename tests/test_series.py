@@ -34,7 +34,7 @@ from polysolve.series import (
     _term_table,
     trinomial_log_term,
 )
-from polysolve.numerics import PFQParams, _step_table, gamma_sign
+from polysolve.numerics import PFQParams, _step_table, gamma_sign, pfq_eval
 from polysolve.poly import MAX_TERMS
 
 from conftest import bisect_root, seeded_trinomial
@@ -330,7 +330,8 @@ class TestTermMemo:
     def test_cold_and_warm_results_equal(self, rng):
         trinomials = [seeded_trinomial(rng, s_max=9) for _ in range(12)]
         trinomials.append(Trinomial(5, 2, 0, 2 + 1j))
-        for cache in (_class_params, _term_table, _step_table, argument_modulus_constant):
+        for cache in (_class_params, _term_table, _step_table, argument_modulus_constant,
+                      series._branch_free_memo):
             cache.cache_clear()
         cold = [_branch_outputs(t) for t in trinomials]
         warm = [_branch_outputs(t) for t in trinomials]
@@ -375,7 +376,8 @@ class TestTermMemo:
 
         def clear():
             while not stop.is_set():
-                for cache in (_class_params, _term_table, _step_table, argument_modulus_constant):
+                for cache in (_class_params, _term_table, _step_table,
+                              argument_modulus_constant, series._branch_free_memo):
                     cache.cache_clear()
 
         def solve():
@@ -425,6 +427,115 @@ class TestTermMemo:
         trinomial_pfq_root(t, 0)
         assert _term_table.cache_info().currsize == 1
         assert len(_covering_table(5, 1, 1)[0]) == MAX_TERMS + 1
+
+
+def _counting_pfq_eval(monkeypatch):
+    """Count the pfq_eval calls of the pFq form, as a list of their params."""
+    calls = []
+
+    def counted(params, z, max_terms):
+        calls.append(params)
+        return pfq_eval(params, z, max_terms)
+
+    monkeypatch.setattr(series, "pfq_eval", counted)
+    return calls
+
+
+def _direct_pfq_sum(form, max_terms=MAX_TERMS):
+    """PFQRootForm.evaluate rebuilt from one pfq_eval call per class."""
+    total = 0j
+    status = "converged"
+    log_q = cmath.log(form.trinomial.q)
+    for g in form.groups:
+        if g.prefactor == 0:
+            continue
+        res = pfq_eval(g.params, g.argument, max_terms)
+        if res.status != "converged":
+            status = res.status
+        power = g.power_of_q.numerator / g.power_of_q.denominator
+        try:
+            q_power = cmath.exp(power * log_q)
+        except OverflowError:
+            q_power = complex(math.inf, 0.0)
+        total += g.prefactor * q_power * res.value
+    if not cmath.isfinite(total):
+        status = "diverged"
+    return total, status
+
+
+class TestBranchSharing:
+    """The s branches of one trinomial share its k-free parts, and nothing
+    else: every output stays what each branch computed alone."""
+
+    @pytest.mark.parametrize("s", [5, 12, 24])
+    def test_each_class_is_summed_once_for_all_branches(self, monkeypatch, s):
+        # s = 24 is past the 16 parameter sets the step-table memo holds
+        t = Trinomial(s, 1 + s // 3, cmath.rect(0.3, 1.0), cmath.rect(1.1, 0.4))
+        classes = [g.params for g in trinomial_pfq_root(t, 0).groups if g.prefactor != 0]
+        calls = _counting_pfq_eval(monkeypatch)
+        for k in range(s):
+            trinomial_pfq_root(t, k).evaluate()
+        assert calls == classes
+        calls.clear()
+        solve(t.polynomial(), "pfq")  # the pipeline's route, on a trinomial of its own
+        assert calls == classes
+
+    def test_the_memo_carries_nothing_from_one_trinomial_to_another(self, monkeypatch):
+        a = Trinomial(5, 2, 0.3 + 0.1j, 1.0 + 0.5j)
+        b = Trinomial(7, 3, 0.2, 1.1)
+        calls = _counting_pfq_eval(monkeypatch)
+        counts = []
+        for t in (a, b, a, Trinomial(5, 2, 0.3 + 0.1j, 1.0 + 0.5j)):
+            before = len(calls)
+            for k in range(t.s):
+                trinomial_pfq_root(t, k).evaluate()
+            counts.append(len(calls) - before)
+        # a again, and an equal trinomial of its own, sum their classes anew
+        assert counts[0] == counts[2] == counts[3] > 0 and counts[1] > 0
+
+    def test_equal_trinomials_keep_their_own_logs(self):
+        # q = -1 + 0j and q = -1 - 0j are equal, but their principal logs
+        # are +pi i and -pi i: each keeps its own branch numbering
+        plus = Trinomial(3, 1, 0.2, complex(-1.0, 0.0))
+        minus = Trinomial(3, 1, 0.2, complex(-1.0, -0.0))
+        assert plus == minus
+        series._branch_free_memo.cache_clear()
+        cold = [_branch_outputs(plus)]
+        series._branch_free_memo.cache_clear()
+        cold.append(_branch_outputs(minus))
+        assert cold[0] != cold[1]
+        assert [_branch_outputs(plus), _branch_outputs(minus)] == cold
+
+    def test_pfq_values_match_direct_class_sums(self, rng):
+        trinomials = [seeded_trinomial(rng, s_max=12) for _ in range(10)]
+        trinomials += [Trinomial(24, 7, cmath.rect(0.3, 1.0), cmath.rect(1.1, 0.4)),
+                       Trinomial(5, 2, 0, 2 + 1j), Trinomial(5, 1, 1e60, 1)]
+        for t in trinomials:
+            for max_terms in (MAX_TERMS, 30):  # a new budget sums anew
+                for k in range(t.s):
+                    form = trinomial_pfq_root(t, k)
+                    got = form.evaluate(max_terms)
+                    assert repr(got) == repr(_direct_pfq_sum(form, max_terms)), (t, k)
+
+    def test_first_terms_match_the_log_form(self, rng):
+        # (7, 1) and (12, 5) have reciprocal-Gamma poles among terms 1..s;
+        # alpha = 1e200 overflows exp from term 2 on
+        trinomials = [seeded_trinomial(rng, s_max=12) for _ in range(10)]
+        trinomials += [Trinomial(7, 1, 0.4 - 0.2j, 1.3j), Trinomial(12, 5, -0.3, 0.9),
+                       Trinomial(3, 1, 1e200, 1), Trinomial(24, 7, 0.3j, -2.0)]
+        for t in trinomials:
+            for k in range(t.s):
+                got = list(series._trinomial_terms(t, k, t.s))
+                want = [series._inf_on_overflow(trinomial_log_term, t, k, n)
+                        for n in range(1, t.s + 1)]
+                assert repr(got) == repr(want), (t, k)
+        # term 2 sits on a pole, and term 3 is past the float range
+        assert repr(list(series._trinomial_terms(Trinomial(3, 1, 1e200, 1), 1, 3))[1:]) \
+            == repr([0j, series._INF])
+        t = Trinomial(6, 2, 0, 1 - 1j)  # alpha = 0: no terms, each log term 0
+        for k in range(t.s):
+            assert list(series._trinomial_terms(t, k, t.s)) == []
+            assert all(trinomial_log_term(t, k, n) == 0 for n in range(1, t.s + 1))
 
 
 class TestBringJerrard:
