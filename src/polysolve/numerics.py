@@ -9,20 +9,16 @@ The pFq evaluator feeds it the term recurrence
 
     t_{n+1} = t_n * prod(a_i + n) / ((n + 1) prod(b_j + n)) * z,
 
-whose step factors depend on the parameters alone: they are tabled once per
-parameter set (_step_table), beside the term indices at which an upper
-parameter terminates the series and a lower one is a pole, and every sum
-with those parameters reads them. pfq_eval keeps no values; the trinomial
-pFq form in series sums each of its classes once for all the branches of a
-trinomial and keeps those sums while the trinomial's branches run.
+with each step factor worked out from the parameters as the sum reaches it.
+pfq_eval keeps no values; the trinomial pFq form in series sums each of its
+classes once for all the branches of a trinomial and keeps those sums while
+the trinomial's branches run.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 from itertools import count, islice
 
 from .poly import MAX_TERMS, _Record, _require_count
@@ -223,8 +219,8 @@ def pfq_eval(
     """
     _require_count("max_terms", max_terms)
     z = complex(z)
-    table = _step_table(params)
-    terminate_at, pole_at = table[2], table[3]
+    terminate_at = _least_nonpositive_int(params.upper)
+    pole_at = _least_nonpositive_int(params.lower)
     if pole_at is not None and not regularized:
         if terminate_at is None or terminate_at > pole_at:
             raise PoleError(
@@ -236,99 +232,39 @@ def pfq_eval(
     if regularized:
         terms = _regularized_terms(params, z, terminate_at)
     else:
-        terms = _pfq_terms(params, table, z, terminate_at)
+        terms = _pfq_terms(params, z, terminate_at)
     # a series that terminates within max_terms runs out before its budget
     budget = max_terms - 1
     if terminate_at is not None and terminate_at < max_terms:
         budget = terminate_at + 1
     total, n, status = sum_series(next(terms), terms, budget)
-    terms.close()  # the plain path's new steps go into its step table
     return PFQResult(total, n + 1, status)
 
 
-def _pfq_terms(
-    params: PFQParams, table: tuple, z: complex, last: int | None
-) -> Iterator[complex]:
+def _pfq_terms(params: PFQParams, z: complex, last: int | None) -> Iterator[complex]:
     """Terms n = 0, 1, ... of pFq(a; b; z), up to n = last when it is given,
     by the term recurrence; they stop after a zero term, as every later one
-    is zero. The step factors prod(a_i + m) and (m + 1) prod(b_j + m) come
-    from params' step table (table, from _step_table) as far as it reaches
-    when the sum gets there, and the steps computed past it go into the
-    table when the generator closes."""
-    nums, dens = table[0], table[1]
+    is zero."""
     term: complex = 1.0
     yield term
-    steps = zip(nums, dens)
-    if last is not None:
-        steps = islice(steps, last)
-    m = 0  # the steps taken
-    for m, (num, den) in enumerate(steps, 1):
+    upper, lower = params.upper, params.lower
+    for m in count() if last is None else range(last):
+        num = 1.0
+        for a in upper:
+            num *= a + m
+        den = m + 1.0
+        for b in lower:
+            den *= b + m
         term = term * num / den * z
         yield term
         if not term:
             return
-    # past the table as it stands now: another sum may have grown it since
-    # this one started
-    known = m
-    new_nums: list[complex] = []
-    new_dens: list[complex] = []
-    upper, lower = params.upper, params.lower
-    try:
-        for m in count(known) if last is None else range(known, last):
-            num = 1.0
-            for a in upper:
-                num *= a + m
-            den = m + 1.0
-            for b in lower:
-                den *= b + m
-            if m < _STEPS_MAX:
-                new_nums.append(num)
-                new_dens.append(den)
-            term = term * num / den * z
-            yield term
-            if not term:
-                return
-    finally:
-        if new_dens:
-            # dens after nums, so that nums[m] and dens[m] are whole once
-            # m < len(dens); past the steps another sum added meanwhile
-            with _GROW:
-                added = len(dens) - known
-                nums.extend(new_nums[added:])
-                dens.extend(new_dens[added:])
-
-
-# Step tables hold at most the first 2048 steps, so that no memo grows with
-# max_terms; a sum that reads further computes the later steps as it goes.
-_STEPS_MAX = 2048
-_GROW = threading.Lock()
 
 
 def _least_nonpositive_int(values: Iterable[complex]) -> int | None:
     """The least m >= 0 such that -m is (numerically) one of values."""
     found = [-m for m in map(_real_nonpositive_int, values) if m is not None]
     return min(found, default=None)
-
-
-@lru_cache(maxsize=16)
-def _step_table(
-    params: PFQParams,
-) -> tuple[list[complex], list[complex], int | None, int | None]:
-    """The memo entry of params: its step table (nums, dens), the factors of
-    the steps from term m to term m + 1 for m = 0 .. len - 1, as far as
-    sums have read; and the term index at which an upper parameter -m
-    terminates the series and the one at which a lower parameter -m is a
-    pole (None when there is none), worked out once per parameter set.
-    A trinomial's pFq form sums each of its s classes once for all its
-    branches (series._branch_free), so a table serves later sums with the
-    same parameters: trinomials of the same (s, b) while their s class
-    sets stay among the 16 entries."""
-    return (
-        [],
-        [],
-        _least_nonpositive_int(params.upper),
-        _least_nonpositive_int(params.lower),
-    )
 
 
 def _regularized_terms(

@@ -7,9 +7,11 @@ Quadrinomial shapes are poly's, re-exported here.
 The trinomial series takes its first s terms in log space (lgamma plus
 complex logs) and each later term from the one s before it, times an exact
 rational ratio and alpha^s q^(b-s). The s branches of a trinomial differ
-only in a phase, so what does not depend on the branch k (the log bases
-of the first s terms, the class step, the pFq argument and class sums) is
-worked out once and kept in a one-entry memo (_branch_free).
+only in a phase per residue class n mod s, so what does not depend on the
+branch k is worked out once and kept in a one-entry memo (_branch_free):
+the principal branch's series sum, dealt into its s class sums, which
+every other branch turns by its phases; and the pFq argument and class
+sums.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from array import array
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate, chain, count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat, tee
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -141,12 +143,15 @@ class _BranchFree:
     is sign[n] exp(base + i 2 pi k (1+bn)/s), bit for bit trinomial_log_term
     (empty when alpha = 0, as the series then has no terms); step is the
     class step alpha^s q^(b-s), the product of powers (alpha^s, q^(b-s)).
-    sums keeps, per group index of a PFQRootForm, the class sum's value,
-    status and power of q under the key (params, argument, power_of_q,
-    max_terms) that they depend on, so the s branches sum each class once."""
+    lagrange keeps the principal branch's series sum and class sums under
+    the max_terms they were summed with (trinomial_series_root). sums keeps,
+    per group index of a PFQRootForm, the class sum's value, status and
+    power of q under the key (params, argument, power_of_q, max_terms) that
+    they depend on, so the s branches sum each class once."""
 
     __slots__ = (
         "polynomial", "log_q", "log_alpha", "heads", "powers", "step", "argument", "sums",
+        "lagrange",
     )
 
     def __init__(self, t: Trinomial):
@@ -155,6 +160,7 @@ class _BranchFree:
         self.log_q = cmath.log(t.q)
         self.log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
         self.sums: dict[int, tuple] = {}
+        self.lagrange: tuple | None = None
         # past the float range a power is infinite: the series then reads
         # diverged, and so do the class sums
         self.powers = (
@@ -222,19 +228,38 @@ def trinomial_series_root(
     """Branch-k root of z^s - alpha z^b - q = 0 by Lagrange inversion.
 
     The series sits on top of the principal s-th root of q rotated by
-    e^(2*pi*i*k/s); every term carries the phase e^(2*pi*i*k*(1+b*n)/s).
-    The term sizes zigzag across the classes n mod s, so sum_series stops at
-    stride s; max_terms counts the terms of all s classes (the pFq form's is
-    per class), so at large s and an argument modulus near 1 a branch reads
-    truncated. Converged and truncated values are Newton-polished against
-    the trinomial; a diverged sum raises DivergenceError with the partial sum.
+    e^(2*pi*i*k/s); every term carries the phase e^(2*pi*i*k*(1+b*n)/s),
+    which is the same along each class n mod s. So the principal branch is
+    summed once per trinomial, and branch k is its lead plus the class sums
+    C_n of branch 0, each turned by its phase, kept in _branch_free(t).
+    The term sizes zigzag across the classes, so sum_series stops at stride
+    s; max_terms counts the terms of all s classes (the pFq form's is per
+    class), so at large s and an argument modulus near 1 the series reads
+    truncated. terms_used and the status are branch 0's for every branch,
+    except that a branch whose own sum is not finite reads diverged.
+    Converged and truncated values are Newton-polished against the
+    trinomial; a diverged sum raises DivergenceError with the partial sum.
     """
-    s = t.s
+    s, b = t.s, t.b
     shared = _branch_free(t)
-    lead = cmath.exp(shared.log_q / s + 2j * math.pi * k / s)
-    total, terms_used, status = sum_series(
-        lead, _trinomial_terms(t, k, max_terms), max_terms, stride=s
-    )
+    got = shared.lagrange
+    if got is None or got[0] != max_terms:
+        # branch 0, and the terms it took dealt into their classes: C_n, n =
+        # 1..s (fewer when fewer came), beside units[j] = e^(2 pi i j/s)
+        lead = cmath.exp(shared.log_q / s + 0j)  # bit for bit the k = 0 lead
+        terms, taken = tee(_trinomial_terms(t, 0, max_terms))
+        total, used, status = sum_series(lead, terms, max_terms, stride=s)
+        taken = list(islice(taken, used))
+        sums = [sum(taken[n::s], 0j) for n in range(min(s, used))]
+        units = [cmath.exp(complex(0.0, _TWO_PI * j / s)) for j in range(s)]
+        got = shared.lagrange = (max_terms, total, used, status, sums, units)
+    _, total, terms_used, status, sums, units = got
+    if k != 0:
+        lead = cmath.exp(shared.log_q / s + 2j * math.pi * k / s)
+        phases = [units[k * (1 + b * n) % s] for n in range(1, len(sums) + 1)]
+        total = sum(map(mul, phases, sums), lead)
+        if not cmath.isfinite(total):
+            status = "diverged"
     if status == "diverged":
         raise DivergenceError(
             f"series branch k={k} diverged after {terms_used} terms", total

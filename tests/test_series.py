@@ -34,7 +34,7 @@ from polysolve.series import (
     _term_table,
     trinomial_log_term,
 )
-from polysolve.numerics import PFQParams, _step_table, gamma_sign, pfq_eval
+from polysolve.numerics import PFQParams, gamma_sign, pfq_eval
 from polysolve.poly import MAX_TERMS
 
 from conftest import bisect_root, seeded_trinomial
@@ -330,7 +330,7 @@ class TestTermMemo:
     def test_cold_and_warm_results_equal(self, rng):
         trinomials = [seeded_trinomial(rng, s_max=9) for _ in range(12)]
         trinomials.append(Trinomial(5, 2, 0, 2 + 1j))
-        for cache in (_class_params, _term_table, _step_table, argument_modulus_constant,
+        for cache in (_class_params, _term_table, argument_modulus_constant,
                       series._branch_free_memo):
             cache.cache_clear()
         cold = [_branch_outputs(t) for t in trinomials]
@@ -376,8 +376,8 @@ class TestTermMemo:
 
         def clear():
             while not stop.is_set():
-                for cache in (_class_params, _term_table, _step_table,
-                              argument_modulus_constant, series._branch_free_memo):
+                for cache in (_class_params, _term_table, argument_modulus_constant,
+                              series._branch_free_memo):
                     cache.cache_clear()
 
         def solve():
@@ -429,15 +429,17 @@ class TestTermMemo:
         assert len(_covering_table(5, 1, 1)[0]) == MAX_TERMS + 1
 
 
-def _counting_pfq_eval(monkeypatch):
-    """Count the pfq_eval calls of the pFq form, as a list of their params."""
+def _counting(monkeypatch, name, index):
+    """Count the calls of series' function name, as a list of each call's
+    positional argument at index."""
     calls = []
+    real = getattr(series, name)
 
-    def counted(params, z, max_terms):
-        calls.append(params)
-        return pfq_eval(params, z, max_terms)
+    def counted(*args, **kwargs):
+        calls.append(args[index])
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(series, "pfq_eval", counted)
+    monkeypatch.setattr(series, name, counted)
     return calls
 
 
@@ -465,14 +467,14 @@ def _direct_pfq_sum(form, max_terms=MAX_TERMS):
 
 class TestBranchSharing:
     """The s branches of one trinomial share its k-free parts, and nothing
-    else: every output stays what each branch computed alone."""
+    else: each pFq output stays what its branch computed alone, and each
+    series branch turns the one sum of branch 0's classes by its phases."""
 
     @pytest.mark.parametrize("s", [5, 12, 24])
     def test_each_class_is_summed_once_for_all_branches(self, monkeypatch, s):
-        # s = 24 is past the 16 parameter sets the step-table memo holds
         t = Trinomial(s, 1 + s // 3, cmath.rect(0.3, 1.0), cmath.rect(1.1, 0.4))
         classes = [g.params for g in trinomial_pfq_root(t, 0).groups if g.prefactor != 0]
-        calls = _counting_pfq_eval(monkeypatch)
+        calls = _counting(monkeypatch, "pfq_eval", 0)
         for k in range(s):
             trinomial_pfq_root(t, k).evaluate()
         assert calls == classes
@@ -480,10 +482,64 @@ class TestBranchSharing:
         solve(t.polynomial(), "pfq")  # the pipeline's route, on a trinomial of its own
         assert calls == classes
 
+    @pytest.mark.parametrize("s", [5, 12, 24])
+    def test_the_series_is_summed_once_for_all_branches(self, monkeypatch, s):
+        t = Trinomial(s, 1 + s // 3, cmath.rect(0.3, 1.0), cmath.rect(1.1, 0.4))
+        streams = _counting(monkeypatch, "_trinomial_terms", 1)
+        sums = _counting(monkeypatch, "sum_series", 2)
+        for k in range(s):
+            trinomial_series_root(t, k)
+        assert (streams, sums) == ([0], [MAX_TERMS])
+        streams.clear()
+        sums.clear()
+        report = solve(t.polynomial(), "series")  # a trinomial of its own
+        assert len(report.roots) == s
+        assert (streams, sums) == ([0], [MAX_TERMS])
+
+    def test_branch_order_changes_no_value(self):
+        t = Trinomial(12, 5, cmath.rect(0.4, 2.0), cmath.rect(0.9, -1.0))
+        outputs = []
+        for order in (range(t.s), reversed(range(t.s))):
+            series._branch_free_memo.cache_clear()
+            outputs.append({k: repr(trinomial_series_root(t, k)) for k in order})
+        assert outputs[0] == outputs[1]
+
+    def test_a_new_max_terms_sums_anew(self, monkeypatch):
+        t = Trinomial(5, 2, 1.6 + 0.3j, 1.0 + 0.5j)  # 83 terms to converge
+        sums = _counting(monkeypatch, "sum_series", 2)
+        verdicts = []
+        for max_terms in (MAX_TERMS, 30, 30, MAX_TERMS):
+            got = {(d.terms_used, d.status)
+                   for d in (trinomial_series_root(t, k, max_terms)[1] for k in range(t.s))}
+            verdicts.append(got)
+        assert sums == [MAX_TERMS, 30, MAX_TERMS]
+        full, cut = {(83, "converged")}, {(30, "truncated")}
+        assert verdicts == [full, cut, cut, full]
+
+    def test_every_branch_of_a_diverging_series_raises(self, monkeypatch):
+        t = Trinomial(5, 1, 1e6, 1)  # argument modulus about 8e28
+        sums = _counting(monkeypatch, "sum_series", 2)
+        partials = []
+        for k in range(t.s):
+            with pytest.raises(DivergenceError) as exc:
+                trinomial_series_root(t, k)
+            partials.append(exc.value.partial)
+        assert len(sums) == 1
+        assert len(set(partials)) == t.s  # each branch raises with its own sum
+
+    def test_one_branch_sums_one_stream(self, monkeypatch):
+        # the basin plot solves branch 0 alone, at every grid point
+        streams = _counting(monkeypatch, "_trinomial_terms", 1)
+        sums = _counting(monkeypatch, "sum_series", 2)
+        for alpha in (0.2, 0.3j):
+            report = solve(Trinomial(7, 2, alpha, 1.5), "series", [0])
+            assert [e.branch for e in report.roots] == [0]
+        assert (streams, sums) == ([0, 0], [MAX_TERMS, MAX_TERMS])
+
     def test_the_memo_carries_nothing_from_one_trinomial_to_another(self, monkeypatch):
         a = Trinomial(5, 2, 0.3 + 0.1j, 1.0 + 0.5j)
         b = Trinomial(7, 3, 0.2, 1.1)
-        calls = _counting_pfq_eval(monkeypatch)
+        calls = _counting(monkeypatch, "pfq_eval", 0)
         counts = []
         for t in (a, b, a, Trinomial(5, 2, 0.3 + 0.1j, 1.0 + 0.5j)):
             before = len(calls)
