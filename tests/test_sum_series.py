@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polysolve import DivergenceError, PFQParams, Trinomial
 from polysolve import pfq_eval, trinomial_pfq_root, trinomial_series_root
-from polysolve.numerics import sum_series
+from polysolve.numerics import _pfq_terms, sum_series
 from polysolve.series import argument_modulus_constant, trinomial_log_term
 
 
@@ -409,3 +409,35 @@ class TestStepTables:
             want, _ = _parent_pfq_loop(params, z, max_terms)
             assert (_bits(res.value), res.terms_used, res.status) == want
             assert want[1:] == (max_terms, "truncated")
+
+    def test_terminating_sum_tables_only_its_steps(self):
+        # -3 ends the series at term 3, before the lower pole at -6; the sum
+        # works out only the steps up to its last nonzero term
+        for params, z in [
+            (PFQParams((-5.0, 1.5), (2.5,)), 0.7 + 0.2j),
+            (PFQParams((-3.0,), (-6.0,)), 2.0 - 1.0j),
+        ]:
+            for _ in range(2):  # a second sum of the same series is the same
+                res = pfq_eval(params, z)
+                want, _ = _parent_pfq_loop(params, z)
+                assert (_bits(res.value), res.terms_used, res.status) == want
+            terminate_at = -int(params.upper[0].real)
+            assert res.terms_used == terminate_at + 1
+            terms = list(_pfq_terms(params, z, terminate_at))
+            assert len(terms) == terminate_at + 1 and terms[-1] != 0
+
+    def test_a_suspended_sum_reads_what_another_added(self):
+        # the first sum stops part way, a second sum of the same series runs
+        # to completion meanwhile, and the first then runs on to its end
+        params = PFQParams((0.5, 1.25), (1.75,))
+        z = 0.995
+        want_long, _ = _parent_pfq_loop(params, z, 1500)
+        want_short, _ = _parent_pfq_loop(params, z, 300)
+        assert want_long[1] == 1500 > 300
+        first = _pfq_terms(params, z, None)
+        head = list(itertools.islice(first, 50))
+        second = pfq_eval(params, z, 300)
+        total, n, status = sum_series(head[0], itertools.chain(head[1:], first), 1500 - 1)
+        first.close()
+        assert (_bits(total), n + 1, status) == want_long
+        assert (_bits(second.value), second.terms_used, second.status) == want_short
