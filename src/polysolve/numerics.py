@@ -10,9 +10,9 @@ The pFq evaluator feeds it the term recurrence
     t_{n+1} = t_n * prod(a_i + n) / ((n + 1) prod(b_j + n)) * z,
 
 with each step factor worked out from the parameters as the sum reaches it.
-pfq_eval keeps no values; the trinomial pFq form in series sums each of its
-classes once for all the branches of a trinomial and keeps those sums while
-the trinomial's branches run.
+pfq_eval keeps no values. The trinomial pFq form in series does not call
+it: it sums each of its classes by the series' exact class steps, which are
+these step factors times z, once for all the branches of a trinomial.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ def sum_series(
       series is exact;
     - when the budget is spent, diverged if the latest nonzero term of some
       class still exceeds |sum|, otherwise truncated;
-    - diverged, whatever the above said, when the sum is not finite.
+    - diverged, whatever the above said, when the sum is not finite or a
+      magnitude is past the float range.
 
     The stride is the period of the terms' magnitude pattern: the
     trinomial series zigzags across the classes n mod s and decays or grows
@@ -132,60 +133,65 @@ def sum_series(
     total = term0
     n = 0
     status = "converged"  # by the test at the bottom, or when terms runs out
-    if stride == 1:  # the loop below with one class: its lists as scalars
-        last = 0.0
-        run = 0
-        for n, term in enumerate(islice(terms, budget), 1):
-            total += term
-            mag = abs(term)
-            if not mag:
-                continue
-            if mag > last > 0.0 and n >= _GROWTH_FROM:
-                run += 1
-                if run == _GROWTH_RUN:
-                    status = "diverged"
+    try:
+        if stride == 1:  # the loop below with one class: its lists as scalars
+            last = 0.0
+            run = 0
+            for n, term in enumerate(islice(terms, budget), 1):
+                total += term
+                mag = abs(term)
+                if not mag:
+                    continue
+                if mag > last > 0.0 and n >= _GROWTH_FROM:
+                    run += 1
+                    if run == _GROWTH_RUN:
+                        status = "diverged"
+                        break
+                else:
+                    run = 0
+                last = mag
+                if mag <= rel_tol * abs(total):
                     break
             else:
-                run = 0
-            last = mag
-            if mag <= rel_tol * abs(total):
-                break
+                if n == budget:
+                    status = "diverged" if last > abs(total) else "truncated"
         else:
-            if n == budget:
-                status = "diverged" if last > abs(total) else "truncated"
-    else:
-        last = [0.0] * stride  # latest nonzero magnitude per class, 0.0 before one
-        runs = [0] * stride
-        ring = [0.0] * stride  # the last stride nonzero magnitudes
-        slot = 0
-        cls = 0  # n mod stride
-        for n, term in enumerate(islice(terms, budget), 1):
-            cls += 1
-            if cls == stride:
-                cls = 0
-            total += term
-            mag = abs(term)
-            if not mag:
-                continue
-            if mag > last[cls] > 0.0 and n >= _GROWTH_FROM:
-                runs[cls] += 1
-                if runs[cls] == _GROWTH_RUN:
-                    status = "diverged"
-                    break
+            last = [0.0] * stride  # latest nonzero magnitude per class, 0.0 before one
+            runs = [0] * stride
+            ring = [0.0] * stride  # the last stride nonzero magnitudes
+            slot = 0
+            cls = 0  # n mod stride
+            for n, term in enumerate(islice(terms, budget), 1):
+                cls += 1
+                if cls == stride:
+                    cls = 0
+                total += term
+                mag = abs(term)
+                if not mag:
+                    continue
+                if mag > last[cls] > 0.0 and n >= _GROWTH_FROM:
+                    runs[cls] += 1
+                    if runs[cls] == _GROWTH_RUN:
+                        status = "diverged"
+                        break
+                else:
+                    runs[cls] = 0
+                last[cls] = mag
+                ring[slot] = mag
+                slot += 1
+                if slot == stride:
+                    slot = 0
+                if n >= stride:
+                    bound = rel_tol * abs(total)
+                    if mag <= bound and max(ring) <= bound:
+                        break
             else:
-                runs[cls] = 0
-            last[cls] = mag
-            ring[slot] = mag
-            slot += 1
-            if slot == stride:
-                slot = 0
-            if n >= stride:
-                bound = rel_tol * abs(total)
-                if mag <= bound and max(ring) <= bound:
-                    break
-        else:
-            if n == budget:
-                status = "diverged" if max(last) > abs(total) else "truncated"
+                if n == budget:
+                    status = "diverged" if max(last) > abs(total) else "truncated"
+    except OverflowError:
+        # abs() of a modulus past the float range, or of a NaN read with the
+        # errno that an earlier overflow left (CPython's complex abs)
+        status = "diverged"
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         status = "diverged"
     return total, n, status

@@ -6,12 +6,14 @@ Quadrinomial shapes are poly's, re-exported here.
 
 The trinomial series takes its first s terms in log space (lgamma plus
 complex logs) and each later term from the one s before it, times an exact
-rational ratio and alpha^s q^(b-s). The s branches of a trinomial differ
-only in a phase per residue class n mod s, so what does not depend on the
-branch k is worked out once and kept in a one-entry memo (_branch_free):
-the principal branch's series sum, dealt into its s class sums, which
-every other branch turns by its phases; and the pFq argument and class
-sums.
+rational class step ratio[n] and alpha^s q^(b-s). One row of class steps
+per (s, b) serves both forms (_term_table): the pFq form's class i is the
+series' class i over its first term, so it steps by ratio[i + ms] too. The
+s branches of a trinomial differ only in a phase per residue class n mod s,
+so what does not depend on the branch k is worked out once and kept in a
+one-entry memo (_branch_free): the principal branch's series sum, dealt
+into its s class sums, which every other branch turns by its phases; and
+the pFq argument and class sums.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import math
 from array import array
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate, chain, count, islice, repeat, tee
+from itertools import accumulate, chain, count, islice, repeat, takewhile, tee
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .numerics import PFQParams, gamma_sign, pfq_eval, sum_series
+from .numerics import PFQParams, gamma_sign, sum_series
 from .poly import (
     MAX_TERMS,
     ConvergenceError,
@@ -35,6 +37,7 @@ from .poly import (
     RootReport,
     Trinomial,
     _Record,
+    _require_count,
     polish,
     scaled_residual,
 )
@@ -81,59 +84,109 @@ class SeriesDiagnostics(_Record):
         self.notes = {} if notes is None else notes
 
 
+# the longest ratio row kept per (s, b); steps past it are worked out as
+# they are read, so that a large max_terms stores no more
+_ROW_CAP = 4096
+
+
+def _ratio(s: int, b: int, n: int) -> float:
+    """The class step t_(n+s) / (t_n alpha^s q^(b-s)) of the trinomial
+    inverse-power series, prod_(i<b) ((1+bn)/s + i) prod_(j=1..s-b) (x2 - j)
+    / prod_(i=1..s) (n+i) with x2 = (1 + bn + s - ns)/s, from exact
+    rationals rounded once (0 where a class ends)."""
+    num2 = 1 + b * n + s - n * s  # s * (denominator Gamma argument)
+    return math.prod(range(1 + b * n, 1 + b * n + b * s, s)) * math.prod(
+        range(num2 - s, num2 - (s - b + 1) * s, -s)
+    ) / (s**s * math.prod(range(n + 1, n + s + 1)))
+
+
+def _gamma_part(s: int, b: int, n: int) -> tuple[float, float]:
+    """Sign and log magnitude of the part of term n that depends on the
+    integers alone: gamma_sign(x2) (0.0 at a reciprocal-Gamma pole, where the
+    term is exactly 0) and lgamma((1+bn)/s) - lgamma(x2) - lgamma(n+1)
+    - log(s)."""
+    num2 = 1 + b * n + s - n * s
+    if num2 % s == 0 and num2 <= 0:
+        return 0.0, 0.0
+    x2 = num2 / s
+    return float(gamma_sign(x2)), (
+        math.lgamma((1 + b * n) / s) - math.lgamma(x2) - math.lgamma(n + 1) - math.log(s)
+    )
+
+
+class _TermTable:
+    """The parts of the trinomial series that depend on (s, b) alone, so that
+    one table serves every branch and coefficient: sign and log_mag of terms
+    0..s (_gamma_part), which the series' first terms and the pFq prefactors
+    read, and the row ratio[0], ratio[1], ... of class steps (_ratio), which
+    both forms step their classes by. Only the ratio row grows, as sums read
+    further (_covering_row)."""
+
+    __slots__ = ("sign", "log_mag", "ratio")
+
+    def __init__(self, s: int, b: int):
+        parts = [_gamma_part(s, b, n) for n in range(s + 1)]
+        self.sign = array("d", [sign for sign, _ in parts])
+        self.log_mag = array("d", [log_mag for _, log_mag in parts])
+        length = min(max(MAX_TERMS, s) + 1, _ROW_CAP)
+        # rows fill from a map, not a list: a list of the floats, held while
+        # the row filled, raised the process's peak RSS by about 130 KB
+        self.ratio = array("d", map(_ratio, repeat(s), repeat(b), range(length)))
+
+
 @lru_cache(maxsize=128)
-def _term_table(s: int, b: int, length: int) -> tuple[array, array, array]:
-    """Parts of terms 0..length of the trinomial inverse-power series that
-    depend on the integers alone, so that one table serves every branch and
-    coefficient: gamma_sign(x2) (0.0 at a reciprocal-Gamma pole, where the
-    term is exactly 0), the log magnitude lgamma((1+bn)/s) - lgamma(x2)
-    - lgamma(n+1) - log(s), with x2 = (1 + bn + s - ns)/s, and the class step
-    t_(n+s) / (t_n alpha^s q^(b-s)) = prod_(i<b) ((1+bn)/s + i) prod_(j=1..s-b)
-    (x2 - j) / prod_(i=1..s) (n+i), rounded once (0 where a class ends)."""
-    sign, log_mag, ratio = (array("d", [0.0]) * (length + 1) for _ in range(3))
-    for n in range(length + 1):
-        num2 = 1 + b * n + s - n * s  # s * (denominator Gamma argument)
-        ratio[n] = math.prod(range(1 + b * n, 1 + b * n + b * s, s)) * math.prod(
-            range(num2 - s, num2 - (s - b + 1) * s, -s)
-        ) / (s**s * math.prod(range(n + 1, n + s + 1)))
-        if num2 % s == 0 and num2 <= 0:
-            continue
-        x2 = num2 / s
-        sign[n] = gamma_sign(x2)
-        log_mag[n] = (
-            math.lgamma((1 + b * n) / s)
-            - math.lgamma(x2)
-            - math.lgamma(n + 1)
-            - math.log(s)
-        )
-    return sign, log_mag, ratio
+def _term_table(s: int, b: int) -> _TermTable:
+    """The term table of (s, b), one per shape."""
+    return _TermTable(s, b)
 
 
-def _covering_table(s: int, b: int, n: int) -> tuple[array, array, array]:
-    """The term table that holds term n: the default series length (or s,
-    for the pFq prefactors), doubled until it reaches n. The series and the
-    pFq form share it, and a large max_terms builds no more than about
-    twice the terms a series reads."""
-    length = max(MAX_TERMS, s)
-    while length < n:
-        length *= 2
-    return _term_table(s, b, length)
+def _covering_row(s: int, b: int, n: int) -> array:
+    """The ratio row of (s, b) that holds ratio[n], for n < _ROW_CAP: the
+    default series length (or s), doubled until it reaches n, at most
+    _ROW_CAP. A grown row is a new array that replaces the table's whole, so
+    a reader keeps the row it holds, and a large max_terms builds no more
+    than about twice the steps a sum reads."""
+    table = _term_table(s, b)
+    row = table.ratio
+    if n >= len(row):
+        length = len(row)
+        while length <= n:
+            length *= 2
+        more = range(len(row), min(length, _ROW_CAP))
+        row = table.ratio = row + array("d", map(_ratio, repeat(s), repeat(b), more))
+    return row
+
+
+def _steps(s: int, b: int, n: int, stride: int) -> Iterator[float]:
+    """ratio[n], ratio[n + stride], ...: read from the row of (s, b), grown
+    as the reader goes, and worked out one by one past _ROW_CAP."""
+    return chain.from_iterable(_step_runs(s, b, n, stride))
+
+
+def _step_runs(s: int, b: int, n: int, stride: int) -> Iterator[Iterator[float]]:
+    """The runs of _steps: one per row it reads, then the unstored rest."""
+    while n < _ROW_CAP:
+        row = _covering_row(s, b, n)
+        yield islice(row, n, None, stride)
+        n += (len(row) - n + stride - 1) // stride * stride
+    yield map(_ratio, repeat(s), repeat(b), count(n, stride))
 
 
 def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
     """Term n >= 1 of the branch-k series in log space (lgamma, complex logs);
-    exact 0 at the reciprocal-Gamma poles. _trinomial_terms takes terms 1..s
-    bit for bit as this gives them, from bases shared by the branches."""
+    exact 0 at the reciprocal-Gamma poles. The reference for the series:
+    _trinomial_terms takes terms 1..s bit for bit as this gives them, from
+    bases shared by the branches, and steps the rest by the class steps."""
     s, b = t.s, t.b
-    sign, log_mag, _ = _covering_table(s, b, n)
-    if sign[n] == 0.0 or t.alpha == 0:
+    sign, log_mag = _gamma_part(s, b, n)
+    if sign == 0.0 or t.alpha == 0:
         return 0j
     z = (
         n * cmath.log(t.alpha)
         + ((1 + b * n - n * s) / s) * cmath.log(t.q)
-        + complex(log_mag[n], _TWO_PI * k * (1 + b * n) / s)
+        + complex(log_mag, _TWO_PI * k * (1 + b * n) / s)
     )
-    return sign[n] * cmath.exp(z)
+    return sign * cmath.exp(z)
 
 
 class _BranchFree:
@@ -145,9 +198,9 @@ class _BranchFree:
     class step alpha^s q^(b-s), the product of powers (alpha^s, q^(b-s)).
     lagrange keeps the principal branch's series sum and class sums under
     the max_terms they were summed with (trinomial_series_root). sums keeps,
-    per group index of a PFQRootForm, the class sum's value, status and
-    power of q under the key (params, argument, power_of_q, max_terms) that
-    they depend on, so the s branches sum each class once."""
+    per residue class i, the pFq class sum's value, status and power of q
+    under the max_terms it was summed with (class_sum), so the s branches
+    sum each class once."""
 
     __slots__ = (
         "polynomial", "log_q", "log_alpha", "heads", "powers", "step", "argument", "sums",
@@ -171,7 +224,8 @@ class _BranchFree:
         self.argument: complex | None = None  # by the first pFq form
         self.heads: list[tuple[float, complex]] = []
         if t.alpha != 0:
-            signs, log_mag, _ = _covering_table(s, b, s)
+            table = _term_table(s, b)
+            signs, log_mag = table.sign, table.log_mag
             self.heads = [
                 (
                     signs[n],
@@ -193,17 +247,22 @@ class _BranchFree:
             self.argument = sign * float(argument_modulus_constant(s, b)) * power_a * power_q
         return self.argument
 
-    def class_sum(self, i: int, g: PFQRootGroup, max_terms: int) -> tuple[complex, str, complex]:
-        """pFq value, status and power of q of group g, the i-th of a form of
-        this trinomial; summed when the key of group i changed."""
-        key = (g.params, g.argument, g.power_of_q, max_terms)
+    def class_sum(self, s: int, b: int, i: int, max_terms: int) -> tuple[complex, str, complex]:
+        """pFq value, status and power of q of residue class i, summed on the
+        first call for each max_terms. The class is the series' terms
+        n = i, i + s, ... over the first of them, so its step m is
+        ratio[i + ms] alpha^s q^(b-s), the argument times the parameters'
+        step (_class_params); it stops after its last nonzero term, and
+        sum_series takes at most max_terms - 1 terms after the constant 1."""
         got = self.sums.get(i)
-        if got is None or got[0] != key:
-            res = pfq_eval(g.params, g.argument, max_terms)
-            # the float of the Fraction, as Fraction.__float__ takes it
-            power = g.power_of_q.numerator / g.power_of_q.denominator
-            q_power = _inf_on_overflow(cmath.exp, power * self.log_q)
-            got = self.sums[i] = (key, res.value, res.status, q_power)
+        if got is None or got[0] != max_terms:
+            steps = map(mul, _steps(s, b, i, s), repeat(self.step))
+            terms = takewhile(bool, accumulate(steps, mul, initial=1.0))
+            value, _, status = sum_series(next(terms), terms, max_terms - 1)
+            # the class's power of q, (1 + bi - is)/s rounded once, the float
+            # of the group's power_of_q
+            q_power = _inf_on_overflow(cmath.exp, ((1 + b * i - i * s) / s) * self.log_q)
+            got = self.sums[i] = (max_terms, value, status, q_power)
         return got[1:]
 
 
@@ -239,7 +298,9 @@ def trinomial_series_root(
     except that a branch whose own sum is not finite reads diverged.
     Converged and truncated values are Newton-polished against the
     trinomial; a diverged sum raises DivergenceError with the partial sum.
+    A max_terms that is not an int of at least 1 raises ValueError.
     """
+    _require_count("max_terms", max_terms)
     s, b = t.s, t.b
     shared = _branch_free(t)
     got = shared.lagrange
@@ -291,21 +352,12 @@ def _trinomial_terms(t: Trinomial, k: int, stop: int) -> Iterator[complex]:
     s, b = t.s, t.b
     # zip pulls the classes in turn, one term each, so they share one stream
     # of steps; a list, as zip(*generator) resizes its tuple into free lists
-    steps = map(mul, chain.from_iterable(_ratio_runs(s, b)), repeat(shared.step))
+    steps = map(mul, _steps(s, b, 1, 1), repeat(shared.step))
     classes = [
         accumulate(steps, mul, initial=_head(sign, base, _TWO_PI * k * (1 + b * n) / s))
         for n, (sign, base) in enumerate(shared.heads, 1)
     ]
     return islice(chain.from_iterable(zip(*classes)), stop)
-
-
-def _ratio_runs(s: int, b: int) -> Iterator[Iterator[float]]:
-    """ratio[1], ratio[2], ...: one run per term table, each built when read."""
-    n = 1
-    while True:
-        ratio = _covering_table(s, b, n)[2]
-        yield islice(ratio, n, None)
-        n = len(ratio)
 
 
 @lru_cache(maxsize=256)
@@ -336,10 +388,9 @@ class PFQRootGroup(_Record):
 
 
 class PFQRootForm(_Record):
-    """One trinomial root branch as a finite sum of pFq values.
-
-    Evaluates to sum over residue classes of
-    prefactor * q^power_of_q * pFq(params; argument).
+    """One trinomial root branch as a finite sum of pFq values: the sum over
+    residue classes i of prefactor * q^power_of_q * pFq(params; argument),
+    where groups[i] describes class i of its trinomial.
     """
 
     __slots__ = ("trinomial", "k", "groups")
@@ -352,17 +403,23 @@ class PFQRootForm(_Record):
     def evaluate(self, max_terms: int = MAX_TERMS) -> tuple[complex, str]:
         """The sum and the worst pFq status; a total that is not finite
         (a power of q or a class sum past the float range) reads diverged.
-        The class sums and powers of q do not depend on k: the branches of
-        one trinomial object share them (_branch_free), so a loop over its
-        s branches sums each class once. A form of another trinomial object
-        sums its classes afresh."""
+        The form evaluates its own trinomial's classes: class i is summed
+        from the class steps that the series reads (_BranchFree.class_sum),
+        with at most max_terms terms, and each group gives only its
+        prefactor. The class sums and powers of q do not depend on k: the
+        branches of one trinomial object share them (_branch_free), so a
+        loop over its s branches sums each class once. A form of another
+        trinomial object sums its classes afresh. A max_terms that is not an
+        int of at least 1 raises ValueError."""
+        _require_count("max_terms", max_terms)
         total = 0j
         status = "converged"
-        shared = _branch_free(self.trinomial)
+        t = self.trinomial
+        shared = _branch_free(t)
         for i, g in enumerate(self.groups):
             if g.prefactor == 0:
                 continue
-            value, class_status, q_power = shared.class_sum(i, g, max_terms)
+            value, class_status, q_power = shared.class_sum(t.s, t.b, i, max_terms)
             if class_status != "converged":
                 status = class_status
             total += g.prefactor * q_power * value
@@ -381,13 +438,16 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
     e^(2*pi*i*k*b) folded in). Parameters follow from the Gamma shift
     algebra in exact rational arithmetic, with upper/lower cancellation;
     they and each class's power of q depend on (s, b, class) alone and are
-    built once (_class_params). The argument is worked out once for all
-    branches of t (_branch_free).
+    built once (_class_params). They describe the classes: evaluate() steps
+    each class by its exact class steps, which equal the parameters' steps
+    times the argument. The argument is worked out once for all branches of
+    t (_branch_free).
     """
     s, b = t.s, t.b
     shared = _branch_free(t)
     argument, log_alpha = shared.pfq_argument(s, b), shared.log_alpha
-    sign, log_mag, _ = _covering_table(s, b, s - 1)
+    table = _term_table(s, b)
+    sign, log_mag = table.sign, table.log_mag
     groups: list[PFQRootGroup] = []
     for n0 in range(s):
         power, params = _class_params(s, b, n0)
@@ -463,8 +523,10 @@ def quadrinomial_series_root(
     derivative: ((-1)^n) sum_j c^(n-j) / (j! (n-j)!) * alpha^(-n)
     * Gamma(mu+1)/Gamma(mu+2-n) * z^(mu+1-n) with mu = r n + (s-r) j,
     all evaluated at z = b/alpha. The stated convergence prechecks are
-    advisory; sum_series decides.
+    advisory; sum_series decides. A max_terms that is not an int of at
+    least 1 raises ValueError.
     """
+    _require_count("max_terms", max_terms)
     s, r = w.s, w.r
     p = w.polynomial()
     notes = {}
@@ -566,10 +628,12 @@ def adjacent_septic_root(
     sum_series sums at most min(max_terms, 40) terms. Experimental
     contract: the series improves the seed's residual, Newton polish
     supplies the final root. A sum whose residual exceeds the seed's, or
-    is NaN, gives way to the seed and reads diverged.
+    is NaN, gives way to the seed and reads diverged. A max_terms that is
+    not an int of at least 1 raises ValueError.
     """
     from .closedform import solve_closed
 
+    _require_count("max_terms", max_terms)
     if c == 0:
         raise ValueError("adjacent method needs a nonzero x^3 coefficient")
     p = Polynomial([-q, b, a, c, 0, 0, 0, 1.0])

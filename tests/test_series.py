@@ -30,7 +30,10 @@ from polysolve import series
 from polysolve.series import (
     _cancel_params,
     _class_params,
-    _covering_table,
+    _ROW_CAP,
+    _covering_row,
+    _gamma_part,
+    _steps,
     _term_table,
     trinomial_log_term,
 )
@@ -190,11 +193,74 @@ class TestPFQRootForm:
         value, status = form.evaluate()
         assert abs(value - PHI) <= 1e-9
 
+    @pytest.mark.parametrize("s", [*range(2, 13), 24])
+    def test_class_steps_are_the_parameter_steps_times_the_argument(self, s):
+        # evaluate steps class r0 by ratio[r0 + ms] alpha^s q^(b-s); over the
+        # argument that is the step prod(a_i + m) / ((m+1) prod(b_j + m)) of
+        # the parameters that the form reports for the class
+        zeros = 0
+        for b in range(1, s):
+            # the argument over alpha^s q^(b-s)
+            constant = (-1) ** (s - b) * float(argument_modulus_constant(s, b))
+            for r0 in range(s):
+                if _gamma_part(s, b, r0)[0] == 0.0:
+                    continue  # the class vanishes, and has no parameters
+                params = _class_params(s, b, r0)[1]
+                upper, lower = params.upper, params.lower
+                for m, ratio in enumerate(itertools.islice(_steps(s, b, r0, s), 64)):
+                    want = math.prod(a + m for a in upper) / (
+                        (m + 1) * math.prod(l + m for l in lower))
+                    got = ratio / constant
+                    if -m in upper:  # the class ends: its step is exactly 0
+                        assert ratio == 0.0, (s, b, r0, m)
+                        zeros += 1
+                    assert abs(got - want) <= 4e-15 * abs(want), (s, b, r0, m)
+        assert zeros == 1  # class 1 of b = s - 1, one term: ratio[1] = 0
+
+    def test_a_terminating_class_is_summed_without_its_zero_terms(self, monkeypatch):
+        # ratio[1] = 0 for (s, b) = (5, 4): class 1 is its first term alone
+        t = Trinomial(5, 4, cmath.rect(0.6, 0.3), cmath.rect(1.2, -0.7))
+        assert _term_table(5, 4).ratio[1] == 0.0
+        taken = {}
+        real = series.sum_series
+
+        def recording(term0, terms, budget, *args):
+            terms = list(itertools.islice(terms, budget))
+            taken[len(taken)] = terms
+            return real(term0, iter(terms), budget, *args)
+
+        monkeypatch.setattr(series, "sum_series", recording)
+        for k in range(t.s):
+            form = trinomial_pfq_root(t, k)
+            value, status = form.evaluate()
+            assert status == "converged", k
+            want = _direct_pfq_sum(form)[0]
+            assert abs(value - want) <= 1e-12 * abs(want), k
+        assert len(taken) == 5 and taken[1] == []  # one sum per class
+        assert all(all(terms) for terms in taken.values())  # no zero term
+        assert series._branch_free(t).sums[1][1] == 1.0
+
     def test_alpha_zero_binomial_form(self):
         form = trinomial_pfq_root(Trinomial(5, 2, 0, 2 + 1j), 3)
         value, status = form.evaluate()
         expected = cmath.exp(cmath.log(2 + 1j) / 5 + 6j * math.pi / 5)
         assert abs(value - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("max_terms", [0, -1, 2.5, 400.0])
+@pytest.mark.parametrize("call", ["trinomial", "pfq form", "quadrinomial", "septic"])
+def test_max_terms_must_be_an_int_of_at_least_one(call, max_terms):
+    # as pfq_eval and solve check it: 0 once summed no term and returned a
+    # polished root, and 2.5 leaked islice's own message
+    calls = {
+        "trinomial": lambda n: trinomial_series_root(Trinomial(5, 1, 1, 1), 0, n),
+        "pfq form": lambda n: trinomial_pfq_root(Trinomial(5, 1, 1, 1), 0).evaluate(n),
+        "quadrinomial": lambda n: quadrinomial_series_root(Quadrinomial(7, 2, 0.1, 2, 0.5), n),
+        "septic": lambda n: adjacent_septic_root(1, 4, 1, 1, n),
+    }
+    with pytest.raises(ValueError, match="max_terms must be an int >= 1"):
+        calls[call](max_terms)
+    calls[call](1)  # the least budget is taken
 
 
 def _reference_class_params(s, b, r0):
@@ -257,6 +323,14 @@ def _mpmath_power_part(mpmath, t, k, n):
     )
 
 
+def _growing_rows():
+    """A trinomial whose pFq classes (argument modulus 0.95) read ratio[n]
+    past n = 801 at the default budget: past the first row of (3, 1), which
+    holds n <= 400, and past its first growth."""
+    modulus = (0.95 / float(argument_modulus_constant(3, 1))) ** (1 / 3)
+    return Trinomial(3, 1, cmath.rect(modulus, 0.4), 1.0)
+
+
 class TestTermMemo:
     """The memoized integer-only parts change no result."""
 
@@ -271,11 +345,18 @@ class TestTermMemo:
                     assert got.lower == want.lower, (s, b, r0)
 
     def test_term_table_matches_direct_lgamma(self):
+        _term_table.cache_clear()
         for s in range(2, 13):
             for b in range(1, s):
-                sign, log_mag, ratio = _term_table(s, b, 400)
-                assert len(sign) == len(log_mag) == len(ratio) == 401
+                table = _term_table(s, b)
+                # the Gamma parts of terms 0..s, the first ratio row as built
+                assert len(table.sign) == len(table.log_mag) == s + 1
+                assert list(zip(table.sign, table.log_mag)) == [
+                    _gamma_part(s, b, n) for n in range(s + 1)]
+                ratio = table.ratio
+                assert len(ratio) == 401
                 for n in range(401):
+                    sign, log_mag = _gamma_part(s, b, n)
                     # the class step, as exact rationals rounded once
                     x1 = Fraction(1 + b * n, s)
                     x2 = Fraction(1 + b * n + s - n * s, s)
@@ -285,10 +366,10 @@ class TestTermMemo:
                     assert ratio[n] == float(step), (s, b, n)
                     num2 = 1 + b * n + s - n * s
                     if num2 % s == 0 and num2 <= 0:
-                        assert sign[n] == 0.0 and log_mag[n] == 0.0, (s, b, n)
+                        assert sign == 0.0 and log_mag == 0.0, (s, b, n)
                         continue
-                    assert sign[n] == gamma_sign(x2), (s, b, n)
-                    assert log_mag[n] == (
+                    assert sign == gamma_sign(x2), (s, b, n)
+                    assert log_mag == (
                         math.lgamma((1 + b * n) / s)
                         - math.lgamma(x2)
                         - math.lgamma(n + 1)
@@ -329,7 +410,7 @@ class TestTermMemo:
 
     def test_cold_and_warm_results_equal(self, rng):
         trinomials = [seeded_trinomial(rng, s_max=9) for _ in range(12)]
-        trinomials.append(Trinomial(5, 2, 0, 2 + 1j))
+        trinomials += [Trinomial(5, 2, 0, 2 + 1j), _growing_rows()]
         for cache in (_class_params, _term_table, argument_modulus_constant,
                       series._branch_free_memo):
             cache.cache_clear()
@@ -369,7 +450,9 @@ class TestTermMemo:
         assert checked >= 30
 
     def test_concurrent_callers_see_whole_tables(self, rng):
-        trinomials = [seeded_trinomial(rng, s_max=9) for _ in range(4)]
+        # the last trinomial's class sums grow its ratio row twice, while
+        # the tables are cleared under them
+        trinomials = [seeded_trinomial(rng, s_max=9) for _ in range(4)] + [_growing_rows()]
         want = [_branch_outputs(t) for t in trinomials]
         got: list = []
         stop = threading.Event()
@@ -424,9 +507,28 @@ class TestTermMemo:
         t = Trinomial(5, 1, 0.1, 1.0)
         _, diag = trinomial_series_root(t, 0, 10**7)
         assert diag.status == "converged"
-        trinomial_pfq_root(t, 0)
+        assert trinomial_pfq_root(t, 0).evaluate(10**7)[1] == "converged"
         assert _term_table.cache_info().currsize == 1
-        assert len(_covering_table(5, 1, 1)[0]) == MAX_TERMS + 1
+        assert len(_covering_row(5, 1, 1)) == MAX_TERMS + 1
+
+    def test_rows_stay_under_the_cap(self):
+        _term_table.cache_clear()
+        for s in range(2, 25):
+            for b in range(1, s):
+                modulus = (0.5 / float(argument_modulus_constant(s, b))) ** (1 / s)
+                t = Trinomial(s, b, cmath.rect(modulus, 0.5), 1.0)
+                trinomial_series_root(t, 0)
+                trinomial_pfq_root(t, 0).evaluate()
+                assert len(_term_table(s, b).ratio) <= _ROW_CAP, (s, b)
+        # argument modulus 1 - 1e-5: a class that reads 10^5 steps stores
+        # _ROW_CAP of them, and works the rest out as it reads them
+        modulus = ((1 - 1e-5) / float(argument_modulus_constant(2, 1))) ** 0.5
+        form = trinomial_pfq_root(Trinomial(2, 1, cmath.rect(modulus, 0.5), 1.0), 0)
+        value, status = form.evaluate(10**5)
+        assert len(_term_table(2, 1).ratio) == _ROW_CAP
+        assert status == "truncated"
+        want = _direct_pfq_sum(form, 10**5)
+        assert want[1] == status and abs(value - want[0]) <= 1e-12 * abs(want[0])
 
 
 def _counting(monkeypatch, name, index):
@@ -444,7 +546,9 @@ def _counting(monkeypatch, name, index):
 
 
 def _direct_pfq_sum(form, max_terms=MAX_TERMS):
-    """PFQRootForm.evaluate rebuilt from one pfq_eval call per class."""
+    """The sum of a form from its groups alone, one pfq_eval call per class
+    on the group's parameters and argument: the reference that evaluate,
+    which steps each class by the exact class steps, must stay close to."""
     total = 0j
     status = "converged"
     log_q = cmath.log(form.trinomial.q)
@@ -473,8 +577,9 @@ class TestBranchSharing:
     @pytest.mark.parametrize("s", [5, 12, 24])
     def test_each_class_is_summed_once_for_all_branches(self, monkeypatch, s):
         t = Trinomial(s, 1 + s // 3, cmath.rect(0.3, 1.0), cmath.rect(1.1, 0.4))
-        classes = [g.params for g in trinomial_pfq_root(t, 0).groups if g.prefactor != 0]
-        calls = _counting(monkeypatch, "pfq_eval", 0)
+        groups = trinomial_pfq_root(t, 0).groups
+        classes = [i for i, g in enumerate(groups) if g.prefactor != 0]
+        calls = _counting(monkeypatch, "_steps", 2)  # one run of steps per class sum
         for k in range(s):
             trinomial_pfq_root(t, k).evaluate()
         assert calls == classes
@@ -539,7 +644,7 @@ class TestBranchSharing:
     def test_the_memo_carries_nothing_from_one_trinomial_to_another(self, monkeypatch):
         a = Trinomial(5, 2, 0.3 + 0.1j, 1.0 + 0.5j)
         b = Trinomial(7, 3, 0.2, 1.1)
-        calls = _counting(monkeypatch, "pfq_eval", 0)
+        calls = _counting(monkeypatch, "_steps", 2)  # one run of steps per class sum
         counts = []
         for t in (a, b, a, Trinomial(5, 2, 0.3 + 0.1j, 1.0 + 0.5j)):
             before = len(calls)
@@ -563,15 +668,29 @@ class TestBranchSharing:
         assert [_branch_outputs(plus), _branch_outputs(minus)] == cold
 
     def test_pfq_values_match_direct_class_sums(self, rng):
+        # each value within 1e-12 of the sum from the groups' parameters,
+        # with its status; and, as the branches share their class sums, the
+        # same bits as the branch evaluated alone
         trinomials = [seeded_trinomial(rng, s_max=12) for _ in range(10)]
         trinomials += [Trinomial(24, 7, cmath.rect(0.3, 1.0), cmath.rect(1.1, 0.4)),
                        Trinomial(5, 2, 0, 2 + 1j), Trinomial(5, 1, 1e60, 1)]
+        finite = 0
         for t in trinomials:
             for max_terms in (MAX_TERMS, 30):  # a new budget sums anew
+                got = [trinomial_pfq_root(t, k).evaluate(max_terms) for k in range(t.s)]
                 for k in range(t.s):
                     form = trinomial_pfq_root(t, k)
-                    got = form.evaluate(max_terms)
-                    assert repr(got) == repr(_direct_pfq_sum(form, max_terms)), (t, k)
+                    (value, status), (want, want_status) = got[k], _direct_pfq_sum(form, max_terms)
+                    assert status == want_status, (t, k, max_terms)
+                    if cmath.isfinite(want):
+                        assert abs(value - want) <= 1e-12 * abs(want), (t, k, max_terms)
+                        finite += 1
+                    else:  # 1e60: past the float range on both sides
+                        assert not cmath.isfinite(value), (t, k, max_terms)
+                    series._branch_free_memo.cache_clear()
+                    alone = form.evaluate(max_terms)
+                    assert repr(alone) == repr(got[k]), (t, k, max_terms)
+        assert finite >= 2 * sum(t.s for t in trinomials[:-1])
 
     def test_first_terms_match_the_log_form(self, rng):
         # (7, 1) and (12, 5) have reciprocal-Gamma poles among terms 1..s;

@@ -103,6 +103,25 @@ class TestSyntheticSequences:
         assert (status, n) == ("diverged", 2)
         assert total == math.inf
 
+    def test_a_modulus_past_the_float_range_is_diverged(self):
+        # abs() raises OverflowError on these finite parts
+        for stride in (1, 3):
+            total, n, status = sum_series(1.0, iter([0.5, complex(1.5e308, 1.5e308), 0.25]),
+                                          10, 1e-12, stride)
+            assert (status, n, total) == ("diverged", 2, complex(1.5 + 1.5e308, 1.5e308))
+
+    def test_a_nan_after_an_overflow_is_diverged(self):
+        # an overflow caught before the sum leaves errno at ERANGE, and
+        # CPython's abs() of a complex NaN then raises OverflowError
+        nan = complex(math.nan, math.nan)
+        for stride in (1, 3):
+            try:
+                cmath.exp(1000.0)
+            except OverflowError:
+                pass
+            total, n, status = sum_series(1.0, itertools.repeat(nan), 19, 1e-12, stride)
+            assert status == "diverged" and math.isnan(total.real)
+
     def test_iterator_that_runs_out_is_exact(self):
         for budget in (3, 10):
             total, n, status = sum_series(1.0, iter([0.5, 0.25]), budget, 1e-12)
@@ -142,31 +161,34 @@ def _reference_sum_series(term0, terms, budget, rel_tol, stride=1):
     slot = 0
     n = 0
     status = "converged"
-    for term in itertools.islice(terms, budget):
-        n += 1
-        total += term
-        mag = abs(term)
-        if not mag:
-            continue
-        cls = n % stride
-        if n >= 16 and mag > last[cls] > 0.0:
-            runs[cls] += 1
-            if runs[cls] == 8:
-                status = "diverged"
+    try:
+        for term in itertools.islice(terms, budget):
+            n += 1
+            total += term
+            mag = abs(term)
+            if not mag:
+                continue
+            cls = n % stride
+            if n >= 16 and mag > last[cls] > 0.0:
+                runs[cls] += 1
+                if runs[cls] == 8:
+                    status = "diverged"
+                    break
+            else:
+                runs[cls] = 0
+            last[cls] = mag
+            ring[slot] = mag
+            slot += 1
+            if slot == stride:
+                slot = 0
+            bound = rel_tol * abs(total)
+            if mag <= bound and n >= stride and max(ring) <= bound:
                 break
         else:
-            runs[cls] = 0
-        last[cls] = mag
-        ring[slot] = mag
-        slot += 1
-        if slot == stride:
-            slot = 0
-        bound = rel_tol * abs(total)
-        if mag <= bound and n >= stride and max(ring) <= bound:
-            break
-    else:
-        if n == budget:
-            status = "diverged" if max(last) > abs(total) else "truncated"
+            if n == budget:
+                status = "diverged" if max(last) > abs(total) else "truncated"
+    except OverflowError:  # abs() past the float range
+        status = "diverged"
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         status = "diverged"
     return total, n, status
@@ -210,6 +232,8 @@ _pieces = st.one_of(
 @example([2.0**k for k in range(1, 60)], 1.0, 60, 1e-12, 1)  # 8 growths
 @example([3.0 ** (k // 5) * (k % 5 + 1) for k in range(1, 80)], 1.0, 80, 1e-12, 5)
 @example([0.5**k for k in range(1, 30)], 1.0, 29, 1e-300, 3)  # spent while decaying
+@example([0.5, complex(1.5e308, 1.5e308), 0.25], 1.0, 10, 1e-12, 2)  # |term| past the range
+@example([complex(1e308, 1e308), complex(1e308, 1e308)], 1.0, 10, 1e-12, 1)  # |sum| past it
 @settings(max_examples=600, deadline=None)
 def test_sum_series_matches_the_reference_loop(terms, term0, budget, rel_tol, stride):
     got = sum_series(term0, iter(terms), budget, rel_tol, stride)
