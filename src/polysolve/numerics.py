@@ -10,9 +10,10 @@ The pFq evaluator feeds it the term recurrence
     t_{n+1} = t_n * prod(a_i + n) / ((n + 1) prod(b_j + n)) * z,
 
 with each step factor worked out from the parameters as the sum reaches it.
-pfq_eval keeps no values. The trinomial pFq form in series does not call
-it: it sums each of its classes by the series' exact class steps, which are
-these step factors times z, once for all the branches of a trinomial.
+pfq_eval keeps no values. The trinomial series and its pFq form, in
+series, do not call it: they are one sum of pFq classes, each summed from
+its exact class steps, which are these step factors times z, once for all
+the branches of a trinomial.
 """
 
 from __future__ import annotations
@@ -95,11 +96,11 @@ class PFQResult(_Record):
 
 
 # Growth counts from term 16 on, because convergent series (a pFq before
-# the n! in its denominator takes over) routinely grow first; a residue
-# class that grows this many times in a row has diverged.
+# the n! in its denominator takes over) routinely grow first; a series
+# whose terms grow this many times in a row has diverged.
 _GROWTH_FROM = 16
 _GROWTH_RUN = 8
-# a sum has converged once its latest terms are this small against it
+# a sum has converged once its latest term is this small against it
 _REL_TOL = 1e-12
 
 
@@ -108,86 +109,46 @@ def sum_series(
     terms: Iterable[complex],
     budget: int,
     rel_tol: float = _REL_TOL,
-    stride: int = 1,
 ) -> tuple[complex, int, str]:
     """Sum term0 and then terms 1, 2, ... as ``terms`` yields them, taking at
     most ``budget`` of them. Returns the sum, how many of ``terms`` it took
     and one of three verdicts, by one rule for every series:
 
     - a zero term (a reciprocal-Gamma pole) is added and otherwise skipped;
-    - converged once the last ``stride`` nonzero terms (fewer, if fewer
-      have come) are each <= rel_tol |sum|, from term ``stride`` on;
-    - diverged once, from term 16 on, the terms of one residue class
-      n mod ``stride`` grow 8 times in a row;
+    - converged once a nonzero term is <= rel_tol |sum|;
+    - diverged once, from term 16 on, the nonzero terms grow 8 times in a
+      row;
     - converged when ``terms`` runs out before the budget is spent: the
       series is exact;
-    - when the budget is spent, diverged if the latest nonzero term of some
-      class still exceeds |sum|, otherwise truncated;
+    - when the budget is spent, diverged if the latest nonzero term still
+      exceeds |sum|, otherwise truncated;
     - diverged, whatever the above said, when the sum is not finite or a
       magnitude is past the float range.
-
-    The stride is the period of the terms' magnitude pattern: the
-    trinomial series zigzags across the classes n mod s and decays or grows
-    only along each.
     """
     total = term0
     n = 0
     status = "converged"  # by the test at the bottom, or when terms runs out
+    last = 0.0  # the latest nonzero magnitude, 0.0 before one
+    run = 0
     try:
-        if stride == 1:  # the loop below with one class: its lists as scalars
-            last = 0.0
-            run = 0
-            for n, term in enumerate(islice(terms, budget), 1):
-                total += term
-                mag = abs(term)
-                if not mag:
-                    continue
-                if mag > last > 0.0 and n >= _GROWTH_FROM:
-                    run += 1
-                    if run == _GROWTH_RUN:
-                        status = "diverged"
-                        break
-                else:
-                    run = 0
-                last = mag
-                if mag <= rel_tol * abs(total):
+        for n, term in enumerate(islice(terms, budget), 1):
+            total += term
+            mag = abs(term)
+            if not mag:
+                continue
+            if mag > last > 0.0 and n >= _GROWTH_FROM:
+                run += 1
+                if run == _GROWTH_RUN:
+                    status = "diverged"
                     break
             else:
-                if n == budget:
-                    status = "diverged" if last > abs(total) else "truncated"
+                run = 0
+            last = mag
+            if mag <= rel_tol * abs(total):
+                break
         else:
-            last = [0.0] * stride  # latest nonzero magnitude per class, 0.0 before one
-            runs = [0] * stride
-            ring = [0.0] * stride  # the last stride nonzero magnitudes
-            slot = 0
-            cls = 0  # n mod stride
-            for n, term in enumerate(islice(terms, budget), 1):
-                cls += 1
-                if cls == stride:
-                    cls = 0
-                total += term
-                mag = abs(term)
-                if not mag:
-                    continue
-                if mag > last[cls] > 0.0 and n >= _GROWTH_FROM:
-                    runs[cls] += 1
-                    if runs[cls] == _GROWTH_RUN:
-                        status = "diverged"
-                        break
-                else:
-                    runs[cls] = 0
-                last[cls] = mag
-                ring[slot] = mag
-                slot += 1
-                if slot == stride:
-                    slot = 0
-                if n >= stride:
-                    bound = rel_tol * abs(total)
-                    if mag <= bound and max(ring) <= bound:
-                        break
-            else:
-                if n == budget:
-                    status = "diverged" if max(last) > abs(total) else "truncated"
+            if n == budget:
+                status = "diverged" if last > abs(total) else "truncated"
     except OverflowError:
         # abs() of a modulus past the float range, or of a NaN read with the
         # errno that an earlier overflow left (CPython's complex abs)

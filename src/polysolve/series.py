@@ -4,16 +4,15 @@ quintic and the cubic-seeded correction series for the four-term septic.
 Every series sum stops by numerics.sum_series. The Trinomial and
 Quadrinomial shapes are poly's, re-exported here.
 
-The trinomial series takes its first s terms in log space (lgamma plus
-complex logs) and each later term from the one s before it, times an exact
-rational class step ratio[n] and alpha^s q^(b-s). One row of class steps
-per (s, b) serves both forms (_term_table): the pFq form's class i is the
-series' class i over its first term, so it steps by ratio[i + ms] too. The
-s branches of a trinomial differ only in a phase per residue class n mod s,
-so what does not depend on the branch k is worked out once and kept in a
-one-entry memo (_branch_free): the principal branch's series sum, dealt
-into its s class sums, which every other branch turns by its phases; and
-the pFq argument and class sums.
+The trinomial series and its pFq form are one sum. Grouped by residue
+class i = n mod s, branch k of the series is the sum over the classes of
+base_i e^(2 pi i k (1+bi)/s) q^((1+bi-is)/s) F_i, where F_i, class i over
+its first term, is a pFq of the argument shared by the classes. F_i steps
+by an exact rational class step ratio[i + ms] times alpha^s q^(b-s), from
+one row of class steps per (s, b) (_term_table). Nothing but the phase
+depends on k, so base_i, the power of q and F_i are worked out once per
+trinomial and kept in a one-entry memo (_branch_free), which both forms
+read: the series root is the pFq form's sum, Newton-polished.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import math
 from array import array
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate, chain, count, islice, repeat, takewhile, tee
+from itertools import accumulate, chain, count, islice, repeat, takewhile
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -117,10 +116,9 @@ def _gamma_part(s: int, b: int, n: int) -> tuple[float, float]:
 class _TermTable:
     """The parts of the trinomial series that depend on (s, b) alone, so that
     one table serves every branch and coefficient: sign and log_mag of terms
-    0..s (_gamma_part), which the series' first terms and the pFq prefactors
-    read, and the row ratio[0], ratio[1], ... of class steps (_ratio), which
-    both forms step their classes by. Only the ratio row grows, as sums read
-    further (_covering_row)."""
+    0..s (_gamma_part), which the classes' first terms read, and the row
+    ratio[0], ratio[1], ... of class steps (_ratio), which the classes step
+    by. Only the ratio row grows, as sums read further (_covering_row)."""
 
     __slots__ = ("sign", "log_mag", "ratio")
 
@@ -174,9 +172,9 @@ def _step_runs(s: int, b: int, n: int, stride: int) -> Iterator[Iterator[float]]
 
 def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
     """Term n >= 1 of the branch-k series in log space (lgamma, complex logs);
-    exact 0 at the reciprocal-Gamma poles. The reference for the series:
-    _trinomial_terms takes terms 1..s bit for bit as this gives them, from
-    bases shared by the branches, and steps the rest by the class steps."""
+    exact 0 at the reciprocal-Gamma poles. The reference for the series,
+    which sums its terms class by class from the exact class steps
+    (_BranchFree)."""
     s, b = t.s, t.b
     sign, log_mag = _gamma_part(s, b, n)
     if sign == 0.0 or t.alpha == 0:
@@ -189,96 +187,154 @@ def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
     return sign * cmath.exp(z)
 
 
+# the class statuses from best to worst
+_STATUSES = ("converged", "truncated", "diverged")
+
+
 class _BranchFree:
     """The parts of a trinomial's branches that do not depend on k.
 
-    heads holds (sign[n], base) of terms n = 1..s, where term n of branch k
-    is sign[n] exp(base + i 2 pi k (1+bn)/s), bit for bit trinomial_log_term
-    (empty when alpha = 0, as the series then has no terms); step is the
-    class step alpha^s q^(b-s), the product of powers (alpha^s, q^(b-s)).
-    lagrange keeps the principal branch's series sum and class sums under
-    the max_terms they were summed with (trinomial_series_root). sums keeps,
-    per residue class i, the pFq class sum's value, status and power of q
-    under the max_terms it was summed with (class_sum), so the s branches
-    sum each class once."""
+    Branch k, of the series and of the pFq form, is the sum over the
+    residue classes i = n mod s of
+
+        base_i e^(2 pi i k (1+bi)/s) q^((1+bi-is)/s) F_i,
+
+    where base_i = sign_i exp(i log alpha + log_mag_i) is the first term of
+    class i without its phase and power of q (1 for class 0, the lead; 0
+    for a class that vanishes, and for every class past 0 when alpha = 0)
+    and F_i is the class over its first term (class_sum). bases, turns (the
+    exponents (1+bi) mod s) and q_powers hold these per class, and units
+    the phases e^(2 pi i j/s). step is the class step alpha^s q^(b-s) over
+    ratio, the product of powers (alpha^s, q^(b-s)). sums keeps, per class,
+    F_i, its status and the terms it took under the max_terms it was summed
+    with (class_sum); weighted keeps, for the last max_terms, what
+    branch_sum reads: the classes that do not vanish, their k-free parts
+    q_powers[i] F_i, the worst class status and the terms summed. So the s
+    branches of both forms sum each class once."""
 
     __slots__ = (
-        "polynomial", "log_q", "log_alpha", "heads", "powers", "step", "argument", "sums",
-        "lagrange",
+        "s", "b", "polynomial", "bases", "turns", "q_powers", "units", "powers", "step",
+        "pfq", "sums", "weighted",
     )
 
     def __init__(self, t: Trinomial):
-        s, b = t.s, t.b
+        s, b = self.s, self.b = t.s, t.b
         self.polynomial = t.polynomial()
-        self.log_q = cmath.log(t.q)
-        self.log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
+        log_q = cmath.log(t.q)
         self.sums: dict[int, tuple] = {}
-        self.lagrange: tuple | None = None
-        # past the float range a power is infinite: the series then reads
-        # diverged, and so do the class sums
+        self.weighted: tuple | None = None
+        self.pfq: tuple | None = None  # by the first pFq form
+        # past the float range a power is infinite: the class sums then read
+        # diverged
         self.powers = (
             _inf_on_overflow(pow, t.alpha, s),
-            _inf_on_overflow(cmath.exp, (b - s) * self.log_q),
+            _inf_on_overflow(cmath.exp, (b - s) * log_q),
         )
-        self.step = self.powers[0] * self.powers[1]
-        self.argument: complex | None = None  # by the first pFq form
-        self.heads: list[tuple[float, complex]] = []
-        if t.alpha != 0:
-            table = _term_table(s, b)
-            signs, log_mag = table.sign, table.log_mag
-            self.heads = [
-                (
-                    signs[n],
-                    n * self.log_alpha
-                    + ((1 + b * n - n * s) / s) * self.log_q
-                    + complex(log_mag[n], 0.0),
-                )
-                for n in range(1, s + 1)
-            ]
+        # alpha = 0 leaves the lead alone, however large q^(b-s) is
+        self.step = self.powers[0] * self.powers[1] if t.alpha != 0 else 0j
+        table = _term_table(s, b)
+        log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
+        self.bases = [1.0]
+        for i in range(1, s):
+            if table.sign[i] == 0.0 or t.alpha == 0:
+                self.bases.append(0.0)
+            else:
+                z = i * log_alpha + table.log_mag[i]
+                self.bases.append(table.sign[i] * _inf_on_overflow(cmath.exp, z))
+        self.turns = [(1 + b * i) % s for i in range(s)]
+        # each class's power of q, (1 + bi - is)/s rounded once: the float of
+        # its group's power_of_q
+        self.q_powers = [
+            _inf_on_overflow(cmath.exp, ((1 + b * i - i * s) / s) * log_q) for i in range(s)
+        ]
+        self.units = [cmath.exp(complex(0.0, _TWO_PI * j / s)) for j in range(s)]
 
-    def pfq_argument(self, s: int, b: int) -> complex:
-        """The argument (-1)^(s-b) b^b (s-b)^(s-b) / s^s alpha^s / q^(s-b)
-        of every class sum; worked out on the first call, so that a series
+    def prefactors(self, k: int) -> list[complex]:
+        """The first term of each class of branch k without its power of q,
+        base_i e^(2 pi i k (1+bi)/s): 0 where the class vanishes."""
+        s, units = self.s, self.units
+        return [base * units[k * turn % s] for base, turn in zip(self.bases, self.turns)]
+
+    def pfq_parts(self) -> tuple[complex, list[tuple[Fraction, PFQParams]]]:
+        """The argument (-1)^(s-b) b^b (s-b)^(s-b) / s^s alpha^s / q^(s-b) of
+        every class, and each class's exact power of q and pFq parameters
+        (_class_params); worked out for the first pFq form, so that a series
         solve does not import fractions."""
-        if self.argument is None:
+        if self.pfq is None:
+            s, b = self.s, self.b
             # e^(2*pi*i*k*b) is an integer turn: exactly one
             sign = -1.0 if (s - b) % 2 else 1.0
             power_a, power_q = self.powers
-            self.argument = sign * float(argument_modulus_constant(s, b)) * power_a * power_q
-        return self.argument
+            argument = sign * float(argument_modulus_constant(s, b)) * power_a * power_q
+            self.pfq = (argument, [_class_params(s, b, i) for i in range(s)])
+        return self.pfq
 
-    def class_sum(self, s: int, b: int, i: int, max_terms: int) -> tuple[complex, str, complex]:
-        """pFq value, status and power of q of residue class i, summed on the
-        first call for each max_terms. The class is the series' terms
+    def class_sum(self, i: int, max_terms: int) -> tuple[complex, str, int]:
+        """F_i, its status and the terms it took, its first included; summed
+        on the first call for each max_terms. The class is the series' terms
         n = i, i + s, ... over the first of them, so its step m is
         ratio[i + ms] alpha^s q^(b-s), the argument times the parameters'
         step (_class_params); it stops after its last nonzero term, and
         sum_series takes at most max_terms - 1 terms after the constant 1."""
         got = self.sums.get(i)
         if got is None or got[0] != max_terms:
-            steps = map(mul, _steps(s, b, i, s), repeat(self.step))
+            s = self.s
+            steps = map(mul, _steps(s, self.b, i, s), repeat(self.step))
             terms = takewhile(bool, accumulate(steps, mul, initial=1.0))
-            value, _, status = sum_series(next(terms), terms, max_terms - 1)
-            # the class's power of q, (1 + bi - is)/s rounded once, the float
-            # of the group's power_of_q
-            q_power = _inf_on_overflow(cmath.exp, ((1 + b * i - i * s) / s) * self.log_q)
-            got = self.sums[i] = (max_terms, value, status, q_power)
+            value, used, status = sum_series(next(terms), terms, max_terms - 1)
+            got = self.sums[i] = (max_terms, value, status, used + 1)
         return got[1:]
+
+    def branch_sum(self, prefactors: list[complex], max_terms: int) -> tuple[complex, str, int]:
+        """The sum over the classes of prefactors[i] q_powers[i] F_i, the
+        worst class status (diverged when the sum is not finite) and the
+        terms summed."""
+        got = self.weighted
+        if got is None or got[0] != max_terms:
+            live = [i for i, base in enumerate(self.bases) if base != 0]
+            sums = [self.class_sum(i, max_terms) for i in live]
+            weights = [self.q_powers[i] * value for i, (value, _, _) in zip(live, sums)]
+            worst = max(_STATUSES.index(status) for _, status, _ in sums)
+            used = sum(count for _, _, count in sums)
+            got = self.weighted = (max_terms, live, weights, _STATUSES[worst], used)
+        _, live, weights, status, used = got
+        total = sum(map(mul, map(prefactors.__getitem__, live), weights), 0j)
+        if not cmath.isfinite(total):
+            status = "diverged"
+        return total, status, used
+
+
+class _LastTrinomial:
+    """A one-entry memo of _BranchFree, keyed by the trinomial object (held
+    by the entry, so that its identity stays its own) and not by its value:
+    equal trinomials can differ in the sign of a zero, which the principal
+    logs read (q = -1 + 0j against q = -1 - 0j), and a lookup hashes
+    nothing. The branches of one trinomial run in a row, so one entry serves
+    them, and it never carries values from one trinomial to another. The
+    entry is replaced whole, so a concurrent caller reads a whole entry."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self):
+        self.entry: tuple = (None, None)
+
+    def __call__(self, t: Trinomial) -> _BranchFree:
+        held, shared = self.entry
+        if held is not t:
+            shared = _BranchFree(t)
+            self.entry = (t, shared)
+        return shared
+
+    def cache_clear(self) -> None:
+        self.entry = (None, None)
+
+
+_branch_free_memo = _LastTrinomial()
 
 
 def _branch_free(t: Trinomial) -> _BranchFree:
     """The branch-free parts of t, built on the first branch that asks."""
-    return _branch_free_memo(id(t), t)
-
-
-@lru_cache(maxsize=1)
-def _branch_free_memo(key: int, t: Trinomial) -> _BranchFree:
-    """One entry, keyed by the trinomial object (its id, alive while the
-    entry holds it) and not by its value: equal trinomials can differ in the
-    sign of a zero, which the principal logs read (q = -1 + 0j against
-    q = -1 - 0j). The branches of one trinomial run in a row, so one entry
-    serves them, and it never carries values from one trinomial to another."""
-    return _BranchFree(t)
+    return _branch_free_memo(t)
 
 
 def trinomial_series_root(
@@ -287,40 +343,21 @@ def trinomial_series_root(
     """Branch-k root of z^s - alpha z^b - q = 0 by Lagrange inversion.
 
     The series sits on top of the principal s-th root of q rotated by
-    e^(2*pi*i*k/s); every term carries the phase e^(2*pi*i*k*(1+b*n)/s),
-    which is the same along each class n mod s. So the principal branch is
-    summed once per trinomial, and branch k is its lead plus the class sums
-    C_n of branch 0, each turned by its phase, kept in _branch_free(t).
-    The term sizes zigzag across the classes, so sum_series stops at stride
-    s; max_terms counts the terms of all s classes (the pFq form's is per
-    class), so at large s and an argument modulus near 1 the series reads
-    truncated. terms_used and the status are branch 0's for every branch,
-    except that a branch whose own sum is not finite reads diverged.
-    Converged and truncated values are Newton-polished against the
-    trinomial; a diverged sum raises DivergenceError with the partial sum.
-    A max_terms that is not an int of at least 1 raises ValueError.
+    e^(2*pi*i*k/s); term n carries the phase e^(2*pi*i*k*(1+b*n)/s), which
+    is the same along each residue class n mod s. Summed class by class, it
+    is the pFq form's sum, bit for bit trinomial_pfq_root(t, k).evaluate():
+    each class takes at most max_terms terms and is summed once for all
+    branches of t (_branch_free), so a trinomial sums at most s * max_terms
+    terms. terms_used counts the terms of the classes summed, each class's
+    first included, and the status is the worst class status; a branch
+    whose sum is not finite reads diverged. Converged and truncated values
+    are Newton-polished against the trinomial; a diverged sum raises
+    DivergenceError with the partial sum. A max_terms that is not an int of
+    at least 1 raises ValueError.
     """
     _require_count("max_terms", max_terms)
-    s, b = t.s, t.b
     shared = _branch_free(t)
-    got = shared.lagrange
-    if got is None or got[0] != max_terms:
-        # branch 0, and the terms it took dealt into their classes: C_n, n =
-        # 1..s (fewer when fewer came), beside units[j] = e^(2 pi i j/s)
-        lead = cmath.exp(shared.log_q / s + 0j)  # bit for bit the k = 0 lead
-        terms, taken = tee(_trinomial_terms(t, 0, max_terms))
-        total, used, status = sum_series(lead, terms, max_terms, stride=s)
-        taken = list(islice(taken, used))
-        sums = [sum(taken[n::s], 0j) for n in range(min(s, used))]
-        units = [cmath.exp(complex(0.0, _TWO_PI * j / s)) for j in range(s)]
-        got = shared.lagrange = (max_terms, total, used, status, sums, units)
-    _, total, terms_used, status, sums, units = got
-    if k != 0:
-        lead = cmath.exp(shared.log_q / s + 2j * math.pi * k / s)
-        phases = [units[k * (1 + b * n) % s] for n in range(1, len(sums) + 1)]
-        total = sum(map(mul, phases, sums), lead)
-        if not cmath.isfinite(total):
-            status = "diverged"
+    total, status, terms_used = shared.branch_sum(shared.prefactors(k), max_terms)
     if status == "diverged":
         raise DivergenceError(
             f"series branch k={k} diverged after {terms_used} terms", total
@@ -329,35 +366,6 @@ def trinomial_series_root(
     pre = scaled_residual(p, total)
     root, res, its, _ = polish(p, total, tol=1e-12, max_iter=80)
     return root, SeriesDiagnostics(status, terms_used, total, pre, res, its)
-
-
-def _head(sign: float, base: complex, turn: float) -> complex:
-    """sign exp(base + i turn), or _INF past the float range; 0 at a pole."""
-    if not sign:
-        return 0j
-    try:
-        return sign * cmath.exp(base + complex(0.0, turn))
-    except OverflowError:
-        return _INF
-
-
-def _trinomial_terms(t: Trinomial, k: int, stop: int) -> Iterator[complex]:
-    """Terms n = 1..stop of the branch-k series: 1..s from the shared bases
-    with their phases, then each class n mod s stepped by ratio[n]
-    alpha^s q^(b-s) (its phase turn kb is whole), in C-level iterators. No
-    terms when alpha = 0."""
-    shared = _branch_free(t)
-    if not shared.heads:
-        return iter(())
-    s, b = t.s, t.b
-    # zip pulls the classes in turn, one term each, so they share one stream
-    # of steps; a list, as zip(*generator) resizes its tuple into free lists
-    steps = map(mul, _steps(s, b, 1, 1), repeat(shared.step))
-    classes = [
-        accumulate(steps, mul, initial=_head(sign, base, _TWO_PI * k * (1 + b * n) / s))
-        for n, (sign, base) in enumerate(shared.heads, 1)
-    ]
-    return islice(chain.from_iterable(zip(*classes)), stop)
 
 
 @lru_cache(maxsize=256)
@@ -401,31 +409,19 @@ class PFQRootForm(_Record):
         self.groups = groups
 
     def evaluate(self, max_terms: int = MAX_TERMS) -> tuple[complex, str]:
-        """The sum and the worst pFq status; a total that is not finite
+        """The sum and the worst class status; a total that is not finite
         (a power of q or a class sum past the float range) reads diverged.
         The form evaluates its own trinomial's classes: class i is summed
-        from the class steps that the series reads (_BranchFree.class_sum),
-        with at most max_terms terms, and each group gives only its
-        prefactor. The class sums and powers of q do not depend on k: the
-        branches of one trinomial object share them (_branch_free), so a
-        loop over its s branches sums each class once. A form of another
-        trinomial object sums its classes afresh. A max_terms that is not an
-        int of at least 1 raises ValueError."""
+        from its exact class steps (_BranchFree.class_sum), with at most
+        max_terms terms, and each group gives only its prefactor. The class
+        sums and powers of q do not depend on k: the branches of one
+        trinomial object share them with each other and with the series
+        root (_branch_free), so a loop over its s branches sums each class
+        once. A form of another trinomial object sums its classes afresh. A
+        max_terms that is not an int of at least 1 raises ValueError."""
         _require_count("max_terms", max_terms)
-        total = 0j
-        status = "converged"
-        t = self.trinomial
-        shared = _branch_free(t)
-        for i, g in enumerate(self.groups):
-            if g.prefactor == 0:
-                continue
-            value, class_status, q_power = shared.class_sum(t.s, t.b, i, max_terms)
-            if class_status != "converged":
-                status = class_status
-            total += g.prefactor * q_power * value
-        if not cmath.isfinite(total):
-            status = "diverged"
-        return total, status
+        prefactors = [g.prefactor for g in self.groups]
+        return _branch_free(self.trinomial).branch_sum(prefactors, max_terms)[:2]
 
 
 def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
@@ -440,29 +436,15 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
     they and each class's power of q depend on (s, b, class) alone and are
     built once (_class_params). They describe the classes: evaluate() steps
     each class by its exact class steps, which equal the parameters' steps
-    times the argument. The argument is worked out once for all branches of
-    t (_branch_free).
+    times the argument. Only the prefactors' phases depend on k: the rest
+    is worked out once for all branches of t (_branch_free).
     """
-    s, b = t.s, t.b
     shared = _branch_free(t)
-    argument, log_alpha = shared.pfq_argument(s, b), shared.log_alpha
-    table = _term_table(s, b)
-    sign, log_mag = table.sign, table.log_mag
-    groups: list[PFQRootGroup] = []
-    for n0 in range(s):
-        power, params = _class_params(s, b, n0)
-        # prefactor = first class term without its q power
-        if sign[n0] == 0.0:
-            pref = 0j
-        elif n0 == 0:
-            pref = cmath.exp(2j * math.pi * k / s)
-        elif t.alpha == 0:
-            pref = 0j  # pure binomial: every later class vanishes
-        else:
-            z = n0 * log_alpha + complex(log_mag[n0], _TWO_PI * k * (1 + b * n0) / s)
-            pref = sign[n0] * _inf_on_overflow(cmath.exp, z)
-        groups.append(PFQRootGroup(pref, power, params, argument))
-    return PFQRootForm(t, k, groups)
+    argument, classes = shared.pfq_parts()
+    return PFQRootForm(t, k, [
+        PFQRootGroup(prefactor, power, params, argument)
+        for prefactor, (power, params) in zip(shared.prefactors(k), classes)
+    ])
 
 
 @lru_cache(maxsize=1024)

@@ -159,22 +159,84 @@ def test_lazy_name_table_matches_definitions():
     assert len(every) == len(set(every)), "a name is listed under two modules"
 
 
-def test_every_series_engine_sums_by_sum_series():
-    # a series engine gives a verdict (it builds SeriesDiagnostics or raises
-    # DivergenceError), and the one stopping rule must be what reached it
-    engines = {
-        stmt.name: _references(stmt)
-        for stmt in _parse(PACKAGE / "series.py").body
+def _series_engines(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """The series engines of a module, and those that do not reach
+    sum_series. An engine is a top-level function that gives a verdict (it
+    builds SeriesDiagnostics or raises DivergenceError). A function or
+    method reaches sum_series when it reads that name, or the name of a
+    top-level function or class method of the module that reaches it (a
+    call, or an attribute such as shared.branch_sum)."""
+    bodies: dict[str, set[str]] = {}
+    for stmt in tree.body:
+        defs = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+        for node in defs:
+            if isinstance(node, ast.FunctionDef):
+                bodies.setdefault(node.name, set()).update(_references(node))
+    reaching = {name for name, refs in bodies.items() if "sum_series" in refs}
+    while True:
+        more = {name for name, refs in bodies.items() if refs & reaching} - reaching
+        if not more:
+            break
+        reaching |= more
+    engines = [
+        stmt.name
+        for stmt in tree.body
         if isinstance(stmt, ast.FunctionDef)
         and {"SeriesDiagnostics", "DivergenceError"} & _references(stmt)
-    }
+    ]
+    return engines, sorted(set(engines) - reaching)
+
+
+def test_every_series_engine_sums_by_sum_series():
+    # a series engine gives a verdict, and the one stopping rule must be
+    # what reached it: called by the engine itself, or by the series
+    # helpers and methods that the engine calls
+    engines, own_loop = _series_engines(_parse(PACKAGE / "series.py"))
     assert {
         "trinomial_series_root",
         "quadrinomial_series_root",
         "adjacent_septic_root",
     } <= set(engines)
-    own_loop = sorted(name for name, refs in engines.items() if "sum_series" not in refs)
     assert not own_loop, f"series engines that do not sum by sum_series: {own_loop}"
+
+
+# two engines: one reaches sum_series through a helper and two methods, the
+# other sums by a loop of its own, behind a method of the same class
+_TOY_ENGINES = """
+class _Parts:
+    def total(self, terms):
+        return self.stopped(terms)
+
+    def stopped(self, terms):
+        return sum_series(0j, iter(terms), 10)[0]
+
+    def own(self, terms):
+        acc = 0j
+        for term in terms:
+            acc += term
+        return acc
+
+
+def _helper(terms):
+    return _Parts().total(terms)
+
+
+def engine_through_helpers(terms):
+    return SeriesDiagnostics(_helper(terms))
+
+
+def engine_with_its_own_loop(terms):
+    value = _Parts().own(terms)
+    if value != value:
+        raise DivergenceError("nan")
+    return SeriesDiagnostics(value)
+"""
+
+
+def test_the_engine_scan_follows_helpers_and_catches_an_own_loop():
+    engines, own_loop = _series_engines(ast.parse(_TOY_ENGINES))
+    assert engines == ["engine_through_helpers", "engine_with_its_own_loop"]
+    assert own_loop == ["engine_with_its_own_loop"]
 
 
 def test_every_lru_cache_is_bounded():
