@@ -2,6 +2,10 @@
 recognition, the method table with its ``auto`` rule, and the oracle
 cross-check.
 
+The series, pfq and radical routes keep a branch by one rule: a branch
+whose engine diverged or ran out of steps is dropped with a warning; else
+it is polished at 1e-12 in 80 steps, and kept only if that converged.
+
 Each route imports the module it runs (closedform, grim, radicals, series)
 inside the route, so a solve compiles and imports only its own route. The
 import reads the module attribute at call time: a wrapper installed on,
@@ -30,7 +34,6 @@ from .poly import (
     format_coefficient,
     match_roots,
     polish,
-    scaled_residual,
 )
 
 
@@ -93,13 +96,16 @@ def _auto(shape: Shape) -> str:
     return "grim"
 
 
-def _polished(target: Polynomial, x: complex, k: int) -> RootEntry:
-    root, res, its, _ = polish(target, x, tol=1e-11, max_iter=80)
+def _polished(target: Polynomial, x: complex, k: int) -> RootEntry | str:
+    """x polished on target at 1e-12 in 80 steps: branch k's entry, or the
+    warning that drops the branch when the polish stalled."""
+    root, res, its, converged = polish(target, x, tol=1e-12, max_iter=80)
+    if not converged:
+        return f"branch {k}: polish stalled at residual {res:.3e}"
     return RootEntry(root, res, branch=k, iterations=its)
 
 
-def _branch_report(method: str, branches: list[int] | None, n: int, attempt,
-                   failed: str = "did not converge") -> RootReport:
+def _branch_report(method: str, branches: list[int] | None, n: int, attempt) -> RootReport:
     """Run attempt(k) for each branch k (all n by default): it returns a
     RootEntry, or the warning text of a branch that failed. The roots go
     through poly.distinct_roots, and the report aims at one root per
@@ -117,7 +123,7 @@ def _branch_report(method: str, branches: list[int] | None, n: int, attempt,
     aimed = len({k % n for k in ks})  # branch k + n is branch k
     report = RootReport(kept, method=method, warnings=warnings, aimed=aimed).sort()
     if len(entries) < len(ks):
-        report.warnings.append(f"partial results: some branches {failed}")
+        report.warnings.append("partial results: some branches did not converge")
     converged = len({e.branch % n for e in entries})
     if len(kept) < converged:
         report.warnings.append(
@@ -141,47 +147,40 @@ def _split(shape: Shape, branches, max_terms) -> RootReport:
     return solve_by_split(p.monic())
 
 
-def _series(shape: Shape, branches, max_terms) -> RootReport:
+def _series(shape: Shape, branches, max_terms, route: str = "series") -> RootReport:
+    """The series route, and the pfq route (route "pfq") on a trinomial: one
+    attempt over trinomial_series_root, whose class sums are the pFq form's.
+    route names the method and a diverged branch's warning."""
     from .series import quadrinomial_series_root, trinomial_series_root
 
     t, w = shape.tri, shape.quad
     if t is not None:
-        def attempt(k):
-            try:
-                root, diag = trinomial_series_root(t, k, max_terms)
-            except DivergenceError:
-                return f"branch {k}: series diverged"
-            return RootEntry(root, diag.residual, branch=k, iterations=diag.iterations)
-
-        return _branch_report("series-trinomial", branches, t.s, attempt, "diverged")
-    if w is not None:
-        def attempt(k):
-            try:
-                root, diag = quadrinomial_series_root(w, max_terms)
-            except DivergenceError:
-                return "quadrinomial series diverged"
-            return RootEntry(root, diag.residual, branch=0, iterations=diag.iterations)
-
+        method, n = f"{route}-trinomial", t.s
+    elif w is not None:
         # one root, whatever the branches asked for
-        return _branch_report("series-quadrinomial", None, 1, attempt, "diverged")
-    raise ValueError("series method needs a trinomial or quadrinomial shape")
+        method, n, branches, route = "series-quadrinomial", 1, None, "quadrinomial series"
+    else:
+        raise ValueError("series method needs a trinomial or quadrinomial shape")
+
+    def attempt(k):
+        try:
+            if t is not None:
+                root, diag = trinomial_series_root(t, k, max_terms)
+            else:
+                root, diag = quadrinomial_series_root(w, max_terms)
+        except DivergenceError:
+            return f"branch {k}: {route} diverged"
+        if diag.warnings:  # the engine's polish stalled
+            return f"branch {k}: {diag.warnings[0]}"
+        return RootEntry(root, diag.residual, branch=k, iterations=diag.iterations)
+
+    return _branch_report(method, branches, n, attempt)
 
 
 def _pfq(shape: Shape, branches, max_terms) -> RootReport:
-    from .series import trinomial_pfq_root
-
-    t = shape.tri
-    if t is None:
+    if shape.tri is None:
         raise ValueError("pfq method needs a trinomial shape")
-    target = t.polynomial()
-
-    def attempt(k):
-        value, status = trinomial_pfq_root(t, k).evaluate(max_terms)
-        if status != "converged":
-            return f"branch {k}: pfq {status}"
-        return _polished(target, value, k)
-
-    return _branch_report("pfq-trinomial", branches, t.s, attempt)
+    return _series(shape, branches, max_terms, "pfq")
 
 
 def _radical(shape: Shape, branches, max_terms) -> RootReport:
@@ -205,8 +204,7 @@ def _radical(shape: Shape, branches, max_terms) -> RootReport:
         def iterate(k):
             return quadrinomial_radical_root(w.s, w.r, 1, w.c, w.alpha, w.b, k)
     elif shape.septic is not None:
-        # septic_radical_root polishes against the septic itself
-        method, n, target = "radical-septic", 7, None
+        method, n, target = "radical-septic", 7, shape.poly
 
         def iterate(k):
             return septic_radical_root(*shape.septic, k)
@@ -219,8 +217,6 @@ def _radical(shape: Shape, branches, max_terms) -> RootReport:
         x, status = iterate(k)
         if status != "converged":
             return f"branch {k}: {status}"
-        if target is None:
-            return RootEntry(x, scaled_residual(shape.poly, x), branch=k)
         return _polished(target, x, k)
 
     return _branch_report(method, branches, n, attempt)

@@ -12,7 +12,8 @@ by an exact rational class step ratio[i + ms] times alpha^s q^(b-s), from
 one row of class steps per (s, b) (_term_table). Nothing but the phase
 depends on k, so base_i, the power of q and F_i are worked out once per
 trinomial and kept in a one-entry memo (_branch_free), which both forms
-read: the series root is the pFq form's sum, Newton-polished.
+read: the series root is the pFq form's sum, Newton-polished, and both
+the series and the pfq route of the pipeline run it.
 """
 
 from __future__ import annotations
@@ -205,23 +206,21 @@ class _BranchFree:
     and F_i is the class over its first term (class_sum). bases, turns (the
     exponents (1+bi) mod s) and q_powers hold these per class, and units
     the phases e^(2 pi i j/s). step is the class step alpha^s q^(b-s) over
-    ratio, the product of powers (alpha^s, q^(b-s)). sums keeps, per class,
-    F_i, its status and the terms it took under the max_terms it was summed
-    with (class_sum); weighted keeps, for the last max_terms, what
-    branch_sum reads: the classes that do not vanish, their k-free parts
-    q_powers[i] F_i, the worst class status and the terms summed. So the s
-    branches of both forms sum each class once."""
+    ratio, the product of powers (alpha^s, q^(b-s)). weighted keeps, for
+    the last max_terms, what branch_sum reads: the classes that do not
+    vanish, their k-free parts q_powers[i] F_i (class_sum), the worst class
+    status and the terms summed. So the s branches of both forms sum each
+    class once."""
 
     __slots__ = (
         "s", "b", "polynomial", "bases", "turns", "q_powers", "units", "powers", "step",
-        "pfq", "sums", "weighted",
+        "pfq", "weighted",
     )
 
     def __init__(self, t: Trinomial):
         s, b = self.s, self.b = t.s, t.b
         self.polynomial = t.polynomial()
         log_q = cmath.log(t.q)
-        self.sums: dict[int, tuple] = {}
         self.weighted: tuple | None = None
         self.pfq: tuple | None = None  # by the first pFq form
         # past the float range a power is infinite: the class sums then read
@@ -270,20 +269,17 @@ class _BranchFree:
         return self.pfq
 
     def class_sum(self, i: int, max_terms: int) -> tuple[complex, str, int]:
-        """F_i, its status and the terms it took, its first included; summed
-        on the first call for each max_terms. The class is the series' terms
-        n = i, i + s, ... over the first of them, so its step m is
-        ratio[i + ms] alpha^s q^(b-s), the argument times the parameters'
-        step (_class_params); it stops after its last nonzero term, and
-        sum_series takes at most max_terms - 1 terms after the constant 1."""
-        got = self.sums.get(i)
-        if got is None or got[0] != max_terms:
-            s = self.s
-            steps = map(mul, _steps(s, self.b, i, s), repeat(self.step))
-            terms = takewhile(bool, accumulate(steps, mul, initial=1.0))
-            value, used, status = sum_series(next(terms), terms, max_terms - 1)
-            got = self.sums[i] = (max_terms, value, status, used + 1)
-        return got[1:]
+        """F_i, its status and the terms it took, its first included. The
+        class is the series' terms n = i, i + s, ... over the first of them,
+        so its step m is ratio[i + ms] alpha^s q^(b-s), the argument times
+        the parameters' step (_class_params); it stops after its last
+        nonzero term, and sum_series takes at most max_terms - 1 terms after
+        the constant 1."""
+        s = self.s
+        steps = map(mul, _steps(s, self.b, i, s), repeat(self.step))
+        terms = takewhile(bool, accumulate(steps, mul, initial=1.0))
+        value, used, status = sum_series(next(terms), terms, max_terms - 1)
+        return value, status, used + 1
 
     def branch_sum(self, prefactors: list[complex], max_terms: int) -> tuple[complex, str, int]:
         """The sum over the classes of prefactors[i] q_powers[i] F_i, the
@@ -351,9 +347,10 @@ def trinomial_series_root(
     terms. terms_used counts the terms of the classes summed, each class's
     first included, and the status is the worst class status; a branch
     whose sum is not finite reads diverged. Converged and truncated values
-    are Newton-polished against the trinomial; a diverged sum raises
-    DivergenceError with the partial sum. A max_terms that is not an int of
-    at least 1 raises ValueError.
+    are Newton-polished against the trinomial (1e-12, 80 steps), and a
+    polish that stalls puts ``polish stalled at residual r`` in the
+    warnings; a diverged sum raises DivergenceError with the partial sum.
+    A max_terms that is not an int of at least 1 raises ValueError.
     """
     _require_count("max_terms", max_terms)
     shared = _branch_free(t)
@@ -364,8 +361,9 @@ def trinomial_series_root(
         )
     p = shared.polynomial
     pre = scaled_residual(p, total)
-    root, res, its, _ = polish(p, total, tol=1e-12, max_iter=80)
-    return root, SeriesDiagnostics(status, terms_used, total, pre, res, its)
+    root, res, its, converged = polish(p, total, tol=1e-12, max_iter=80)
+    warnings = [] if converged else [f"polish stalled at residual {res:.3e}"]
+    return root, SeriesDiagnostics(status, terms_used, total, pre, res, its, warnings)
 
 
 @lru_cache(maxsize=256)
@@ -505,8 +503,9 @@ def quadrinomial_series_root(
     derivative: ((-1)^n) sum_j c^(n-j) / (j! (n-j)!) * alpha^(-n)
     * Gamma(mu+1)/Gamma(mu+2-n) * z^(mu+1-n) with mu = r n + (s-r) j,
     all evaluated at z = b/alpha. The stated convergence prechecks are
-    advisory; sum_series decides. A max_terms that is not an int of at
-    least 1 raises ValueError.
+    advisory; sum_series decides. The polish and its stall warning are the
+    trinomial series'. A max_terms that is not an int of at least 1 raises
+    ValueError.
     """
     _require_count("max_terms", max_terms)
     s, r = w.s, w.r
@@ -554,8 +553,9 @@ def quadrinomial_series_root(
             f"quadrinomial series diverged after {terms_used} terms", total
         )
     pre = scaled_residual(p, total)
-    root, res, its, _ = polish(p, total, tol=1e-12, max_iter=80)
-    return root, SeriesDiagnostics(status, terms_used, total, pre, res, its, notes=notes)
+    root, res, its, converged = polish(p, total, tol=1e-12, max_iter=80)
+    warnings = [] if converged else [f"polish stalled at residual {res:.3e}"]
+    return root, SeriesDiagnostics(status, terms_used, total, pre, res, its, warnings, notes)
 
 
 def _septic_terms(

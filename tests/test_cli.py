@@ -208,19 +208,40 @@ class TestSolve:
             "partial results: some branches did not converge",
         ]
 
-    def test_failed_pfq_branch_is_partial(self):
+    def test_truncated_pfq_branch_is_kept_as_the_series_root(self):
+        # branch 1 of x^7 - 1.5x + 1 truncates, and its polish converges: pfq
+        # keeps it under the series route's rule, with the series' root
+        docs = []
+        for method in ("series", "pfq"):
+            code, out, _ = run_cli(
+                "solve", "--coeffs", "2,-3,0,0,0,0,0,2", "--method", method,
+                "--branches", "1", "--json",
+            )
+            assert code == 0
+            docs.append(json.loads(out))
+        series_doc, pfq_doc = docs
+        assert pfq_doc["method"] == "pfq-trinomial"
+        assert pfq_doc["status"] == "ok" and pfq_doc["warnings"] == []
+        assert len(pfq_doc["roots"]) == 1
+        assert pfq_doc["roots"] == series_doc["roots"]
+
+    @pytest.mark.parametrize("method", ["series", "pfq"])
+    def test_stalled_polish_drops_the_branch(self, method):
+        # two terms leave every branch near 3e37 to 1.5e44, where Newton
+        # cannot reach the roots (moduli 31.6 and 1e-6) in 80 steps
         code, out, _ = run_cli(
-            "solve", "--coeffs", "2,-3,0,0,0,0,0,2", "--method", "pfq",
-            "--branches", "1", "--json",
+            "solve", "--trinomial", "5", "1", "1e6", "1", "--method", method,
+            "--max-terms", "2", "--no-oracle", "--json",
         )
         assert code == 2
         doc = json.loads(out)
         assert doc["roots"] == []
         assert doc["status"] == "partial"
-        assert doc["warnings"] == [
-            "branch 1: pfq truncated",
-            "partial results: some branches did not converge",
-        ]
+        *stalls, last = doc["warnings"]
+        assert len(stalls) == 5
+        for k, warning in enumerate(stalls):
+            assert warning.startswith(f"branch {k}: polish stalled at residual "), warning
+        assert last == "partial results: some branches did not converge"
 
     def test_overflowed_pfq_branches_are_diverged(self):
         code, out, _ = run_cli(

@@ -4,7 +4,8 @@ module in src/polysolve keeps an unused import (at the top level, under
 function or class that nothing in the package references, or imports
 dataclasses; every name in the package's lazy name table is
 defined at the top level of the module the table names for it; only
-the cross-check and the coverage report reach the all-roots oracle; and
+the cross-check and the coverage report reach the all-roots oracle; no
+route drops the converged flag of a polish outside two named sites; and
 every functools memo has a finite bound."""
 
 from __future__ import annotations
@@ -237,6 +238,81 @@ def test_the_engine_scan_follows_helpers_and_catches_an_own_loop():
     engines, own_loop = _series_engines(ast.parse(_TOY_ENGINES))
     assert engines == ["engine_through_helpers", "engine_with_its_own_loop"]
     assert own_loop == ["engine_with_its_own_loop"]
+
+
+def _flag_discards(tree: ast.Module) -> list[str]:
+    """The functions that drop the converged flag of a polish call, one
+    entry per call, sorted. A call keeps the flag when it is returned whole,
+    or unpacked into a tuple whose last name (not _) the function reads."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) != "polish":
+            continue
+        holder = func = parents[call]
+        while not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+            func = parents[func]
+        if isinstance(holder, ast.Return):
+            continue
+        if isinstance(holder, ast.Assign) and isinstance(holder.targets[-1], ast.Tuple):
+            flag = holder.targets[-1].elts[-1]
+            read = {
+                node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            if isinstance(flag, ast.Name) and flag.id != "_" and flag.id in read:
+                continue
+        found.append(getattr(func, "name", "<module>"))
+    return sorted(found)
+
+
+def test_no_route_discards_the_polish_flag():
+    # a polish that stalled must reach a warning or a dropped branch, never
+    # pass its best iterate off as a root. Two sites drop the flag:
+    # - closedform._roots_report: the closed forms' short cleanup, whose
+    #   stalls are still open (CHANGES.md);
+    # - adjacent_septic_root: the polish of the cubic's seed, a start for
+    #   the series whose final polish reports its stall
+    discards = [
+        f"{path.name}:{name}" for path in MODULES for name in _flag_discards(_parse(path))
+    ]
+    assert discards == ["closedform.py:_roots_report", "series.py:adjacent_septic_root"]
+
+
+# one function keeps the flag of each of its polish calls; the others drop
+# it by _, by an index, by a name never read, or by a bare call
+_TOY_POLISHES = """
+def keeps(p, x):
+    root, res, its, converged = polish(p, x)
+    if not converged:
+        return None
+    return poly.polish(p, root)
+
+
+def underscore(p, x):
+    root, res, its, _ = polish(p, x)
+    return root
+
+
+def indexed(p, x):
+    return polish(p, x)[0]
+
+
+def unread(p, x):
+    root, res, its, converged = polish(p, x)
+    return root
+
+
+def bare(p, x):
+    polish(p, x)
+    return x
+"""
+
+
+def test_the_flag_scan_catches_each_way_of_dropping_it():
+    assert _flag_discards(ast.parse(_TOY_POLISHES)) == ["bare", "indexed", "underscore", "unread"]
 
 
 def test_every_lru_cache_is_bounded():

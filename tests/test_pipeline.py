@@ -1,6 +1,7 @@
 import cmath
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +16,10 @@ from polysolve import (
     solve,
 )
 from polysolve.cli import main
+from polysolve import pipeline
 from polysolve.pipeline import METHODS, shape_of
-from polysolve.poly import RootEntry, RootReport, parse_poly, poly_from_roots
+from polysolve.poly import RootEntry, RootReport, parse_poly, poly_from_roots, scaled_residual
+from polysolve.series import argument_modulus_constant
 
 # one input per method, as the CLI arguments and as the library equation
 CASES = {
@@ -221,6 +224,16 @@ def test_cross_check_reads_a_short_grim_report_partial(tol):
     assert cross_check(p, report, tol) == "partial"
 
 
+def test_a_stalled_quadrinomial_series_is_dropped():
+    # its one term, 1e4, is too far for the polish to reach a root near 1.9
+    report = solve(Quadrinomial(7, 2, 5, 0.01, 100), "series", max_terms=1)
+    assert report.roots == []
+    assert report.warnings == [
+        "branch 0: polish stalled at residual 1.000e+00",
+        "partial results: some branches did not converge",
+    ]
+
+
 def test_branch_reports_aim_at_the_branches_asked_for():
     # branch 5 is branch 0 again, and the quadrinomial series aims at one root
     p = Polynomial([-1, -1, 0, 0, 0, 1])
@@ -231,6 +244,29 @@ def test_branch_reports_aim_at_the_branches_asked_for():
     report = solve(w, "series")
     assert (report.aimed, len(report.roots)) == (1, 1)
     assert cross_check(w.polynomial(), report, 1e-8) == "ok"
+
+
+@pytest.mark.parametrize("eq, failed", [
+    (Trinomial(3, 1, 1, 1), []),
+    # a septic that is not monic: the route polishes on the input itself
+    (Polynomial([-1, 1, 0.5, 0.3, 0, 0, 0, 2]), ["branch 0: maxiter"]),
+])
+def test_a_stalled_radical_polish_drops_the_branch(monkeypatch, eq, failed):
+    # every radical shape goes through one polish, and a branch whose polish
+    # did not converge is dropped with its residual, not kept
+    real = pipeline.polish
+
+    def stalled(*args, **kwargs):
+        root, _, its, _ = real(*args, **kwargs)
+        return root, 0.5, its, False
+
+    monkeypatch.setattr(pipeline, "polish", stalled)
+    report = solve(eq, "radical")
+    n = eq.s if isinstance(eq, Trinomial) else eq.degree
+    assert report.roots == []
+    assert report.warnings == failed + [
+        f"branch {k}: polish stalled at residual 5.000e-01" for k in range(len(failed), n)
+    ] + ["partial results: some branches did not converge"]
 
 
 _coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
@@ -263,3 +299,33 @@ def test_auto_gives_n_roots_or_a_status_other_than_ok(case):
     if kind == "quadrinomial":
         assert report.method == "grim"
     assert len(report.roots) == p.degree or cross_check(p, report, 1e-8) != "ok"
+
+
+@given(
+    st.integers(2, 12).flatmap(lambda s: st.tuples(st.just(s), st.integers(1, s - 1))),
+    st.floats(0.05, 1.2),  # the argument modulus
+    st.floats(0.2, 5.0),
+    st.floats(-math.pi, math.pi),
+    st.floats(-math.pi, math.pi),
+    st.sampled_from([2, 10, 400]),
+)
+@settings(max_examples=60, deadline=None)
+def test_pfq_is_the_series_route_and_every_kept_root_is_polished(
+    sb, rho, q_mod, q_arg, alpha_arg, max_terms
+):
+    # pfq runs the series route's attempt: the same roots, bit for bit, and
+    # the same warnings but for the route word of a diverged branch. Every
+    # per-branch route keeps a root only where its polish converged, at a
+    # scaled residual of at most 1e-12
+    s, b = sb
+    alpha_mod = (rho * q_mod ** (s - b) / float(argument_modulus_constant(s, b))) ** (1 / s)
+    t = Trinomial(s, b, cmath.rect(alpha_mod, alpha_arg), cmath.rect(q_mod, q_arg))
+    series = solve(t, "series", max_terms=max_terms)
+    pfq = solve(t, "pfq", max_terms=max_terms)
+    assert [repr(e) for e in pfq.roots] == [repr(e) for e in series.roots]
+    assert [w.replace(": pfq diverged", ": series diverged") for w in pfq.warnings] == series.warnings
+    p = t.polynomial()
+    for report in (series, pfq, solve(t, "radical")):
+        for e in report.roots:
+            assert e.residual <= 1e-12, (report.method, e)
+            assert scaled_residual(p, e.root) == e.residual, (report.method, e)

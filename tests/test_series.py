@@ -242,7 +242,8 @@ class TestPFQRootForm:
             assert abs(value - want) <= 1e-12 * abs(want), k
         assert len(taken) == 5 and taken[1] == []  # one sum per class
         assert all(all(terms) for terms in taken.values())  # no zero term
-        assert series._branch_free(t).sums[1][1] == 1.0
+        # class 1 alone, summed afresh: F_1 is its first term over itself
+        assert series._branch_free(t).class_sum(1, MAX_TERMS) == (1.0, "converged", 1)
 
     def test_alpha_zero_binomial_form(self):
         form = trinomial_pfq_root(Trinomial(5, 2, 0, 2 + 1j), 3)
@@ -456,8 +457,8 @@ class TestTermMemo:
                     _, diag = trinomial_series_root(t, k, max_terms)
                 except DivergenceError:
                     continue
-                # each class's count, its first term included
-                counts = {i: got[3] for i, got in series._branch_free(t).sums.items()}
+                # each live class's count, its first term included
+                counts = _class_counts(t, max_terms)
                 assert sum(counts.values()) == diag.terms_used
                 with mpmath.workdps(40):
                     total = mpmath.mpc(0)
@@ -574,6 +575,13 @@ def _counting(monkeypatch, name, index):
 
     monkeypatch.setattr(series, name, counted)
     return calls
+
+
+def _class_counts(t: Trinomial, max_terms: int) -> dict[int, int]:
+    """The terms that each class of t that does not vanish takes under
+    max_terms, its first included, summed afresh by class_sum."""
+    shared = series._branch_free(t)
+    return {i: shared.class_sum(i, max_terms)[2] for i, base in enumerate(shared.bases) if base}
 
 
 def _recording_sums(monkeypatch):
@@ -826,7 +834,7 @@ def test_the_series_is_the_pfq_sum_and_matches_mpmath(sb, rho, q_mod, q_arg, alp
         assert (_bits(diag.series_value), diag.status) == (_bits(value), status), k
         assert status == "converged", k
         values.append(value)
-    counts = {i: got[3] for i, got in series._branch_free(t).sums.items()}
+    counts = _class_counts(t, MAX_TERMS)
     with mpmath.workdps(40):
         # class i of branch 0 as summed; branch k turns it by its phase
         classes = {}
@@ -913,6 +921,19 @@ class TestOverflow:
                     trinomial_series_root(t, k)
         with pytest.raises(DivergenceError):
             quadrinomial_series_root(Quadrinomial(7, 2, 1e50, 1, 1e10))
+
+
+@pytest.mark.parametrize("engine, max_terms", [
+    # two terms of z^5 - 1e6 z - 1 lie near 1e40, the roots at 31.6 and 1e-6
+    (lambda m: trinomial_series_root(Trinomial(5, 1, 1e6, 1), 0, m), 2),
+    # the first term of x^7 + 5x^2 + 0.01x - 100 is 1e4, the roots near 1.9
+    (lambda m: quadrinomial_series_root(Quadrinomial(7, 2, 5, 0.01, 100), m), 1),
+])
+def test_a_stalled_polish_is_in_the_warnings(engine, max_terms):
+    root, diag = engine(max_terms)
+    assert diag.status == "truncated"
+    assert diag.warnings == [f"polish stalled at residual {diag.residual:.3e}"]
+    assert diag.residual > 1e-12
 
 
 class TestQuadrinomialSeries:
