@@ -38,12 +38,17 @@ def _roots_report(p: Polynomial, roots: list[tuple[complex, int]], method: str) 
     a short Newton cleanup on p, which also gives its residual. The cleanup
     restores the digits a formula loses to cancellation (a near-degenerate
     quartic resolvent, say) and returns at once a root that is already
-    clean."""
+    clean. A cleanup that stalls keeps its best iterate and warns
+    ``root j: cleanup stalled at residual r``, j the branch, unless the
+    root is not finite (an overflowed formula), which cross_check names."""
     entries = []
+    warnings = []
     for r, b in roots:
-        root, res, _, _ = polish(p, r, tol=1e-13, max_iter=8)
+        root, res, _, converged = polish(p, r, tol=1e-13, max_iter=8)
+        if not converged and cmath.isfinite(root):
+            warnings.append(f"root {b}: cleanup stalled at residual {res:.3e}")
         entries.append(RootEntry(root, res, branch=b))
-    return RootReport(entries, method=method).sort()
+    return RootReport(entries, method=method, warnings=warnings).sort()
 
 
 def solve_quadratic(p: Polynomial) -> RootReport:

@@ -2,18 +2,21 @@
 series stopping rule and pFq series.
 
 Everything here is plain 64-bit floating point (``float`` / ``complex``);
-no arbitrary precision. sum_series holds the one stopping rule of every
-series sum, with the one relative tolerance _REL_TOL, and reads each as
-converged, diverged or truncated.
-The pFq evaluator feeds it the term recurrence
+no arbitrary precision. _REL_TOL is the one relative tolerance of every
+series sum. sum_series holds the one heuristic stopping rule, which reads
+a sum as converged, diverged or truncated term by term: the quadrinomial
+and septic series and pfq_eval stop by it. The pFq evaluator feeds it the
+term recurrence
 
     t_{n+1} = t_n * prod(a_i + n) / ((n + 1) prod(b_j + n)) * z,
 
 with each step factor worked out from the parameters as the sum reaches it.
 pfq_eval keeps no values. The trinomial series and its pFq form, in
 series, do not call it: they are one sum of pFq classes, each summed from
-its exact class steps, which are these step factors times z, once for all
-the branches of a trinomial.
+its exact class steps (these step factors times z) once for all the
+branches of a trinomial. Below the convergence boundary a class stops at a
+term count proven by the tail bound |T_N| |z| / (1 - |z|) and is summed in
+C; past it the class goes to sum_series.
 """
 
 from __future__ import annotations

@@ -1,19 +1,19 @@
 """Series root engines: inverse-power trinomial and quadrinomial expansions,
 their regrouping into generalized hypergeometric form, the Bring-Jerrard
 quintic and the cubic-seeded correction series for the four-term septic.
-Every series sum stops by numerics.sum_series. The Trinomial and
-Quadrinomial shapes are poly's, re-exported here.
+The Trinomial and Quadrinomial shapes are poly's, re-exported here.
 
 The trinomial series and its pFq form are one sum. Grouped by residue
-class i = n mod s, branch k of the series is the sum over the classes of
+class i = n mod s, branch k is the sum over the classes of
 base_i e^(2 pi i k (1+bi)/s) q^((1+bi-is)/s) F_i, where F_i, class i over
-its first term, is a pFq of the argument shared by the classes. F_i steps
-by an exact rational class step ratio[i + ms] times alpha^s q^(b-s), from
-one row of class steps per (s, b) (_term_table). Nothing but the phase
-depends on k, so base_i, the power of q and F_i are worked out once per
-trinomial and kept in a one-entry memo (_branch_free), which both forms
-read: the series root is the pFq form's sum, Newton-polished, and both
-the series and the pfq route of the pipeline run it.
+its first term, is a pFq of the shared argument, of modulus rho. F_i steps
+by an exact rational ratio[i + ms] (one row per (s, b), _term_table) times
+alpha^s q^(b-s). Below rho = 1 a class stops at a term count worked out
+before it is summed, proven by the tail bound |T_N| rho / (1 - rho), and
+is summed in C; past it numerics.sum_series sums it, as it does the
+quadrinomial and septic series. Only the phases depend on k, so the rest
+is worked out once per trinomial (_branch_free): the series root is the
+pFq form's sum, Newton-polished, for both the series and the pfq route.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ import math
 from array import array
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import accumulate, chain, count, islice, repeat, takewhile
-from operator import mul
+from itertools import accumulate, chain, count, islice, repeat
+from operator import mod, mul
 from typing import TYPE_CHECKING
 
-from .numerics import PFQParams, gamma_sign, sum_series
+from .numerics import _REL_TOL, PFQParams, gamma_sign, sum_series
 from .poly import (
     MAX_TERMS,
     ConvergenceError,
@@ -141,10 +141,8 @@ def _term_table(s: int, b: int) -> _TermTable:
 
 def _covering_row(s: int, b: int, n: int) -> array:
     """The ratio row of (s, b) that holds ratio[n], for n < _ROW_CAP: the
-    default series length (or s), doubled until it reaches n, at most
-    _ROW_CAP. A grown row is a new array that replaces the table's whole, so
-    a reader keeps the row it holds, and a large max_terms builds no more
-    than about twice the steps a sum reads."""
+    default series length (or s) doubled until it reaches n, at most
+    _ROW_CAP. A grown row is a new array that replaces the table's whole."""
     table = _term_table(s, b)
     row = table.ratio
     if n >= len(row):
@@ -154,21 +152,6 @@ def _covering_row(s: int, b: int, n: int) -> array:
         more = range(len(row), min(length, _ROW_CAP))
         row = table.ratio = row + array("d", map(_ratio, repeat(s), repeat(b), more))
     return row
-
-
-def _steps(s: int, b: int, n: int, stride: int) -> Iterator[float]:
-    """ratio[n], ratio[n + stride], ...: read from the row of (s, b), grown
-    as the reader goes, and worked out one by one past _ROW_CAP."""
-    return chain.from_iterable(_step_runs(s, b, n, stride))
-
-
-def _step_runs(s: int, b: int, n: int, stride: int) -> Iterator[Iterator[float]]:
-    """The runs of _steps: one per row it reads, then the unstored rest."""
-    while n < _ROW_CAP:
-        row = _covering_row(s, b, n)
-        yield islice(row, n, None, stride)
-        n += (len(row) - n + stride - 1) // stride * stride
-    yield map(_ratio, repeat(s), repeat(b), count(n, stride))
 
 
 def trinomial_log_term(t: Trinomial, k: int, n: int) -> complex:
@@ -200,21 +183,18 @@ class _BranchFree:
 
         base_i e^(2 pi i k (1+bi)/s) q^((1+bi-is)/s) F_i,
 
-    where base_i = sign_i exp(i log alpha + log_mag_i) is the first term of
-    class i without its phase and power of q (1 for class 0, the lead; 0
-    for a class that vanishes, and for every class past 0 when alpha = 0)
-    and F_i is the class over its first term (class_sum). bases, turns (the
-    exponents (1+bi) mod s) and q_powers hold these per class, and units
-    the phases e^(2 pi i j/s). step is the class step alpha^s q^(b-s) over
-    ratio, the product of powers (alpha^s, q^(b-s)). weighted keeps, for
-    the last max_terms, what branch_sum reads: the classes that do not
-    vanish, their k-free parts q_powers[i] F_i (class_sum), the worst class
-    status and the terms summed. So the s branches of both forms sum each
-    class once."""
+    base_i = sign_i exp(i log alpha + log_mag_i) the first term of class i
+    without its phase and power of q (1 for the lead; 0 for a class that
+    vanishes, and past class 0 when alpha = 0), F_i the class over its first
+    term (class_sum). bases, turns ((1+bi) mod s) and q_powers hold these
+    per class, units the phases e^(2 pi i j/s); step is alpha^s q^(b-s),
+    the product of powers, and rho its argument modulus. weighted keeps, for
+    the last max_terms, what branch_sum reads, so the s branches of both
+    forms sum each class once."""
 
     __slots__ = (
         "s", "b", "polynomial", "bases", "turns", "q_powers", "units", "powers", "step",
-        "pfq", "weighted",
+        "table", "rho", "counting", "pfq", "weighted",
     )
 
     def __init__(self, t: Trinomial):
@@ -230,8 +210,15 @@ class _BranchFree:
             _inf_on_overflow(cmath.exp, (b - s) * log_q),
         )
         # alpha = 0 leaves the lead alone, however large q^(b-s) is
-        self.step = self.powers[0] * self.powers[1] if t.alpha != 0 else 0j
-        table = _term_table(s, b)
+        step = self.step = self.powers[0] * self.powers[1] if t.alpha != 0 else 0j
+        # the limit of |ratio[n] step|, b^b (s-b)^(s-b) / s^s |step|
+        rho = self.rho = math.hypot(step.real, step.imag) * (b**b * (s - b) ** (s - b) / s**s)
+        if 0.0 < rho < 1.0:  # the class-free parts of class_sum's count
+            target = math.log(_REL_TOL / rho * (1.0 - rho))
+            m = max(1, math.ceil(target / math.log(rho)))
+            gap = target - m * math.log(abs(step))
+            self.counting = (m, gap, math.log(rho) - 1.5 / m)
+        table = self.table = _term_table(s, b)
         log_alpha = cmath.log(t.alpha) if t.alpha != 0 else 0j
         self.bases = [1.0]
         for i in range(1, s):
@@ -251,8 +238,8 @@ class _BranchFree:
     def prefactors(self, k: int) -> list[complex]:
         """The first term of each class of branch k without its power of q,
         base_i e^(2 pi i k (1+bi)/s): 0 where the class vanishes."""
-        s, units = self.s, self.units
-        return [base * units[k * turn % s] for base, turn in zip(self.bases, self.turns)]
+        phases = map(mod, map(mul, self.turns, repeat(k)), repeat(self.s))
+        return list(map(mul, self.bases, map(self.units.__getitem__, phases)))
 
     def pfq_parts(self) -> tuple[complex, list[tuple[Fraction, PFQParams]]]:
         """The argument (-1)^(s-b) b^b (s-b)^(s-b) / s^s alpha^s / q^(s-b) of
@@ -269,17 +256,62 @@ class _BranchFree:
         return self.pfq
 
     def class_sum(self, i: int, max_terms: int) -> tuple[complex, str, int]:
-        """F_i, its status and the terms it took, its first included. The
-        class is the series' terms n = i, i + s, ... over the first of them,
-        so its step m is ratio[i + ms] alpha^s q^(b-s), the argument times
-        the parameters' step (_class_params); it stops after its last
-        nonzero term, and sum_series takes at most max_terms - 1 terms after
-        the constant 1."""
-        s = self.s
-        steps = map(mul, _steps(s, self.b, i, s), repeat(self.step))
-        terms = takewhile(bool, accumulate(steps, mul, initial=1.0))
-        value, used, status = sum_series(next(terms), terms, max_terms - 1)
-        return value, status, used + 1
+        """F_i, its status and its terms (T_0 = 1 included), at most
+        max_terms. Step m is ratio[i + ms] alpha^s q^(b-s), the argument
+        times the parameters' step. A class whose first step is 0 is exact;
+        past the boundary (rho >= 1, or not finite) sum_series sums it.
+        Below it |ratio[n] step| <= rho for n >= 1 (each linear factor of
+        ratio[n], paired in offset order with one of n + 1 ... n + s, rises
+        to its limit), so the tail after T_N is at most |T_N| rho / (1 - rho):
+        the class stops at the first N where that is within _REL_TOL of the
+        sum, counted first, summed in C and grown by the steps a failed
+        bound asks for. Past max_terms, sum_series' end-of-budget rule."""
+        step, rho = self.step, self.rho
+        first = self.table.ratio[i] * step
+        if not first and max_terms > 1:
+            return 1.0, "converged", 1
+        last_index = max_terms - 1
+        if not rho < 1.0 or not last_index:
+            terms = self._class_terms(i, 0, last_index, 1.0)
+            value, used, status = sum_series(next(terms), terms, last_index)
+            return value, status, used + 1
+        want = 1  # where rho underflowed, the tail after T_1 does too
+        if rho:
+            # N for |sum| = 1: log |T_m| = L(i + ms) - L(i) + m log |step|, L
+            # of _gamma_part, is about m log rho - 3/2 log m; one Newton step
+            # from m lands near N
+            m, gap, slope = self.counting
+            excess = _gamma_part(self.s, self.b, i + m * self.s)[1] - self.table.log_mag[i] - gap
+            want = min(max(1, math.ceil(m - excess / slope)), last_index)
+        lead = rho / (1.0 - rho)
+        n, total, last = 1, 1.0 + first, first
+        while True:
+            if want > n:
+                terms = self._class_terms(i, n, want, last)
+                total = sum(islice(terms, 1, want - n), total)
+                last = next(terms)
+                total += last
+                n = want
+            bound = abs(last) * lead
+            size = _REL_TOL * abs(total)
+            if bound <= size:
+                return total, "converged", n + 1
+            if n == last_index:
+                return total, "diverged" if abs(last) > abs(total) else "truncated", n + 1
+            more = math.ceil(math.log(size / bound) / math.log(rho)) if size else 1
+            want = min(n + more, last_index)
+
+    def _class_terms(self, i: int, start: int, stop: int, term: complex) -> Iterator[complex]:
+        """T_start = term, ..., T_stop of class i by C-level iterators over a
+        slice of the ratio row, which first grows to cover it where rho < 1;
+        steps past the row are worked out one by one."""
+        s, b = self.s, self.b
+        row = _covering_row(s, b, i + (stop - 1) * s) if self.rho < 1.0 else self.table.ratio
+        steps = row[i + start * s:i + stop * s:s]
+        if i + stop * s > len(row):
+            past = range(i + (start + len(steps)) * s, i + stop * s, s)
+            steps = chain(steps, map(_ratio, repeat(s), repeat(b), past))
+        return accumulate(map(mul, steps, repeat(self.step)), mul, initial=term)
 
     def branch_sum(self, prefactors: list[complex], max_terms: int) -> tuple[complex, str, int]:
         """The sum over the classes of prefactors[i] q_powers[i] F_i, the
@@ -302,12 +334,10 @@ class _BranchFree:
 
 class _LastTrinomial:
     """A one-entry memo of _BranchFree, keyed by the trinomial object (held
-    by the entry, so that its identity stays its own) and not by its value:
-    equal trinomials can differ in the sign of a zero, which the principal
-    logs read (q = -1 + 0j against q = -1 - 0j), and a lookup hashes
-    nothing. The branches of one trinomial run in a row, so one entry serves
-    them, and it never carries values from one trinomial to another. The
-    entry is replaced whole, so a concurrent caller reads a whole entry."""
+    by the entry), not its value: equal trinomials can differ in the sign of
+    a zero, which the principal logs read (q = -1 + 0j and -1 - 0j). The
+    branches of one trinomial run in a row, and the entry is replaced whole,
+    so a concurrent caller reads a whole entry."""
 
     __slots__ = ("entry",)
 
@@ -325,12 +355,8 @@ class _LastTrinomial:
         self.entry = (None, None)
 
 
-_branch_free_memo = _LastTrinomial()
-
-
-def _branch_free(t: Trinomial) -> _BranchFree:
-    """The branch-free parts of t, built on the first branch that asks."""
-    return _branch_free_memo(t)
+# the branch-free parts of a trinomial, built on the first branch that asks
+_branch_free = _branch_free_memo = _LastTrinomial()
 
 
 def trinomial_series_root(
@@ -338,30 +364,27 @@ def trinomial_series_root(
 ) -> tuple[complex, SeriesDiagnostics]:
     """Branch-k root of z^s - alpha z^b - q = 0 by Lagrange inversion.
 
-    The series sits on top of the principal s-th root of q rotated by
-    e^(2*pi*i*k/s); term n carries the phase e^(2*pi*i*k*(1+b*n)/s), which
-    is the same along each residue class n mod s. Summed class by class, it
-    is the pFq form's sum, bit for bit trinomial_pfq_root(t, k).evaluate():
-    each class takes at most max_terms terms and is summed once for all
-    branches of t (_branch_free), so a trinomial sums at most s * max_terms
-    terms. terms_used counts the terms of the classes summed, each class's
-    first included, and the status is the worst class status; a branch
-    whose sum is not finite reads diverged. Converged and truncated values
-    are Newton-polished against the trinomial (1e-12, 80 steps), and a
-    polish that stalls puts ``polish stalled at residual r`` in the
-    warnings; a diverged sum raises DivergenceError with the partial sum.
-    A max_terms that is not an int of at least 1 raises ValueError.
+    The series sits on the principal s-th root of q turned by
+    e^(2*pi*i*k/s); term n carries the phase e^(2*pi*i*k*(1+b*n)/s), the
+    same along each residue class n mod s. Summed class by class it is,
+    bit for bit, trinomial_pfq_root(t, k).evaluate(): each class takes at
+    most max_terms terms, once for all branches of t (_branch_free).
+    terms_used counts the terms of the classes, and the status is the worst
+    class status (diverged where the sum is not finite). Converged and
+    truncated values are Newton-polished (1e-12, 80 steps); a polish that
+    stalls warns ``polish stalled at residual r``. A diverged sum raises
+    DivergenceError with the partial sum; a max_terms that is not an int of
+    at least 1 raises ValueError.
     """
     _require_count("max_terms", max_terms)
     shared = _branch_free(t)
     total, status, terms_used = shared.branch_sum(shared.prefactors(k), max_terms)
     if status == "diverged":
-        raise DivergenceError(
-            f"series branch k={k} diverged after {terms_used} terms", total
-        )
+        raise DivergenceError(f"series branch k={k} diverged after {terms_used} terms", total)
     p = shared.polynomial
-    pre = scaled_residual(p, total)
     root, res, its, converged = polish(p, total, tol=1e-12, max_iter=80)
+    # a polish that took no step gives the residual of its start
+    pre = res if its == 0 else scaled_residual(p, total)
     warnings = [] if converged else [f"polish stalled at residual {res:.3e}"]
     return root, SeriesDiagnostics(status, terms_used, total, pre, res, its, warnings)
 
@@ -407,16 +430,13 @@ class PFQRootForm(_Record):
         self.groups = groups
 
     def evaluate(self, max_terms: int = MAX_TERMS) -> tuple[complex, str]:
-        """The sum and the worst class status; a total that is not finite
-        (a power of q or a class sum past the float range) reads diverged.
-        The form evaluates its own trinomial's classes: class i is summed
-        from its exact class steps (_BranchFree.class_sum), with at most
-        max_terms terms, and each group gives only its prefactor. The class
-        sums and powers of q do not depend on k: the branches of one
-        trinomial object share them with each other and with the series
-        root (_branch_free), so a loop over its s branches sums each class
-        once. A form of another trinomial object sums its classes afresh. A
-        max_terms that is not an int of at least 1 raises ValueError."""
+        """The sum and the worst class status (diverged where the total is
+        not finite). Class i is summed from its exact class steps
+        (_BranchFree.class_sum), at most max_terms terms, and each group
+        gives only its prefactor: the branches of one trinomial object share
+        the class sums with each other and with the series root, so a loop
+        over its s branches sums each class once. A max_terms that is not an
+        int of at least 1 raises ValueError."""
         _require_count("max_terms", max_terms)
         prefactors = [g.prefactor for g in self.groups]
         return _branch_free(self.trinomial).branch_sum(prefactors, max_terms)[:2]
@@ -430,12 +450,10 @@ def trinomial_pfq_root(t: Trinomial, k: int) -> PFQRootForm:
     counter, so each class is a single pFq; the shared argument is
     (-1)^(s-b) * b^b (s-b)^(s-b) / s^s * alpha^s / q^(s-b) (unit phase
     e^(2*pi*i*k*b) folded in). Parameters follow from the Gamma shift
-    algebra in exact rational arithmetic, with upper/lower cancellation;
-    they and each class's power of q depend on (s, b, class) alone and are
-    built once (_class_params). They describe the classes: evaluate() steps
-    each class by its exact class steps, which equal the parameters' steps
-    times the argument. Only the prefactors' phases depend on k: the rest
-    is worked out once for all branches of t (_branch_free).
+    algebra in exact rationals, with upper/lower cancellation, once per
+    (s, b, class) (_class_params). evaluate() steps each class by its exact
+    class steps, the parameters' steps times the argument. Only the
+    prefactors' phases depend on k (_branch_free).
     """
     shared = _branch_free(t)
     argument, classes = shared.pfq_parts()
@@ -472,9 +490,8 @@ def _class_params(s: int, b: int, r0: int) -> tuple[Fraction, PFQParams]:
 def _cancel_params(
     upper: list[Fraction], lower: list[Fraction]
 ) -> tuple[list[Fraction], list[Fraction]]:
-    up = list(upper)
-    low = list(lower)
-    for u in list(up):
+    up, low = list(upper), list(lower)
+    for u in upper:
         if u in low:
             up.remove(u)
             low.remove(u)
@@ -513,12 +530,9 @@ def quadrinomial_series_root(
     notes = {}
     if w.c != 0:
         notes["precheck_cb_over_alpha2"] = abs(w.c * w.b / (w.alpha * w.alpha))
-        notes["precheck_tail"] = abs(
-            w.b ** (s - 2) / (w.c * w.alpha ** (s - 2))
-        )
+        notes["precheck_tail"] = abs(w.b ** (s - 2) / (w.c * w.alpha ** (s - 2)))
     if w.b == 0:
-        diag = SeriesDiagnostics("converged", 0, 0j, 0.0, 0.0, 0, notes=notes)
-        return 0j, diag
+        return 0j, SeriesDiagnostics("converged", 0, 0j, 0.0, 0.0, 0, notes=notes)
 
     z = w.b / w.alpha
     log_z = cmath.log(z)
@@ -549,11 +563,9 @@ def quadrinomial_series_root(
 
     total, terms_used, status = sum_series(z, map(term_at, count(1)), max_terms)
     if status == "diverged":
-        raise DivergenceError(
-            f"quadrinomial series diverged after {terms_used} terms", total
-        )
-    pre = scaled_residual(p, total)
+        raise DivergenceError(f"quadrinomial series diverged after {terms_used} terms", total)
     root, res, its, converged = polish(p, total, tol=1e-12, max_iter=80)
+    pre = res if its == 0 else scaled_residual(p, total)
     warnings = [] if converged else [f"polish stalled at residual {res:.3e}"]
     return root, SeriesDiagnostics(status, terms_used, total, pre, res, its, warnings, notes)
 
@@ -601,17 +613,16 @@ def adjacent_septic_root(
 ) -> tuple[complex, SeriesDiagnostics]:
     """Root of x^7 + c x^3 + a x^2 + b x - q = 0 from the cubic-seeded series.
 
-    The seed z_in is the branch-0 root that solve_closed gives for the
-    adjacent cubic g = c z^3 + a z^2 + b z - q, polished on g; a cubic
-    whose closed form overflows, or a seed whose residual on the septic
-    does not stay finite, raises ConvergenceError. The correction
-    series (_septic_terms) expands the full root in powers of the degree-7
-    perturbation around that cubic; its first term is -z_in^7 / g'(z_in).
-    sum_series sums at most min(max_terms, 40) terms. Experimental
-    contract: the series improves the seed's residual, Newton polish
-    supplies the final root. A sum whose residual exceeds the seed's, or
-    is NaN, gives way to the seed and reads diverged. A max_terms that is
-    not an int of at least 1 raises ValueError.
+    The seed z_in is solve_closed's branch-0 root of the adjacent cubic
+    g = c z^3 + a z^2 + b z - q, polished on g; a cubic whose closed form
+    overflows, or a seed whose septic residual is not finite, raises
+    ConvergenceError. The correction series (_septic_terms) expands the
+    root in powers of the degree-7 perturbation; its first term is
+    -z_in^7 / g'(z_in). sum_series sums at most min(max_terms, 40) terms.
+    Experimental: the series improves the seed's residual, Newton polish
+    supplies the root; a sum whose residual exceeds the seed's, or is NaN,
+    gives way to the seed and reads diverged. A max_terms that is not an
+    int of at least 1 raises ValueError.
     """
     from .closedform import solve_closed
 
@@ -645,15 +656,6 @@ def adjacent_septic_root(
     root, res, its, converged = polish(p, value, tol=1e-12, max_iter=100)
     if not converged:
         warnings.append(f"polish stalled at residual {res:.3e}")
-    diag = SeriesDiagnostics(
-        status,
-        terms_used,
-        value,
-        pre,
-        res,
-        its,
-        warnings=warnings,
-        notes={"seed": z_in, "seed_residual": res_seed},
-    )
-    return root, diag
+    notes = {"seed": z_in, "seed_residual": res_seed}
+    return root, SeriesDiagnostics(status, terms_used, value, pre, res, its, warnings, notes)
 

@@ -211,6 +211,28 @@ class TestQuartic:
         report = solve_quartic(Polynomial([1, -4, 6, -4, 1]))
         assert all(abs(r - 1) <= 1e-4 for r in report.values())
 
+    def test_a_stalled_cleanup_warns(self):
+        # a near-double root of modulus 1.6e-4 (relative gap 1e-7) beside two
+        # roots of modulus about 4.8e3, as drawn with root moduli 10^U(-6, 6):
+        # the 8-step cleanup stalls on both close roots, each with a warning,
+        # and keeps its best iterate; the root count still decides the status
+        near = 3.140551170314618e-05 - 0.00015648064036479986j
+        roots = [near, 3097.0891842164942 + 3746.5215123875096j,
+                 2717.1250410350817 - 3874.809125809115j,
+                 3.140552523998108e-05 - 0.00015648064881932945j]
+        p = poly_from_roots(roots)
+        report = solve_quartic(p)
+        stalled = sorted(e.branch for e in report.roots if e.residual > 1e-13)
+        assert len(stalled) == 2
+        assert report.warnings == [
+            f"root {b}: cleanup stalled at residual {e.residual:.3e}"
+            for b in stalled for e in report.roots if e.branch == b
+        ]
+        # the pair is conditioned to about 1e-3 of its modulus
+        assert all(abs(e.root - near) <= 1e-3 * abs(near)
+                   for e in report.roots if e.branch in stalled)
+        assert cross_check(p, report, None) == "ok"
+
 
 class TestSolveClosed:
     def test_dispatch_by_degree(self, rng):

@@ -270,15 +270,13 @@ def _flag_discards(tree: ast.Module) -> list[str]:
 
 def test_no_route_discards_the_polish_flag():
     # a polish that stalled must reach a warning or a dropped branch, never
-    # pass its best iterate off as a root. Two sites drop the flag:
-    # - closedform._roots_report: the closed forms' short cleanup, whose
-    #   stalls are still open (CHANGES.md);
-    # - adjacent_septic_root: the polish of the cubic's seed, a start for
-    #   the series whose final polish reports its stall
+    # pass its best iterate off as a root. One site drops the flag:
+    # adjacent_septic_root's polish of the cubic's seed, a start for the
+    # series whose final polish reports its stall
     discards = [
         f"{path.name}:{name}" for path in MODULES for name in _flag_discards(_parse(path))
     ]
-    assert discards == ["closedform.py:_roots_report", "series.py:adjacent_septic_root"]
+    assert discards == ["series.py:adjacent_septic_root"]
 
 
 # one function keeps the flag of each of its polish calls; the others drop
