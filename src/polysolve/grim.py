@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain
+from itertools import chain, repeat
 
 from .poly import (
     ConvergenceError,
@@ -102,8 +102,8 @@ def _iterate(
 def _orbit_points(q: Polynomial):
     """The limit and best points of the orbits of every branch of q, in
     (branch, seed) order, from the seeds 0.01, i, -i and half the largest
-    polygon radius of q; nothing is computed before the first point is
-    asked for."""
+    polygon radius of q, each as ("branch {} seed {}", (d, seed, point));
+    nothing is computed before the first point is asked for."""
     fc = _complementary(q)
     rev = tuple(reversed(fc.coeffs))
     far = max(u for *_, u in newton_polygon(q)) / 2.0
@@ -116,7 +116,7 @@ def _orbit_points(q: Polynomial):
     for d in range(q.degree):
         for seed, start in zip(seeds, starts):
             for point in _iterate(rev, q.degree, d, start):
-                yield f"branch {d} seed {seed}", point
+                yield "branch {} seed {}", (d, seed, point)
 
 
 def grim_solve(p: Polynomial) -> RootReport:
@@ -149,19 +149,17 @@ def grim_solve(p: Polynomial) -> RootReport:
     found: list[RootEntry] = []
     roots: list[complex] = []  # their values, deflated out of q
     diagnostics: list[str] = []
-    points = (
-        (f"polygon edge ({i}, {j}) point {k}", x)
-        for i, j, k, x in _polygon_points(q, _TURN)
-    )
-    orbits = _orbit_points(q)
-    for start, point in chain(points, orbits):
+    # starts come as (label, (its fields..., point)), formatted on a stall
+    points = zip(repeat("polygon edge ({}, {}) point {}"), _polygon_points(q, _TURN))
+    for label, start in chain(points, _orbit_points(q)):
+        point = start[-1]
         if not is_new_root(point, roots):
             continue  # the deflated step would start on a pole
         root, res, its, converged = polish(
             q, point, _POLISH_TOL, 80, deflate=roots, settle=True
         )
         if not converged:
-            diagnostics.append(f"{start}: polish stalled at {res:.3e}")
+            diagnostics.append(f"{label.format(*start)}: polish stalled at {res:.3e}")
             continue
         if q is not p:
             res = scaled_residual(p, root)
@@ -192,8 +190,7 @@ def grim_coverage(p: Polynomial) -> tuple[int, int, list[complex]]:
     when some reported root lies within 1e-6 of it, relative.
     """
     try:
-        report = grim_solve(p)
-        got = report.values()
+        got = grim_solve(p).values()
     except GrimError:
         got = []
     try:
@@ -202,21 +199,14 @@ def grim_coverage(p: Polynomial) -> tuple[int, int, list[complex]]:
         oracle = exc.best
     unmatched: list[complex] = []
     for entry in oracle.roots:
-        tol = 1e-6 * (1.0 + abs(entry.root))
-        covered = False
-        for g in got:
-            if abs(entry.root - g) <= tol:
-                covered = True
-                break
-            # multiple-root clusters: accept an excellent root of p that sits
-            # within the conditioning radius of the oracle value
-            if (
-                abs(entry.root - g) <= 1e-4 * (1.0 + abs(entry.root))
-                and scaled_residual(p, g) <= 1e-8
-            ):
-                covered = True
-                break
-        if not covered:
-            unmatched.append(entry.root)
+        r = entry.root
+        # in a multiple-root cluster, an excellent root of p within the
+        # conditioning radius of the oracle value counts too
+        if not any(
+            abs(r - g) <= 1e-6 * (1.0 + abs(r))
+            or (abs(r - g) <= 1e-4 * (1.0 + abs(r)) and scaled_residual(p, g) <= 1e-8)
+            for g in got
+        ):
+            unmatched.append(r)
     total = len(oracle.roots)
     return total - len(unmatched), total, unmatched

@@ -289,20 +289,23 @@ def cross_check(p: Polynomial, report: RootReport, tol: float | None) -> str:
     (1 + |g|) from its oracle root (poly.match_roots' pairing when the counts
     agree, else the nearest). The oracle's own warnings go onto the report's,
     and so does the message of a stalled oracle, whose best roots it reads.
-    tol=None skips the oracle and reads "ok" unless partial."""
-    status = "ok" if tol is None else _oracle_status(p, report, tol)
+    tol=None skips the oracle and reads "ok" unless partial. Either way the
+    first non-finite root of the report is named in its warnings."""
+    got = report.values()
+    bad = [g for g in got if not cmath.isfinite(g)]
+    if bad:
+        report.warnings.append(f"root {bad[0]} is not finite")
+    if tol is None:
+        status = "ok"
+    else:
+        status = "mismatch" if bad else _oracle_status(p, got, report, tol)
     aimed = p.degree if report.aimed is None else report.aimed
     return "partial" if len(report.roots) < aimed else status
 
 
-def _oracle_status(p: Polynomial, report: RootReport, tol: float) -> str:
-    got = report.values()
+def _oracle_status(p: Polynomial, got: list[complex], report: RootReport, tol: float) -> str:
     if not got:
         return "empty"
-    for g in got:
-        if not cmath.isfinite(g):
-            report.warnings.append(f"root {g} is not finite")
-            return "mismatch"
     try:
         oracle = all_roots_oracle(p)
     except ConvergenceError as exc:

@@ -235,7 +235,10 @@ def is_new_root(x: complex, roots: Iterable[complex]) -> bool:
     """True unless x lies within 1e-6 (1 + |x|) of one of roots: the one
     radius inside which two roots count as the same root."""
     tol = 1e-6 * (1.0 + abs(x))
-    return all(abs(x - r) > tol for r in roots)
+    for r in roots:
+        if not abs(x - r) > tol:  # a NaN distance too
+            return False
+    return True
 
 
 def distinct_roots(entries: list[RootEntry]) -> list[RootEntry]:
@@ -390,40 +393,12 @@ def _maehly(x: complex, fx: complex, dfx: complex, deflate: Sequence[complex]):
     return dfx - fx * s
 
 
-def _laguerre(
-    x: complex, fx: complex, dfx: complex, d2fx: complex, deflate: Sequence[complex], m: int
-):
-    """Laguerre's step on q = p / prod (x - r) over r in deflate, q of
-    degree m: m / (G +- sqrt((m - 1)(m H - G^2))), the sign giving the
-    larger denominator, with G = q'/q = p'/p - sum 1/(x - r) and
-    H = -G' = (p'/p)^2 - p''/p - sum 1/(x - r)^2 (d2fx is p''/2). Maehly's
-    step where that is not finite; 0 where p(x) = 0, None where _maehly
-    gives 0."""
-    s1 = s2 = 0j
-    for r in deflate:
-        if x == r:
-            return None
-        t = 1.0 / (x - r)
-        s1 += t
-        s2 += t * t
-    if fx == 0:
-        return 0j
-    a = dfx / fx
-    g = a - s1
-    rad = (m - 1) * (m * (a * a - 2.0 * d2fx / fx - s2) - g * g)
-    if abs(rad) < math.inf:
-        root = cmath.sqrt(rad)
-        den = g + root if abs(g + root) >= abs(g - root) else g - root
-        if den:
-            return m / den
-    d = dfx - fx * s1
-    return fx / d if d else None
-
-
 # steps a settling newton_polish takes after it settles, keeping the best
 _FINISH_STEPS = 3
 # a finishing step of at most this times |x| can move x only by rounding
 _ROUNDING_STEP = 4.0 * sys.float_info.epsilon
+# newton_polish's one-entry memo: the last polynomial it read, and its terms
+_last_terms: tuple = (None, None)
 
 
 def newton_polish(
@@ -445,59 +420,103 @@ def newton_polish(
     p / prod (x - r), of degree n - len(deflate), from one pass that also
     gives p''; it converges cubically from far starts. Where its terms are
     not finite (|p'| near 1e200, say) the step is Maehly's. The name stays
-    newton_polish: the non-settling path is Newton's, bit for bit, and the
-    settling one is the same loop. The call stops only where the iteration
-    has settled on a root. Where p is tiny over a wide region (Wilkinson's
-    polynomial), the residual meets tol while the steps still move far, so
-    the step that meets it must also be within sqrt(tol) (1 + |x|). Then
-    up to 3 finishing steps run, and the best iterate is returned. The call
-    returns sooner where rounding alone can move x: when |p(x)| is at most
-    2 n eps sum |c_i| |x|^i (eps the machine epsilon), Horner's rounding
-    bound, or a finishing step is at most 4 eps |x|.
+    newton_polish: the non-settling path is Newton's, bit for bit; the
+    settling one, _settle, has its own loop and computes each step inline.
+    It stops only where the iteration has settled on a root. Where p is
+    tiny over a wide region (Wilkinson's polynomial), the residual meets tol
+    while the steps still move far, so the step that meets it must also be
+    within sqrt(tol) (1 + |x|). Then up to 3 finishing steps run, and the
+    best iterate is returned. It returns sooner where rounding alone can
+    move x: when |p(x)| is at most 2 n eps sum |c_i| |x|^i (eps the machine
+    epsilon), Horner's rounding bound, or a finishing step is at most 4 eps
+    |x|. Both paths read p's Horner terms from a one-entry memo keyed by the
+    polynomial object (a zero's sign counts), built once per polynomial.
 
     A vanishing derivative is sidestepped by a relative 1e-8 perturbation.
     Raises ConvergenceError (with the best iterate attached) when the budget
     runs out; the caller decides whether a stale iterate is usable.
     """
+    global _last_terms
+    held, terms = _last_terms
+    if held is not p:
+        terms = list(zip(reversed(p.coeffs), map(abs, p.coeffs)))
+        _last_terms = (p, terms)
     x = complex(x0)
-    terms = list(zip(reversed(p.coeffs), map(abs, p.coeffs)))
-    kernel = _laguerre_pass if settle else _newton_pass
-    fx, dfx, d2fx, scale = kernel(terms, x)
+    if settle:
+        return _settle(terms, x, tol, max_iter, deflate, p.degree)
+    fx, dfx, _, scale = _newton_pass(terms, x)
     best = (x, _residual(fx, scale), 0)
-    if best[1] <= tol and not settle:
+    if best[1] <= tol:
         return best
+    for it in range(1, max_iter + 1):
+        if deflate:
+            dfx = _maehly(x, fx, dfx, deflate)
+        if dfx:
+            x = x - fx / dfx
+            fx, dfx, _, scale = _newton_pass(terms, x)
+            res = _residual(fx, scale)
+            if res < best[1]:
+                best = (x, res, it)
+            if res <= tol:
+                return x, res, it
+        else:
+            x += 1e-8 * (1.0 + abs(x))
+            fx, dfx, _, scale = _newton_pass(terms, x)
+    raise ConvergenceError(f"newton_polish stalled at residual {best[1]:.3e}", best)
+
+
+def _settle(terms, x, tol, max_iter, deflate, n):
+    """newton_polish's settling path, on the degree-n p of terms from x;
+    d2fx is p''(x) / 2."""
+    fx, dfx, d2fx, scale = _laguerre_pass(terms, x)
+    best = (x, _residual(fx, scale), 0)
+    m = n - len(deflate)
     step_tol = math.sqrt(tol)
     # Horner's rounding bound on p(x) is about 2 n eps times the scale
-    floor = 2.0 * p.degree * sys.float_info.epsilon
+    floor = 2.0 * n * sys.float_info.epsilon
     left = None  # once settled, the finishing steps still to take
     it = 0
     while it < max_iter or left:
         it += 1
-        if settle:
-            if left is not None and abs(fx) <= floor * scale:
-                return best
-            step = _laguerre(x, fx, dfx, d2fx, deflate, p.degree - len(deflate))
-        else:
-            if deflate:
-                dfx = _maehly(x, fx, dfx, deflate)
-            step = fx / dfx if dfx else None
+        if left is not None and abs(fx) <= floor * scale:
+            return best
+        # Laguerre's m / (G +- sqrt((m - 1)(m H - G^2))), with the larger
+        # denominator: G = p'/p - sum 1/(x - r), H = (p'/p)^2 - p''/p - sum 1/(x - r)^2
+        step = s1 = s2 = 0j
+        for r in deflate:
+            if x == r:
+                step = None
+                break
+            t = 1.0 / (x - r)
+            s1 += t
+            s2 += t * t
+        if step is not None and fx:
+            a = dfx / fx
+            g = a - s1
+            rad = (m - 1) * (m * (a * a - 2.0 * d2fx / fx - s2) - g * g)
+            den = 0
+            if abs(rad) < math.inf:
+                root = cmath.sqrt(rad)
+                den = g + root if abs(g + root) >= abs(g - root) else g - root
+            if den:
+                step = m / den
+            else:  # Maehly's step
+                d = dfx - fx * s1
+                step = fx / d if d else None
         if step is None:
             x += 1e-8 * (1.0 + abs(x))
-            fx, dfx, d2fx, scale = kernel(terms, x)
+            fx, dfx, d2fx, scale = _laguerre_pass(terms, x)
         else:
             if left is not None and abs(step) <= _ROUNDING_STEP * abs(x):
                 return best
             x = x - step
-            fx, dfx, d2fx, scale = kernel(terms, x)
+            fx, dfx, d2fx, scale = _laguerre_pass(terms, x)
             res = _residual(fx, scale)
             if res < best[1]:
                 best = (x, res, it)
-            if left is None and res <= tol:
-                if not settle:
-                    return x, res, it
-                if abs(step) <= step_tol * (1.0 + abs(x)):
-                    left = _FINISH_STEPS
-                    continue
+            if left is None and res <= tol and abs(step) <= step_tol * (1.0 + abs(x)):
+                left = _FINISH_STEPS
+                continue
         if left is not None:
             left -= 1
             if left == 0:

@@ -213,7 +213,10 @@ class _BranchFree:
         step = self.step = self.powers[0] * self.powers[1] if t.alpha != 0 else 0j
         # the limit of |ratio[n] step|, b^b (s-b)^(s-b) / s^s |step|
         rho = self.rho = math.hypot(step.real, step.imag) * (b**b * (s - b) ** (s - b) / s**s)
-        if 0.0 < rho < 1.0:  # the class-free parts of class_sum's count
+        self.counting = None  # the class-free parts of class_sum's count
+        # where 1e-12 / rho overflows (rho subnormal), the tail after T_1
+        # underflows: class_sum counts no further
+        if 0.0 < rho < 1.0 and _REL_TOL / rho < math.inf:
             target = math.log(_REL_TOL / rho * (1.0 - rho))
             m = max(1, math.ceil(target / math.log(rho)))
             gap = target - m * math.log(abs(step))
@@ -276,7 +279,7 @@ class _BranchFree:
             value, used, status = sum_series(next(terms), terms, last_index)
             return value, status, used + 1
         want = 1  # where rho underflowed, the tail after T_1 does too
-        if rho:
+        if self.counting:
             # N for |sum| = 1: log |T_m| = L(i + ms) - L(i) + m log |step|, L
             # of _gamma_part, is about m log rho - 3/2 log m; one Newton step
             # from m lands near N

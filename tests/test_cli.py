@@ -460,6 +460,17 @@ class TestDeterminism:
             '"warnings":["root (-0-infj) is not finite"],"status":"mismatch"}\n'
         )
 
+    def test_non_finite_root_is_named_without_the_oracle(self):
+        # with --no-oracle the root count alone sets status and exit code,
+        # and the warning the oracle path gives still names the root
+        code, out, _ = run_cli("solve", "--coeffs", "1e200,0,1e-200", "--no-oracle", "--json")
+        assert code == 0
+        assert out == (
+            '{"method":"closed-quadratic","roots":[{"re":-0,"im":null,"residual":null,'
+            '"branch":0},{"re":null,"im":null,"residual":null,"branch":1}],'
+            '"warnings":["root (-0-infj) is not finite"],"status":"ok"}\n'
+        )
+
 
 class TestRDTable:
     def test_reference_rows(self):

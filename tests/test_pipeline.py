@@ -151,6 +151,17 @@ def test_cross_check_rejects_non_finite_roots():
     assert report.warnings == ["root (nan+0j) is not finite"]
 
 
+def test_cross_check_names_a_non_finite_root_without_the_oracle():
+    # the same warning as with the oracle; the root count alone decides
+    p = Polynomial([-1, 0, 1])
+    report = RootReport([RootEntry(1.0 + 0j, 0.0), RootEntry(complex("nan"), 0.0)], "test")
+    assert cross_check(p, report, None) == "ok"
+    assert report.warnings == ["root (nan+0j) is not finite"]
+    short = RootReport([RootEntry(complex("inf"), 0.0)], "test")
+    assert cross_check(p, short, None) == "partial"
+    assert short.warnings == ["root (inf+0j) is not finite"]
+
+
 def test_cross_check_rejects_a_wrong_report_on_wilkinson_twenty():
     # the oracle's polygon start keeps x^20 finite; from a start circle of
     # radius 7e18 every Durand-Kerner step was NaN and any 20 finite roots

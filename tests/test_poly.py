@@ -2,6 +2,7 @@ import cmath
 import contextlib
 import math
 import random
+import sys
 
 import pytest
 
@@ -386,6 +387,169 @@ class TestNewtonPolish:
         with pytest.raises(ConvergenceError) as exc:
             newton_polish(p, 1.4, tol=1e-30, max_iter=10)
         assert polish(p, 1.4, tol=1e-30, max_iter=10) == (*exc.value.best, False)
+
+
+def _plain_laguerre(p, x0, tol=1e-12, max_iter=60, deflate=()):
+    """Reference settling loop: the Horner recurrences for p, p' and p''/2,
+    poly._scale for the residual scale, Laguerre's step on p / prod (x - r)
+    with Maehly's step where Laguerre's is not finite or its denominator
+    vanishes, and the exits newton_polish documents. The settling path must
+    match it bit for bit."""
+    n = p.degree
+    m = n - len(deflate)
+    eps = sys.float_info.epsilon
+
+    def horner(x):
+        f = d = h = 0.0
+        for c in reversed(p.coeffs):
+            h = h * x + d
+            d = d * x + f
+            f = f * x + c
+        return f, d, h
+
+    x = complex(x0)
+    f, d, h = horner(x)
+    best = (x, scaled_residual(p, x), 0)
+    settled, left, it = False, 0, 0
+    while it < max_iter or left:
+        it += 1
+        if settled and abs(f) <= 2.0 * n * eps * polysolve.poly._scale(p, x):
+            return best  # |p(x)| within Horner's rounding bound
+        if any(x == r for r in deflate):
+            step = None
+        elif f == 0:
+            step = 0j
+        else:
+            s1 = s2 = 0j
+            for r in deflate:
+                s1 += 1.0 / (x - r)
+                s2 += (1.0 / (x - r)) * (1.0 / (x - r))
+            g = d / f - s1
+            big_h = (d / f) * (d / f) - 2.0 * h / f - s2
+            rad = (m - 1) * (m * big_h - g * g)
+            step = None
+            if abs(rad) < math.inf:
+                root = cmath.sqrt(rad)
+                den = g + root if abs(g + root) >= abs(g - root) else g - root
+                if den:
+                    step = m / den
+            if step is None and d - f * s1:
+                step = f / (d - f * s1)
+        if step is None:
+            x += 1e-8 * (1.0 + abs(x))
+            f, d, h = horner(x)
+        else:
+            if settled and abs(step) <= 4.0 * eps * abs(x):
+                return best  # a finishing step that only rounding can make
+            x = x - step
+            f, d, h = horner(x)
+            res = scaled_residual(p, x)
+            if res < best[1]:
+                best = (x, res, it)
+            if not settled and res <= tol and abs(step) <= math.sqrt(tol) * (1.0 + abs(x)):
+                settled, left = True, 3
+                continue
+        if settled:
+            left -= 1
+            if left == 0:
+                return best
+    raise ConvergenceError("stalled", best)
+
+
+class TestSettleReference:
+    def test_matches_plain_laguerre_reference(self):
+        from hypothesis import example, given, settings
+        from hypothesis import strategies as st
+
+        coeff = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+        wilkinson = list(poly_from_roots(range(1, 21)).coeffs)
+        wide = [-1, -1e200, 0, 1]  # x^3 - 1e200 x - 1: Laguerre's G^2 overflows
+
+        @given(
+            st.lists(coeff, min_size=2, max_size=11),
+            coeff,
+            st.sampled_from([1e-10, 1e-12, 1e-30]),
+            st.integers(1, 40),
+            st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False), max_size=3),
+        )
+        @example(wilkinson, 8.5683 + 0.0775j, 1e-10, 80, [])  # no root near
+        @example([-1, 0, 1], 1.0, 1e-12, 60, [])  # an exact root
+        @example([-6, 11, -6, 1], 1.0, 1e-12, 60, [1.0])  # on a deflated root
+        @example(wide, -1e-200 * cmath.exp(0.3j), 1e-10, 80, [])
+        @example(wide, 1e100 * cmath.exp(0.3j), 1e-10, 80, [-1e-200])
+        @settings(max_examples=300, deadline=None)
+        def check(coeffs, x0, tol, max_iter, deflate):
+            p = Polynomial(coeffs)
+            args = (p, x0, tol, max_iter, deflate)
+            assert _newton_outcome(
+                lambda *a: newton_polish(*a, settle=True), *args
+            ) == _newton_outcome(_plain_laguerre, *args)
+
+        check()
+
+    def test_the_wide_example_takes_maehly_steps(self):
+        # near -1e-200 on x^3 - 1e200 x - 1 Laguerre's terms overflow, so the
+        # example above runs the Maehly fallback; the polish still converges
+        p = Polynomial([-1, -1e200, 0, 1])
+        x0 = -1e-200 * cmath.exp(0.3j)
+        f, d = eval_poly_and_deriv(p, x0)
+        assert not abs((d / f) ** 2) < math.inf
+        root, res, _ = newton_polish(p, x0, 1e-10, 80, settle=True)
+        assert abs(root + 1e-200) <= 1e-215 and res <= 1e-10
+
+
+class TestTermsMemo:
+    def test_a_twin_with_a_zero_of_the_other_sign_gets_its_own_terms(self):
+        # equal in value, so a memo keyed by value would hand p's terms,
+        # zero signs and all, to its twin
+        p = Polynomial([-2, 0j, 1])
+        twin = Polynomial([-2, complex(-0.0, -0.0), 1])
+        assert p == twin
+        for poly in (p, twin, p):
+            got = newton_polish(poly, 1.4, settle=True)
+            held, terms = polysolve.poly._last_terms
+            assert held is poly
+            assert repr(terms) == repr(list(zip(reversed(poly.coeffs), map(abs, poly.coeffs))))
+            polysolve.poly._last_terms = (None, None)
+            assert repr(newton_polish(poly, 1.4, settle=True)) == repr(got)
+
+    def test_threads_alternating_two_polynomials(self):
+        # four threads polish two polynomials in turn; whatever the
+        # interleaving, each polish reads whole terms of its own polynomial
+        import threading
+
+        p, q = poly_from_roots([1, 2, 3]), poly_from_roots([-1j, 0.5, 4, -2])
+        calls = [(p, 2.6, ()), (q, 0.4 + 0.1j, [4.0]), (p, 0.7, [2.0]), (q, 3.5, ())]
+        want = [polish(f, x0, 1e-12, 60, d, settle) for f, x0, d in calls for settle in (False, True)]
+        bad = []
+
+        def worker(k):
+            for _ in range(150):
+                got = [polish(f, x0, 1e-12, 60, d, settle) for f, x0, d in calls[k:] + calls[:k]
+                       for settle in (False, True)]
+                if got != want[2 * k:] + want[:2 * k]:
+                    bad.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not bad
+        assert all(res <= 1e-12 and ok for _, res, _, ok in want)
+
+    def test_only_the_last_polynomial_is_held(self):
+        ps = [poly_from_roots([k + 1.0, -0.5j]) for k in range(100)]
+        before = [sys.getrefcount(f) for f in ps]
+        assert all(polish(f, 0.3 + 0.2j, settle=True)[3] for f in ps)
+        assert polysolve.poly._last_terms[0] is ps[-1]
+        assert [sys.getrefcount(f) for f in ps] == before[:-1] + [before[-1] + 1]
 
 
 class TestOracle:

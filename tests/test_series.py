@@ -978,6 +978,20 @@ def test_the_series_is_the_pfq_sum_and_matches_mpmath(sb, rho, q_mod, q_arg, alp
             assert abs(value - root) <= 1e-11 * abs(root), k
 
 
+@pytest.mark.parametrize("alpha", [4.445517498970155e-162, 1e-161j, -1.2e-160])
+def test_a_subnormal_argument_modulus_sums_one_term_a_class(alpha):
+    # rho = |alpha^2| / 4 is subnormal, so 1e-12 / rho overflows: the class
+    # count may not start from its log (math.ceil of an infinity raised
+    # OverflowError); the tail after the first term underflows instead
+    t = Trinomial(2, 1, alpha, 1)
+    for k in range(t.s):
+        root, diag = trinomial_series_root(t, k)
+        value, status = trinomial_pfq_root(t, k).evaluate()
+        assert (_bits(diag.series_value), diag.status) == (_bits(value), status)
+        assert status == "converged" and diag.terms_used <= 2 * t.s
+        assert abs(root - (1, -1)[k]) <= 1e-15
+
+
 class TestBringJerrard:
     def test_alpha_zero(self):
         report = bring_jerrard_quintic(0, 32)
